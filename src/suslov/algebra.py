@@ -143,9 +143,9 @@ def vector_to_skew(u) -> SkewMatrix:
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("vector_to_skew expects a 3-vector")
-    return SkewMatrix(
-        [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
-    )
+    x, y, z = u.tolist()
+    # exactly skew as written, so no antisymmetrizing pass is needed
+    return SkewMatrix._wrap(np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]))
 
 
 def skew_to_vector(a: SkewMatrix):

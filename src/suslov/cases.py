@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import ConstraintSet, SkewMatrix, vector_to_skew
+from .algebra import ConstraintSet, SkewMatrix, skew_to_vector, vector_to_skew
 from .model import (
     BodyState,
     DGJPotential,
@@ -49,6 +49,8 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
+    _cross,
+    _plane_basis,
     energy,
     vector_field_3d,
     vector_field_reduced,
@@ -247,11 +249,6 @@ def _omega_col(state: BodyState) -> np.ndarray:
     return state.omega.mat[: n - 1, n - 1]
 
 
-def _omega_vec3(state: BodyState) -> np.ndarray:
-    m = state.omega.mat
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def first_integrals(spec: CaseSpec) -> IntegralSet:
     """Energy plus the case-specific conserved quantities."""
     spec.validate()
@@ -280,7 +277,7 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
         j = spec.j_diag
 
         def lagrange_momentum(s, j=j):
-            return float(np.dot(j * _omega_vec3(s), s.gamma))
+            return float(np.dot(j * skew_to_vector(s.omega), s.gamma))
 
         entries.append(
             (
@@ -294,7 +291,7 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
         b = pot.b
 
         def kharlamova_momentum(s, j=j, b=b):
-            w = _omega_vec3(s)
+            w = skew_to_vector(s.omega)
             return float(j[0] * w[0] * b[0] + j[1] * w[1] * b[1])
 
         entries.append(
@@ -310,7 +307,7 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
         a = eps * np.prod(j) / j
 
         def clebsch_quadratic(s, j=j, a=a):
-            w = j * _omega_vec3(s)
+            w = j * skew_to_vector(s.omega)
             return float(0.5 * np.dot(w, w) - 0.5 * np.dot(a, s.gamma**2))
 
         entries.append(
@@ -324,7 +321,7 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
         j = spec.j_diag
 
         def dgj_integral(s, j=j, pot=pot):
-            w = j * _omega_vec3(s)
+            w = j * skew_to_vector(s.omega)
             g1, g2, g3 = s.gamma
             return float(
                 0.5 * np.dot(w, w)
@@ -407,7 +404,7 @@ def build_field(spec: CaseSpec):
         constraints = ConstraintSet.single_3d(axis)
 
         def field(state, j=j, pot=pot, eps=eps, axis=axis):
-            w = _omega_vec3(state)
+            w = skew_to_vector(state.omega)
             w_dot, g_dot = vector_field_3d(w, state.gamma, j, pot, eps, axis)
             return vector_to_skew(w_dot), g_dot
 
@@ -462,18 +459,14 @@ def asymptotic_points(j_diag, axis, energy_level: float):
     ja = j * a
     if np.linalg.norm(ja - np.dot(a, ja) * a) <= 1e-12 * np.linalg.norm(ja):
         raise ValueError("no asymptotic line; solutions are constants")
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(a)))] = 1.0
-    u = np.cross(a, pick)
-    u /= np.linalg.norm(u)
-    v = np.cross(a, u)
+    u, v = _plane_basis(a)
 
     def omega_of(psi):
         d = np.cos(psi) * u + np.sin(psi) * v
         return d * np.sqrt(2.0 * energy_level / np.dot(j * d, d))
 
     def omega_dot(w):
-        k = np.cross(j * w, w)
+        k = _cross(j * w, w)
         lam = -np.dot(a, k / j) / np.dot(a, a / j)
         return (k + lam * a) / j
 

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import clebsch, kharlamova
-from .algebra import SkewMatrix
+from .algebra import SkewMatrix, skew_to_vector
 from .cases import (
+    _3D_KINDS,
     CaseError,
     CaseKind,
     CaseSpec,
@@ -317,7 +318,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     state0 = BodyState(omega, gamma)
 
     step_cfg = e.float_("integrator.step", default=1e-2)
-    integrator = IntegratorConfig(
+    settings = dict(
         method=e.string("integrator.method", default="rk45"),
         step=overrides.get("step") or step_cfg,
         rel_tol=e.float_("integrator.rel_tol", default=1e-10),
@@ -325,6 +326,10 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         renormalize_gamma=e.bool_("integrator.renormalize_gamma", default=True),
         max_steps=e.int_("integrator.max_steps", default=20_000_000),
     )
+    try:
+        integrator = IntegratorConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"integrator settings rejected: {exc}")
 
     t_end_cfg = e.float_("run.t_end", required=overrides.get("t_end") is None)
     t_end = overrides.get("t_end") or t_end_cfg
@@ -452,13 +457,7 @@ def _analysis_measure_check(report, config, traj):
         f, dim, _ = packed_suslov3d_field(
             spec.j_diag, spec.constraint_axis, spec.potential, spec.gyro_eps
         )
-    elif spec.kind in (
-        CaseKind.LAGRANGE_3D,
-        CaseKind.KHARLAMOVA_3D,
-        CaseKind.CLEBSCH_TISSERAND_3D,
-        CaseKind.DGJ_3D,
-        CaseKind.GYROSCOPIC_3D,
-    ):
+    elif spec.kind in _3D_KINDS:
         f, dim, _ = packed_suslov3d_field(
             spec.j_diag, np.array([0.0, 0.0, 1.0]), spec.potential, spec.gyro_eps
         )
@@ -599,12 +598,8 @@ def _analysis_asymptotic(report, config, traj):
     report.put("w_plus", w_plus)
     report.put("w_minus", w_minus)
 
-    def omega_vec(state):
-        m = state.omega.mat
-        return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
     dist = np.array(
-        [np.linalg.norm(omega_vec(s) - w_plus) for s in traj.states]
+        [np.linalg.norm(skew_to_vector(s.omega) - w_plus) for s in traj.states]
     )
     report.put("initial_distance", float(dist[0]))
     report.put("final_distance", float(dist[-1]))

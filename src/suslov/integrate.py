@@ -5,6 +5,13 @@ Dormand-Prince 5(4) pair with standard proportional step control.  States
 are flattened to ``(upper triangle of Omega, Gamma)`` for stepping; samples
 land exactly on the requested output grid.
 
+The Dormand-Prince step stores its seven stage derivatives as the rows of
+one 7-by-d array ``K``: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]``
+with the strictly lower-triangular tableau ``A``, and the step returns
+``y + h B5 @ K`` with the error estimate ``h (B5 - B4) @ K``.  The field sees
+a ``BodyState`` built from the flat vector by scattering into precomputed
+flat indices of the n-by-n matrix, with no re-validation or copy.
+
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
 never projects, and the constraint residual is recorded rather than
@@ -54,10 +61,11 @@ class IntegratorConfig:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
+        for tol in (self.rel_tol, self.abs_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if self.method not in ("rk4", "rk45"):
@@ -84,21 +92,25 @@ class Trajectory:
         return self.times.size
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# section II.5); row s of the strictly lower-triangular A feeds stage s
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
+)
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4
 
 
 def _rk4_step(f, t, y, h):
@@ -110,14 +122,16 @@ def _rk4_step(f, t, y, h):
 
 
 def rk45_step(f, t, y, h):
-    """One Dormand-Prince step; returns (y5, error_estimate)."""
-    k = [f(t, y)]
+    """One Dormand-Prince step; returns (y5, error_estimate).
+
+    The seven stage derivatives fill the rows of one 7-by-d array ``K``, so
+    every stage input and both weighted sums are a single matrix product.
+    """
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
     for s in range(1, 7):
-        ys = y + h * sum(a * ks for a, ks in zip(_DP_A[s], k))
-        k.append(f(t + _DP_C[s] * h, ys))
-    y5 = y + h * sum(b * ks for b, ks in zip(_DP_B5, k) if b != 0.0)
-    y4 = y + h * sum(b * ks for b, ks in zip(_DP_B4, k))
-    return y5, y5 - y4
+        K[s] = f(t + _DP_C[s] * h, y + h * (_DP_A[s, :s] @ K[:s]))
+    return y + h * (_DP_B5 @ K), h * (_DP_E @ K)
 
 
 def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
@@ -179,16 +193,35 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
     return np.array(ys)
 
 
-def _pack(state: BodyState, iu, ju):
-    return np.concatenate([state.omega.mat[iu, ju], state.gamma])
+class _Packing:
+    """Flat coordinates ``(upper triangle of Omega, Gamma)`` of so(n) x R^n.
 
+    The upper and lower triangles are addressed through precomputed flat
+    indices of the row-major n-by-n matrix, and states are rebuilt through
+    the unchecked ``_wrap`` constructors: every array written here is exactly
+    skew or freshly allocated.
+    """
 
-def _unpack(y, n, iu, ju):
-    mat = np.zeros((n, n))
-    k = iu.size
-    mat[iu, ju] = y[:k]
-    mat[ju, iu] = -y[:k]
-    return BodyState(SkewMatrix._wrap(mat), y[k:])
+    def __init__(self, n):
+        iu, ju = np.triu_indices(n, k=1)
+        self.n = n
+        self.k = iu.size
+        self.size = self.k + n
+        self.upper = iu * n + ju
+        self.lower = ju * n + iu
+
+    def pack(self, omega: SkewMatrix, gamma) -> np.ndarray:
+        y = np.empty(self.size)
+        y[: self.k] = omega.mat.ravel()[self.upper]
+        y[self.k :] = gamma
+        return y
+
+    def unpack(self, y) -> BodyState:
+        k = self.k
+        mat = np.zeros(self.n * self.n)
+        mat[self.upper] = y[:k]
+        mat[self.lower] = -y[:k]
+        return BodyState._wrap(SkewMatrix._wrap(mat.reshape(self.n, self.n)), y[k:])
 
 
 def integrate(
@@ -211,9 +244,8 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    n = state0.n
-    iu, ju = np.triu_indices(n, k=1)
-    k = iu.size
+    packing = _Packing(state0.n)
+    k = packing.k
     if output_dt is None:
         output_dt = max(cfg.step, (t1 - t0) / 1000.0)
     n_out = int(round((t1 - t0) / output_dt))
@@ -221,9 +253,7 @@ def integrate(
     t_grid = t0 + (t1 - t0) * np.arange(n_out + 1) / n_out
 
     def f(t, y):
-        state = _unpack(y, n, iu, ju)
-        omega_dot, gamma_dot = field(state)
-        return np.concatenate([omega_dot.mat[iu, ju], gamma_dot])
+        return packing.pack(*field(packing.unpack(y)))
 
     post = None
     if cfg.renormalize_gamma:
@@ -235,7 +265,7 @@ def integrate(
                 y[k:] /= nrm
             return y
 
-    y0 = _pack(state0, iu, ju)
+    y0 = packing.pack(state0.omega, state0.gamma)
     if cfg.method == "rk4":
         ys = solve_fixed_rk4(f, y0, t_grid, cfg.step, post, cfg.max_steps)
     else:
@@ -243,7 +273,7 @@ def integrate(
             f, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post, cfg.max_steps
         )
 
-    states = [_unpack(y, n, iu, ju) for y in ys]
+    states = [packing.unpack(y) for y in ys]
     return _finish(t_grid, states, inertia, potential, constraints)
 
 

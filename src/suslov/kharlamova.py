@@ -23,6 +23,7 @@ double.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,6 +265,19 @@ def orbit_interval(poly: QuarticPolynomial, omega1_0: float, tol: float = 1e-9):
     return (xi1, xi2)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(m: int):
+    """Read-only Gauss-Legendre nodes and weights of size m.
+
+    ``leggauss`` is a dense eigensolve, so building a rule costs far more
+    than using it; :func:`period` asks for the same few sizes every call.
+    """
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
            double_root_tol: float = 1e-8):
     """Period ``T = 2 * integral dw / sqrt(P)`` over the interval, or
@@ -296,7 +310,7 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
     half = 0.5 * (xi2 - xi1)
 
     def quad(m):
-        x, wts = np.polynomial.legendre.leggauss(m)
+        x, wts = _gauss_legendre(m)
         theta = 0.5 * np.pi * x
         w = mid + half * np.sin(theta)
         smooth = -lead * np.ones_like(w, dtype=complex)

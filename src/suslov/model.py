@@ -162,6 +162,16 @@ class BodyState:
         gamma.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
 
+    @classmethod
+    def _wrap(cls, omega: SkewMatrix, gamma: np.ndarray) -> "BodyState":
+        """Wrap a float array of length ``omega.n`` without checking or
+        copying it (internal fast path); ``gamma`` becomes read-only."""
+        obj = object.__new__(cls)
+        gamma.flags.writeable = False
+        object.__setattr__(obj, "omega", omega)
+        object.__setattr__(obj, "gamma", gamma)
+        return obj
+
     @property
     def n(self) -> int:
         return self.omega.n
@@ -388,6 +398,32 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
+def _cross(x, y) -> np.ndarray:
+    """Cross product of two 3-vectors from explicit components.
+
+    Same products and differences as ``np.cross``, so the result is
+    bit-identical, without its per-call dispatch cost, which dominates the
+    arithmetic at this size.
+    """
+    return np.array(
+        [
+            x[1] * y[2] - x[2] * y[1],
+            x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0],
+        ]
+    )
+
+
+def _plane_basis(a):
+    """Orthonormal basis ``(u, v)`` of the plane perpendicular to the unit
+    vector ``a``, with ``(u, v, a)`` right-handed."""
+    pick = np.zeros(3)
+    pick[int(np.argmin(np.abs(a)))] = 1.0
+    u = _cross(a, pick)
+    u /= np.linalg.norm(u)
+    return u, _cross(a, u)
+
+
 def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float = 0.0,
                     axis=None):
     """Classical 3D form in vector variables (independent of the matrix
@@ -404,12 +440,12 @@ def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float 
     if omega.shape != (3,) or gamma.shape != (3,) or j.shape != (3,):
         raise ValueError("vector_field_3d expects 3-vectors")
     a = _E3 if axis is None else np.asarray(axis, dtype=float)
-    k = np.cross(j * omega, omega) + np.cross(gamma, potential.gradient(gamma))
+    gamma_dot = _cross(gamma, omega)
+    k = _cross(j * omega, omega) + _cross(gamma, potential.gradient(gamma))
     if gyro_eps != 0.0:
-        k = k + gyro_eps * np.cross(gamma, omega)
+        k = k + gyro_eps * gamma_dot
     lam = -np.dot(a, k / j) / np.dot(a, a / j)
     omega_dot = (k + lam * a) / j
-    gamma_dot = np.cross(gamma, omega)
     return omega_dot, gamma_dot
 
 
@@ -485,12 +521,7 @@ def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
     j = np.asarray(j_diag, dtype=float)
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
-    # orthonormal basis of the plane perpendicular to a
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(a)))] = 1.0
-    u = np.cross(a, pick)
-    u /= np.linalg.norm(u)
-    v = np.cross(a, u)
+    u, v = _plane_basis(a)
     pot = potential if potential is not None else ZeroPotential()
 
     def f(x):

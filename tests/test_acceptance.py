@@ -129,6 +129,7 @@ def catalog():
     return specs
 
 
+@pytest.mark.slow
 def test_criterion_1_conservation_suite():
     import zlib
 
@@ -201,6 +202,7 @@ def _kharlamova_instance(rng, n):
     return inertia, b, spec
 
 
+@pytest.mark.slow
 def test_criterion_3_kharlamova_periods():
     rng = np.random.default_rng(3)
     checked = 0
@@ -266,6 +268,7 @@ def test_criterion_3_kharlamova_periods():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_clebsch_tori():
     ok = True
     details = []

@@ -150,6 +150,29 @@ class TestConfigParsing:
         assert "case.inertia" in err and "[error]" in err
 
 
+    @pytest.mark.parametrize(
+        "edit, flags, message",
+        [
+            (None, ["--step", "-1"], "step must be positive"),
+            (("integrator.rel_tol = 1e-10", "integrator.rel_tol = nan"), [],
+             "tolerances must be positive"),
+            (("integrator.method = rk45", "integrator.method = foo"), [],
+             "unknown method"),
+        ],
+    )
+    def test_bad_integrator_settings_exit_2(self, tmp_path, capsys, edit, flags,
+                                            message):
+        text = kharlamova_cfg(tmp_path / "out")
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        path = write(tmp_path, "bad.cfg", text)
+        assert main(["simulate", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "[error]\nkind = config\n" in err and message in err
+        assert "Traceback" not in err
+
+
 class TestRunAndVerify:
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         out = tmp_path / "out"

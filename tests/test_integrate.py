@@ -14,6 +14,7 @@ from suslov.integrate import (
     drift_report,
     integrate,
     reparametrize,
+    rk45_step,
     solve_adaptive_rk45,
     solve_fixed_rk4,
     write_csv,
@@ -105,6 +106,87 @@ class TestSteppers:
         with pytest.raises(IntegrationError, match="underflow") as err:
             solve_adaptive_rk45(f, np.array([0.0]), [0.0, 1.0], 1e-10, 1e-12)
         assert 0.0 <= err.value.t_last <= 0.6
+
+
+# Dormand-Prince 5(4), one stage at a time, as a reference for the
+# stage-matrix stepper
+_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_REF_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_REF_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+           187 / 2100, 1 / 40]
+
+
+def reference_dp5_step(f, t, y, h):
+    k = [f(t, y)]
+    for s in range(1, 7):
+        ys = y + h * sum(a * ks for a, ks in zip(_REF_A[s], k))
+        k.append(f(t + _REF_C[s] * h, ys))
+    y5 = y + h * sum(b * ks for b, ks in zip(_REF_B5, k))
+    y4 = y + h * sum(b * ks for b, ks in zip(_REF_B4, k))
+    return y5, y5 - y4
+
+
+class TestRk45Step:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.mat = rng.normal(size=(6, 6)) / np.sqrt(6.0)
+        self.y0 = rng.normal(size=6)
+
+    def f(self, t, y):
+        return self.mat @ y + np.sin(t)
+
+    def test_matches_per_stage_reference(self):
+        for h in (0.3, 0.05, 1e-3):
+            y5, err = rk45_step(self.f, 0.7, self.y0, h)
+            y5_ref, err_ref = reference_dp5_step(self.f, 0.7, self.y0, h)
+            assert np.max(np.abs(y5 - y5_ref)) <= 1e-15 * np.max(np.abs(y5_ref))
+            assert np.max(np.abs(err - err_ref)) <= 1e-15 * np.max(np.abs(y5_ref))
+
+    def test_error_estimate_and_local_error_orders(self):
+        from scipy.linalg import expm
+
+        mat = self.mat
+
+        def f(t, y):
+            return mat @ y
+
+        hs = [0.2, 0.1, 0.05]
+        est, local = [], []
+        for h in hs:
+            y5, err = rk45_step(f, 0.0, self.y0, h)
+            est.append(np.linalg.norm(err))
+            local.append(np.linalg.norm(y5 - expm(h * mat) @ self.y0))
+        for i in range(len(hs) - 1):
+            # the embedded 4th-order solution errs by O(h^5), y5 by O(h^6)
+            assert abs(math.log2(est[i] / est[i + 1]) - 5.0) <= 0.3
+            assert abs(math.log2(local[i] / local[i + 1]) - 6.0) <= 0.3
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("step", math.nan),
+            ("step", math.inf),
+            ("step", -1.0),
+            ("rel_tol", math.nan),
+            ("rel_tol", 0.0),
+            ("abs_tol", math.inf),
+            ("abs_tol", -1e-12),
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite(self, field_name, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IntegratorConfig(**{field_name: value})
 
 
 class TestRenormalization:

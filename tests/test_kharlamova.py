@@ -15,6 +15,7 @@ from suslov.kharlamova import (
     QuarticPolynomial,
     from_kharlamova,
     orbit_curve,
+    _gauss_legendre,
     orbit_interval,
     period,
     reduced_field,
@@ -289,6 +290,14 @@ class TestPeriod:
         poly = QuarticPolynomial(np.array([1.0, 0.0, -1.0, 0.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ValueError, match="equilibrium"):
             period(poly, (1.0, 1.0))
+
+    @pytest.mark.parametrize("m", [64, 128, 1024])
+    def test_cached_rule_is_read_only_leggauss(self, m):
+        x, w = _gauss_legendre(m)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(m)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert _gauss_legendre(m)[0] is x
 
     def test_node_doubling_self_consistency(self):
         inertia, b, rng = make_params(4, 11)

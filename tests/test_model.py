@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import canonical_state, random_canonical_state, random_skew, random_unit, state_from_vec3
 from suslov.algebra import ConstraintSet, SkewMatrix, skew_to_vector, vector_to_skew
 from suslov.model import (
     BodyState,
+    _cross,
     CustomPotential,
     DGJPotential,
     LinearPotential,
@@ -255,6 +259,60 @@ class TestFieldEquivalence:
             )
             assert np.allclose(wd, wd_o, atol=1e-13)
             assert np.allclose(gd, gd_o, atol=1e-13)
+
+
+def same_bits(x, y):
+    """Equal shapes and identical IEEE bit patterns, with any NaN matching
+    any NaN (payloads are not part of the arithmetic contract)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape or not np.array_equal(np.isnan(x), np.isnan(y)):
+        return False
+    keep = ~np.isnan(x)
+    return np.array_equal(x[keep].view(np.uint64), y[keep].view(np.uint64))
+
+
+class TestCross:
+    @given(
+        arrays(np.float64, 3, elements=st.floats(allow_nan=True, allow_infinity=True)),
+        arrays(np.float64, 3, elements=st.floats(allow_nan=True, allow_infinity=True)),
+    )
+    def test_bit_identical_to_numpy(self, x, y):
+        with np.errstate(all="ignore"):
+            assert same_bits(_cross(x, y), np.cross(x, y))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+            ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            ([1e308, -1e308, 1e308], [1e308, 1e308, -1e308]),
+            ([5e-324, 1e-310, -5e-324], [1e-310, -5e-324, 1e-310]),
+            ([np.inf, 1.0, 0.0], [0.0, 1.0, np.inf]),
+            ([np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]),
+        ],
+    )
+    def test_edge_cases(self, x, y):
+        x, y = np.array(x), np.array(y)
+        with np.errstate(all="ignore"):
+            assert same_bits(_cross(x, y), np.cross(x, y))
+
+
+class TestBodyState:
+    def test_wrap_matches_validated_constructor(self):
+        rng = np.random.default_rng(3)
+        omega = random_skew(rng, 4)
+        gamma = random_unit(rng, 4)
+        checked = BodyState(omega, gamma)
+        wrapped = BodyState._wrap(omega, gamma.copy())
+        assert wrapped.omega is omega
+        assert np.array_equal(wrapped.gamma, checked.gamma)
+        assert wrapped.n == checked.n
+        assert not wrapped.gamma.flags.writeable
+        with pytest.raises(ValueError):
+            wrapped.gamma[0] = 1.0
+        with pytest.raises(AttributeError):
+            wrapped.gamma = gamma
 
 
 class TestReducedField:
