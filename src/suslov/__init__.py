@@ -45,6 +45,7 @@ from .clebsch import (
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
+    IntegratorStats,
     Trajectory,
     detect_period,
     drift_report,

@@ -320,7 +320,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     step_cfg = e.float_("integrator.step", default=1e-2)
     settings = dict(
         method=e.string("integrator.method", default="rk45"),
-        step=overrides.get("step") or step_cfg,
+        step=step_cfg if overrides.get("step") is None else overrides["step"],
         rel_tol=e.float_("integrator.rel_tol", default=1e-10),
         abs_tol=e.float_("integrator.abs_tol", default=1e-12),
         renormalize_gamma=e.bool_("integrator.renormalize_gamma", default=True),
@@ -332,10 +332,15 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         raise ConfigError(f"integrator settings rejected: {exc}")
 
     t_end_cfg = e.float_("run.t_end", required=overrides.get("t_end") is None)
-    t_end = overrides.get("t_end") or t_end_cfg
-    if t_end <= 0:
-        raise ConfigError("run.t_end must be positive")
+    t_end = t_end_cfg if overrides.get("t_end") is None else overrides["t_end"]
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigError(f"run.t_end = {t_end!r} must be positive and finite")
     output_dt = e.float_("run.output_dt", default=t_end / 1000.0)
+    if not (0 < output_dt <= t_end):
+        raise ConfigError(
+            f"run.output_dt = {output_dt!r} must be positive and at most "
+            f"run.t_end = {t_end!r}"
+        )
     analyses_raw = e.string("run.analyses", default="verify_integrals")
     analyses = analyses_raw.replace(",", " ").split()
     for name in analyses:
@@ -652,6 +657,10 @@ def run(config: ScenarioConfig, analyses=None) -> int:
 
     report = Report()
     _case_section(report, config)
+    report.section("integrator")
+    report.put("accepted", traj.stats.accepted)
+    report.put("rejected", traj.stats.rejected)
+    report.put("rhs_evals", traj.stats.rhs_evals)
     all_ok = True
     for name in analyses if analyses is not None else config.analyses:
         all_ok = _ANALYSIS_FNS[name](report, config, traj) and all_ok

@@ -2,20 +2,25 @@
 
 Two steppers are provided: classical fixed-step RK4 and an embedded
 Dormand-Prince 5(4) pair with standard proportional step control.  States
-are flattened to ``(upper triangle of Omega, Gamma)`` for stepping; samples
-land exactly on the requested output grid.
+are flattened to ``(upper triangle of Omega, Gamma)`` for stepping.
 
 The Dormand-Prince step stores its seven stage derivatives as the rows of
 one 7-by-d array ``K``: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]``
 with the strictly lower-triangular tableau ``A``, and the step returns
-``y + h B5 @ K`` with the error estimate ``h (B5 - B4) @ K``.  The field sees
-a ``BodyState`` built from the flat vector by scattering into precomputed
-flat indices of the n-by-n matrix, with no re-validation or copy.
+``y + h B5 @ K`` with the error estimate ``h (B5 - B4) @ K``.  The last
+stage is evaluated at the new point, so it is reused as the first stage of
+the next step (first same as last): a step costs six field calls.  The
+tolerance alone sets the step size; only the final step is shortened, so
+that it lands on the end of the output grid.  Every output sample inside an
+accepted step ``[t, t + h]`` comes from the free fourth-order interpolant of
+the pair, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]`` with ``x = (t_i - t) / h``.
+The field sees a ``BodyState`` built from the flat vector by scattering into
+precomputed flat indices of the n-by-n matrix, with no re-validation or copy.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
-never projects, and the constraint residual is recorded rather than
-repaired.
+never projects, and it is applied to step endpoints and interpolated
+samples alike.  The constraint residual is recorded rather than repaired.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .model import BodyState, MassTensor, Potential, energy
 
 __all__ = [
     "IntegratorConfig",
+    "IntegratorStats",
     "Trajectory",
     "IntegrationError",
     "integrate",
@@ -44,11 +50,18 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed; ``t_last`` holds the last completed time."""
+    """Propagation failed; ``t_last`` holds the last completed time, ``h``
+    the step size of the failing attempt and ``attempts`` the number of
+    steps tried so far."""
 
-    def __init__(self, message, t_last):
-        super().__init__(f"{message} (last valid time t = {t_last:.6g})")
+    def __init__(self, message, t_last, h, attempts):
+        super().__init__(
+            f"{message} (last valid time t = {t_last:.6g}, step h = {h:.6g}, "
+            f"{attempts} attempts)"
+        )
         self.t_last = t_last
+        self.h = h
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -72,14 +85,30 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Step counters of one propagation.  ``h_min``, ``h_max`` and
+    ``h_last`` are taken over accepted steps; the last step is shortened to
+    land on the end of the span, so it can set ``h_min``."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float
+    h_max: float
+    h_last: float
+
+
 @dataclass
 class Trajectory:
-    """Sampled solution: strictly increasing times, matching states, and
-    per-sample diagnostics in ``aux``."""
+    """Sampled solution: strictly increasing times, matching states,
+    per-sample diagnostics in ``aux`` and, when it came from a stepper,
+    the step counters in ``stats``."""
 
     times: np.ndarray
     states: list
     aux: dict = field(default_factory=dict)
+    stats: IntegratorStats | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -111,6 +140,26 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_E = _DP_B5 - _DP_B4
+# free 4th-order dense output (Shampine 1986): the solution at t + x h is
+# y + h (K.T @ _DP_P) @ [x, x^2, x^3, x^4]; the rows of _DP_P sum to _DP_B5
+_DP_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423,
+         69997945 / 29380423],
+    ]
+)
+_POWERS = np.arange(1, 5)
 
 
 def _rk4_step(f, t, y, h):
@@ -121,27 +170,47 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _dp5_stages(f, t, y, h, k0):
+    """Stage derivatives ``K`` (7-by-d) of one Dormand-Prince step and its
+    5th-order solution ``y5``, given ``k0 = f(t, y)``.
+
+    Row 6 of ``_DP_A`` is ``_DP_B5``, so the last stage input is ``y5`` and
+    ``K[6] = f(t + h, y5)`` is the next step's first stage.
+    """
+    K = np.empty((7, y.size))
+    K[0] = k0
+    for s in range(1, 7):
+        ys = y + h * (_DP_A[s, :s] @ K[:s])
+        K[s] = f(t + _DP_C[s] * h, ys)
+    return K, ys
+
+
+def _dp5_dense(y, h, K, x):
+    """States at the step fractions ``x`` of ``[t, t + h]``, from ``y`` at
+    ``t`` and the step's stages ``K``: the free 4th-order interpolant,
+    exact at ``x = 0`` and equal to ``y5`` at ``x = 1`` up to roundoff."""
+    return y + h * ((x[:, None] ** _POWERS) @ (_DP_P.T @ K))
+
+
 def rk45_step(f, t, y, h):
     """One Dormand-Prince step; returns (y5, error_estimate).
 
     The seven stage derivatives fill the rows of one 7-by-d array ``K``, so
-    every stage input and both weighted sums are a single matrix product.
+    every stage input and the error estimate are a single matrix product.
     """
-    K = np.empty((7, y.size))
-    K[0] = f(t, y)
-    for s in range(1, 7):
-        K[s] = f(t + _DP_C[s] * h, y + h * (_DP_A[s, :s] @ K[:s]))
-    return y + h * (_DP_B5 @ K), h * (_DP_E @ K)
+    K, y5 = _dp5_stages(f, t, y, h, f(t, y))
+    return y5, h * (_DP_E @ K)
 
 
-def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
-    """RK4 through every grid interval with substeps of size <= step."""
+def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
     t_grid = np.asarray(t_grid, dtype=float)
     ys = [np.asarray(y0, dtype=float)]
     count = 0
+    h_min, h_max, h = math.inf, 0.0, 0.0
     for a, b in zip(t_grid[:-1], t_grid[1:]):
         nsub = max(1, int(math.ceil((b - a) / step - 1e-12)))
         h = (b - a) / nsub
+        h_min, h_max = min(h_min, h), max(h_max, h)
         y = ys[-1]
         t = a
         for _ in range(nsub):
@@ -151,46 +220,101 @@ def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
                 y = post_step(y)
             count += 1
             if count > max_steps:
-                raise IntegrationError("max_steps exceeded", t)
+                raise IntegrationError("max_steps exceeded", t, h, count)
         ys.append(y)
-    return np.array(ys)
+    stats = IntegratorStats(
+        count, 0, 4 * count, float(h_min), float(h_max), float(h)
+    )
+    return np.array(ys), stats
+
+
+def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
+    """RK4 through every grid interval with substeps of size <= step."""
+    return _rk4_solve(f, y0, t_grid, step, post_step, max_steps)[0]
+
+
+def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
+    t_grid = np.asarray(t_grid, dtype=float)
+    y = np.asarray(y0, dtype=float)
+    ys = np.empty((t_grid.size, y.size))
+    ys[0] = y
+    t, t_end = t_grid[0], t_grid[-1]
+    if h0 is None:
+        h0 = (t_end - t) / 100.0
+        if t_grid.size > 1:
+            h0 = min(h0, t_grid[1] - t)
+    h = h0
+    land = 1e-14 * max(1.0, abs(t_end))
+    k0 = f(t, y)
+    nxt = 1  # first grid index not yet sampled
+    accepted = attempts = 0
+    h_min, h_max, h_last = math.inf, 0.0, 0.0
+    while t < t_end:
+        last = t + h >= t_end - land
+        if last:
+            h = t_end - t
+        if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
+            raise IntegrationError("step size underflow", t, h, attempts)
+        K, y_new = _dp5_stages(f, t, y, h, k0)
+        err = h * (_DP_E @ K)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if not math.isfinite(err_norm):
+            err_norm = math.inf  # reject and shrink hard
+        attempts += 1
+        if err_norm <= 1.0:
+            t_new = t_end if last else t + h
+            if t_grid[nxt] <= t_new:
+                stop = t_grid.size if last else int(
+                    np.searchsorted(t_grid, t_new, side="right")
+                )
+                ys[nxt:stop] = _dp5_dense(y, h, K, (t_grid[nxt:stop] - t) / h)
+                if post_step is not None:
+                    for i in range(nxt, stop):
+                        ys[i] = post_step(ys[i])
+                nxt = stop
+            accepted += 1
+            h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
+            t = t_new
+            y = y_new if post_step is None else post_step(y_new)
+            k0 = K[6]
+        if attempts > max_steps:
+            raise IntegrationError("max_steps exceeded", t, h, attempts)
+        if err_norm == 0.0:
+            factor = 5.0
+        else:
+            factor = min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        h = h * factor
+    stats = IntegratorStats(
+        accepted, attempts - accepted, 6 * attempts + 1,
+        float(h_min), float(h_max), float(h_last),
+    )
+    return ys, stats
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
                         post_step=None, max_steps=10**8):
-    """Dormand-Prince with proportional control, sampling exactly at t_grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    y = np.asarray(y0, dtype=float)
-    ys = [y]
-    t = t_grid[0]
-    h = h0 if h0 is not None else (t_grid[-1] - t_grid[0]) / 100.0
-    count = 0
-    for target in t_grid[1:]:
-        while t < target - 1e-14 * max(1.0, abs(target)):
-            h = min(h, target - t)
-            if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
-                raise IntegrationError("step size underflow", t)
-            y_new, err = rk45_step(f, t, y, h)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if not math.isfinite(err_norm):
-                err_norm = math.inf  # reject and shrink hard
-            if err_norm <= 1.0:
-                t += h
-                y = y_new
-                if post_step is not None:
-                    y = post_step(y)
-            count += 1
-            if count > max_steps:
-                raise IntegrationError("max_steps exceeded", t)
-            if err_norm == 0.0:
-                factor = 5.0
-            else:
-                factor = min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = h * factor
-        ys.append(y)
-        t = target
-    return np.array(ys)
+    """Dormand-Prince with proportional control; returns the states at
+    ``t_grid`` as a ``(len(t_grid), d)`` array.
+
+    The tolerance alone sets the steps: only the last one is shortened, to
+    end exactly at ``t_grid[-1]``.  Samples inside an accepted step come
+    from the pair's free 4th-order interpolant, so a finer grid costs no
+    extra field calls.  ``post_step`` maps each accepted endpoint and each
+    sample.  The last stage ``f(t + h, y5)`` is reused as the next step's
+    first stage, and after a rejection the first stage is kept, so every
+    attempt costs six calls plus one for the start; with ``post_step``
+    set, the reused stage is ``f`` at ``y5`` before ``post_step``, which
+    for the gamma renormalization differs from it only by roundoff.
+
+    ``h0`` is the first trial step; by default the smaller of a hundredth
+    of the span and the first grid interval.  ``max_steps`` bounds the
+    attempts, accepted and rejected.  Failures raise ``IntegrationError``
+    with the last accepted time, the failing step size and the attempts.
+    """
+    return _rk45_solve(
+        f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps
+    )[0]
 
 
 class _Packing:
@@ -239,7 +363,7 @@ def integrate(
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``.  When the model
     context (inertia/potential/constraints) is supplied, the per-sample
     energy and constraint residual are recorded in ``aux``; the gamma norm
-    error is always recorded.
+    error and the step counters (``stats``) are always recorded.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
@@ -267,17 +391,17 @@ def integrate(
 
     y0 = packing.pack(state0.omega, state0.gamma)
     if cfg.method == "rk4":
-        ys = solve_fixed_rk4(f, y0, t_grid, cfg.step, post, cfg.max_steps)
+        ys, stats = _rk4_solve(f, y0, t_grid, cfg.step, post, cfg.max_steps)
     else:
-        ys = solve_adaptive_rk45(
+        ys, stats = _rk45_solve(
             f, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post, cfg.max_steps
         )
 
     states = [packing.unpack(y) for y in ys]
-    return _finish(t_grid, states, inertia, potential, constraints)
+    return _finish(t_grid, states, stats, inertia, potential, constraints)
 
 
-def _finish(t_grid, states, inertia, potential, constraints):
+def _finish(t_grid, states, stats, inertia, potential, constraints):
     aux = {
         "gamma_norm_err": np.array(
             [abs(np.linalg.norm(s.gamma) - 1.0) for s in states]
@@ -289,7 +413,7 @@ def _finish(t_grid, states, inertia, potential, constraints):
         aux["constraint_residual"] = np.array(
             [constraints.residual(s.omega) for s in states]
         )
-    return Trajectory(times=t_grid, states=states, aux=aux)
+    return Trajectory(times=t_grid, states=states, aux=aux, stats=stats)
 
 
 def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajectory:
@@ -330,7 +454,7 @@ def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajec
         states = states[::-1]
         aux = {key: val[::-1].copy() for key, val in aux.items()}
     tau = tau - tau[0]
-    return Trajectory(times=tau, states=states, aux=aux)
+    return Trajectory(times=tau, states=states, aux=aux, stats=traj.stats)
 
 
 def detect_period(traj: Trajectory, observable):

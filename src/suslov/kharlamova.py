@@ -176,12 +176,19 @@ class QuarticPolynomial:
         powers = np.array([max(1.0, abs(w)) ** max(p - 1, 0) for p in range(5)])
         return float(np.sum(np.arange(5) * np.abs(self.coeffs) * powers))
 
-    def roots(self) -> np.ndarray:
-        """Companion-matrix roots of the true degree, Newton polished."""
+    @property
+    def degree(self) -> int:
+        """Index of the highest nonzero coefficient (0 for a constant)."""
         c = self.coeffs
         deg = 4
         while deg > 0 and c[deg] == 0.0:
             deg -= 1
+        return deg
+
+    def roots(self) -> np.ndarray:
+        """Companion-matrix roots of the true degree, Newton polished."""
+        c = self.coeffs
+        deg = self.degree
         if deg == 0:
             return np.array([])
         raw = npoly.polyroots(c[: deg + 1])
@@ -301,11 +308,7 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
         best = min(keep, key=lambda idx: abs(roots[idx] - xi))
         keep.remove(best)
     others = roots[keep]
-    c = poly.coeffs
-    deg = 4
-    while deg > 0 and c[deg] == 0.0:
-        deg -= 1
-    lead = c[deg]
+    lead = poly.coeffs[poly.degree]
     mid = 0.5 * (xi1 + xi2)
     half = 0.5 * (xi2 - xi1)
 

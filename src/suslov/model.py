@@ -73,9 +73,13 @@ class MassTensor:
             diag = np.asarray(diag, dtype=float)
             if diag.ndim != 1 or diag.size < 2:
                 raise ValueError("diag must be a vector of length n >= 2")
-            if np.any(diag <= 0.0):
-                bad = int(np.argmin(diag))
-                raise ValueError(f"mass tensor must be positive: I_{bad + 1} <= 0")
+            valid = np.isfinite(diag) & (diag > 0.0)
+            if not np.all(valid):
+                bad = int(np.argmin(valid))
+                raise ValueError(
+                    f"mass tensor must be positive and finite: I_{bad + 1} = "
+                    f"{diag[bad]!r}"
+                )
             n = diag.size
             matrix = np.diag(diag)
             pair = diag[:, None] + diag[None, :]

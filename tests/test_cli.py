@@ -173,6 +173,36 @@ class TestConfigParsing:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "edit, flags, message",
+        [
+            (("run.output_dt = 0.1", "run.output_dt = 0"), [], "run.output_dt"),
+            (("run.output_dt = 0.1", "run.output_dt = -0.1"), [],
+             "run.output_dt"),
+            (("run.output_dt = 0.1", "run.output_dt = 80.0"), [],
+             "at most run.t_end"),
+            (("run.t_end = 60.0", "run.t_end = inf"), [], "run.t_end"),
+            (("run.t_end = 60.0", "run.t_end = nan"), [], "run.t_end"),
+            (None, ["--t-end", "0"], "run.t_end"),
+            (None, ["--step", "0"], "step must be positive"),
+            (("case.inertia = 1.0 2.0 1.5", "case.inertia = 1.0 nan 1.5"), [],
+             "case.inertia"),
+        ],
+    )
+    def test_bad_run_settings_exit_2(self, tmp_path, capsys, edit, flags,
+                                     message):
+        text = kharlamova_cfg(tmp_path / "out")
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        path = write(tmp_path, "bad.cfg", text)
+        assert main(["simulate", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "[error]\nkind = config\n" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunAndVerify:
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         out = tmp_path / "out"
@@ -187,6 +217,10 @@ class TestRunAndVerify:
         rep = report_dict(out / "report.txt")
         assert rep["integrals.pass"] == "true"
         assert float(rep["integrals.max_drift"]) <= 1e-8
+        accepted = int(rep["integrator.accepted"])
+        attempts = accepted + int(rep["integrator.rejected"])
+        assert accepted > 0
+        assert int(rep["integrator.rhs_evals"]) == 6 * attempts + 1
         assert rep["measure.invariant_measure"] == "yes"
         assert rep["result.pass"] == "true"
 

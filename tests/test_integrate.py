@@ -10,6 +10,8 @@ from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _dp5_dense,
+    _dp5_stages,
     detect_period,
     drift_report,
     integrate,
@@ -92,8 +94,10 @@ class TestSteppers:
         _, _, field, _ = make_free_case()
         state0 = canonical_state([1.0, 0.0], [0.0, 0.6, 0.8])
         cfg = IntegratorConfig(method="rk4", step=1e-4, max_steps=10)
-        with pytest.raises(IntegrationError, match="max_steps"):
+        with pytest.raises(IntegrationError, match="max_steps") as err:
             integrate(field, state0, (0.0, 1.0), cfg, output_dt=1.0)
+        assert err.value.attempts == 11
+        assert err.value.h == pytest.approx(1e-4)
 
     def test_step_underflow_reports_last_valid_time(self):
         # a field turning non-finite forces endless rejections; the stepper
@@ -106,6 +110,8 @@ class TestSteppers:
         with pytest.raises(IntegrationError, match="underflow") as err:
             solve_adaptive_rk45(f, np.array([0.0]), [0.0, 1.0], 1e-10, 1e-12)
         assert 0.0 <= err.value.t_last <= 0.6
+        assert 0.0 < err.value.h < 1e-12
+        assert err.value.attempts > 0
 
 
 # Dormand-Prince 5(4), one stage at a time, as a reference for the
@@ -169,6 +175,85 @@ class TestRk45Step:
             # the embedded 4th-order solution errs by O(h^5), y5 by O(h^6)
             assert abs(math.log2(est[i] / est[i + 1]) - 5.0) <= 0.3
             assert abs(math.log2(local[i] / local[i + 1]) - 6.0) <= 0.3
+
+
+class TestDenseOutput:
+    lam = np.array([-0.8, 1.3])
+    y0 = np.array([1.0, 0.5])
+
+    def f(self, t, y):
+        return self.lam * y
+
+    def test_interpolant_matches_step_endpoints(self):
+        for h in (0.4, 0.05):
+            K, y5 = _dp5_stages(self.f, 0.0, self.y0, h, self.f(0.0, self.y0))
+            ends = _dp5_dense(self.y0, h, K, np.array([0.0, 1.0]))
+            assert np.array_equal(ends[0], self.y0)
+            assert np.max(np.abs(ends[1] - y5)) <= 1e-15 * np.max(np.abs(y5))
+
+    def test_mid_step_error_is_fifth_order(self):
+        errs = []
+        hs = [0.1, 0.05, 0.025]
+        for h in hs:
+            K, _ = _dp5_stages(self.f, 0.0, self.y0, h, self.f(0.0, self.y0))
+            mid = _dp5_dense(self.y0, h, K, np.array([0.5]))[0]
+            errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
+        for i in range(len(hs) - 1):
+            assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
+
+
+class TestFreeRunningSteps:
+    def setup_method(self):
+        n = 4
+        rng = np.random.default_rng(21)
+        inertia = MassTensor(diag=0.5 + rng.random(n) * 2.0)
+        pot = LinearPotential(np.array([0.4, -0.7, 0.2, 0.0]))
+        spec = CaseSpec(CaseKind.KHARLAMOVA_ND, n, inertia, pot)
+        self.field, _ = build_field(spec)
+        self.state0 = random_canonical_state(rng, n)
+        self.calls = 0
+
+    def counted(self, state):
+        self.calls += 1
+        return self.field(state)
+
+    def test_steps_do_not_depend_on_output_grid(self):
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        coarse = integrate(self.field, self.state0, (0.0, 10.0), cfg,
+                           output_dt=0.25)
+        fine = integrate(self.field, self.state0, (0.0, 10.0), cfg,
+                         output_dt=0.02)
+        assert coarse.stats == fine.stats
+        # every 0.5 time units both grids hold the same time
+        assert np.array_equal(coarse.times[::2], fine.times[::25])
+        for a, b in zip(coarse.states[::2], fine.states[::25]):
+            assert np.max(np.abs(a.omega.mat - b.omega.mat)) <= 1e-14
+            assert np.max(np.abs(a.gamma - b.gamma)) <= 1e-14
+
+    @pytest.mark.parametrize("step", [1e-2, 2.0])
+    def test_first_same_as_last_saves_a_call(self, step):
+        # a 2.0 first trial step is rejected, and the retry reuses K[0]
+        cfg = IntegratorConfig(step=step, rel_tol=1e-10, abs_tol=1e-12)
+        traj = integrate(self.counted, self.state0, (0.0, 10.0), cfg,
+                         output_dt=0.5)
+        st = traj.stats
+        assert st.rhs_evals == self.calls == 6 * (st.accepted + st.rejected) + 1
+        if step == 2.0:
+            assert st.rejected > 0
+        assert 0.0 < st.h_min <= st.h_last and st.h_min <= st.h_max
+
+    @pytest.mark.parametrize("npts", [3, 2001])
+    def test_every_grid_time_sampled(self, npts):
+        # harmonic oscillator: grids coarser and finer than the ~0.1 steps
+        def f(t, y):
+            return np.array([y[1], -y[0]])
+
+        t_grid = np.linspace(0.0, 20.0, npts)
+        ys = solve_adaptive_rk45(f, np.array([1.0, 0.0]), t_grid, 1e-10, 1e-12)
+        assert ys.shape == (npts, 2)
+        assert np.all(np.isfinite(ys))
+        exact = np.stack([np.cos(t_grid), -np.sin(t_grid)], axis=1)
+        assert np.max(np.abs(ys - exact)) <= 1e-8
 
 
 class TestIntegratorConfig:
