@@ -51,6 +51,7 @@ from .integrate import (
     drift_report,
     integrate,
     reparametrize,
+    state_field,
     write_csv,
 )
 from .kharlamova import (

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import ConstraintSet, SkewMatrix, skew_to_vector, vector_to_skew
+from .algebra import ConstraintSet, SkewMatrix, skew_to_vector
+from .integrate import _packing
 from .model import (
     BodyState,
     DGJPotential,
@@ -51,9 +52,10 @@ from .model import (
     ZeroPotential,
     _cross,
     _plane_basis,
+    _reduced_rates,
     energy,
     vector_field_3d,
-    vector_field_reduced,
+    vector_field_reduced,  # noqa: F401  kept as a public name of this module
 )
 
 __all__ = [
@@ -140,11 +142,8 @@ class CaseSpec:
                 raise CaseError(
                     "a custom constraint axis is only supported for the free 3D case"
                 )
-        if kind in (_3D_KINDS | {CaseKind.SUSLOV_FREE, CaseKind.LAGRANGE_ND,
-                                 CaseKind.KHARLAMOVA_ND,
-                                 CaseKind.CLEBSCH_TISSERAND_ND}):
-            if self.inertia.diag is None:
-                raise CaseError(f"{kind.value} requires a diagonal mass tensor")
+        if self.inertia.diag is None:  # every kind; build_field relies on it
+            raise CaseError(f"{kind.value} requires a diagonal mass tensor")
         diag = self.inertia.diag
         pot = self.potential
 
@@ -391,32 +390,36 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
 
 
 def build_field(spec: CaseSpec):
-    """The equations of motion for a case; returns (field, constraints)."""
+    """The equations of motion for a case; returns ``(field, constraints)``
+    with ``field(y) -> ydot`` on the packed coordinates of ``integrate``
+    (upper triangle of Omega, then Gamma).  Canonical cases leave exact
+    zeros in the so(n-1) block; 3D cases go through the vector form."""
     spec.validate()
     if spec.kind in _3D_KINDS or (
         spec.kind is CaseKind.SUSLOV_FREE and spec.constraint_axis is not None
     ):
         axis = spec.constraint_axis
         axis = np.array([0.0, 0.0, 1.0]) if axis is None else axis
-        j = spec.j_diag
-        pot = spec.potential
-        eps = spec.gyro_eps
-        constraints = ConstraintSet.single_3d(axis)
+        j, pot, eps = spec.j_diag, spec.potential, spec.gyro_eps
+        # packed (Omega_12, Omega_13, Omega_23) is (-w_3, w_2, -w_1): w reversed
+        sign = np.array([-1.0, 1.0, -1.0])
 
-        def field(state, j=j, pot=pot, eps=eps, axis=axis):
-            w = skew_to_vector(state.omega)
-            w_dot, g_dot = vector_field_3d(w, state.gamma, j, pot, eps, axis)
-            return vector_to_skew(w_dot), g_dot
+        def field(y, j=j, pot=pot, eps=eps, axis=axis, sign=sign):
+            w_dot, g_dot = vector_field_3d(y[2::-1] * sign, y[3:], j, pot, eps, axis)
+            return np.concatenate((w_dot[::-1] * sign, g_dot))
 
-        return field, constraints
+        return field, ConstraintSet.single_3d(axis)
 
-    inertia, pot = spec.inertia, spec.potential
-    constraints = ConstraintSet.canonical_suslov(spec.n)
+    packing, pot = _packing(spec.n), spec.potential
+    size, k, slots = packing.size, packing.k, packing.column
+    pair = spec.inertia.diag[:-1] + spec.inertia.diag[-1]
 
-    def field(state, inertia=inertia, pot=pot):
-        return vector_field_reduced(state, inertia, pot)
+    def field(y):
+        ydot = np.zeros(size)
+        ydot[slots] = _reduced_rates(y[slots], y[k:], pair, pot, ydot[k:])
+        return ydot
 
-    return field, constraints
+    return field, ConstraintSet.canonical_suslov(spec.n)
 
 
 def pendulum_reference_field(gamma, gamma_dot, mass: float, b_n: float) -> np.ndarray:

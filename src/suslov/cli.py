@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import clebsch, kharlamova
-from .algebra import SkewMatrix, skew_to_vector
+from .algebra import SkewMatrix, inner, skew_to_vector, vector_to_skew
 from .cases import (
     _3D_KINDS,
     CaseError,
@@ -62,6 +62,7 @@ from .model import (
     QuadraticPotential,
     ZeroPotential,
     divergence_fd,
+    energy,
     packed_reduced_field,
     packed_suslov3d_field,
 )
@@ -307,8 +308,6 @@ def load_config(path, overrides=None) -> ScenarioConfig:
                 "constraints (only entries in column n are free)"
             )
     else:
-        from .algebra import inner, vector_to_skew
-
         residual = abs(inner(vector_to_skew(case_spec.constraint_axis), omega))
         if residual > 1e-8 * max(1.0, omega.norm()):
             raise ConfigError(
@@ -417,12 +416,6 @@ def _atomic_write(path, text):
         raise
 
 
-def _linear_b(potential, n):
-    if isinstance(potential, (LinearPotential, QuadraticPotential)):
-        return potential.b
-    return np.zeros(n)
-
-
 def _case_section(report: Report, config: ScenarioConfig):
     spec = config.case_spec
     report.section("case")
@@ -448,23 +441,21 @@ def _analysis_verify_integrals(report, config, traj):
     report.section("integrals")
     for label in integrals.labels:
         report.put(f"drift.{label}", drifts[label])
-    worst = max(drifts.values())
-    report.put("max_drift", worst)
-    ok = worst <= 1e-8
-    report.put("pass", ok)
-    return ok
+    report.put("max_drift", max(drifts.values()))
+    bad = [f"{label} = {drifts[label]:.3g}" for label in integrals.labels
+           if not drifts[label] <= 1e-8]
+    report.put("pass", not bad)
+    return f"integrals (drift above 1e-08: {', '.join(bad)})" if bad else None
 
 
 def _analysis_measure_check(report, config, traj):
     spec = config.case_spec
     rng = np.random.default_rng(0)
-    if spec.constraint_axis is not None:
+    axis = spec.constraint_axis
+    if axis is not None or spec.kind in _3D_KINDS:
+        axis = np.array([0.0, 0.0, 1.0]) if axis is None else axis
         f, dim, _ = packed_suslov3d_field(
-            spec.j_diag, spec.constraint_axis, spec.potential, spec.gyro_eps
-        )
-    elif spec.kind in _3D_KINDS:
-        f, dim, _ = packed_suslov3d_field(
-            spec.j_diag, np.array([0.0, 0.0, 1.0]), spec.potential, spec.gyro_eps
+            spec.j_diag, axis, spec.potential, spec.gyro_eps
         )
     else:
         f, dim = packed_reduced_field(spec.inertia, spec.potential)
@@ -481,8 +472,7 @@ def _analysis_measure_check(report, config, traj):
     report.put("invariant_measure", "yes" if preserved else "no")
     if not preserved and max_div > 1e-3:
         report.put("note", "no invariant measure at generic states")
-    ok = preserved or config.case_spec.constraint_axis is not None
-    return ok
+    return None if preserved or spec.constraint_axis is not None else "measure"
 
 
 def _analysis_kharlamova(report, config, traj):
@@ -524,7 +514,7 @@ def _analysis_kharlamova(report, config, traj):
             report.put("rel_diff", rel)
             ok = rel <= 1e-6
     report.put("pass", ok)
-    return ok
+    return None if ok else "kharlamova"
 
 
 def _omega_first(n):
@@ -551,14 +541,12 @@ def _analysis_clebsch(report, config, traj):
     ok = True
     if cls is clebsch.Classification.OUTSIDE_HYPOTHESES:
         report.put("pass", True)
-        return True
+        return None
     exact = clebsch.frequencies(inertia, b)
     report.put("frequencies_exact", exact)
-    from .model import energy as energy_fn
-
     offsets = np.array(
         [
-            energy_fn(s, inertia, spec.potential)
+            energy(s, inertia, spec.potential)
             - 0.5 * float(np.sum(clebsch.integrals_f(s, inertia, b)))
             for s in traj.states
         ]
@@ -585,7 +573,7 @@ def _analysis_clebsch(report, config, traj):
     else:
         report.put("frequencies_measured", "skipped_branched_or_degenerate")
     report.put("pass", ok)
-    return ok
+    return None if ok else "clebsch"
 
 
 def _analysis_asymptotic(report, config, traj):
@@ -594,9 +582,7 @@ def _analysis_asymptotic(report, config, traj):
         raise CaseError(
             "asymptotic analysis needs the free 3D case with case.constraint_axis"
         )
-    from .model import energy as energy_fn
-
-    h = energy_fn(config.initial_state, spec.inertia, spec.potential)
+    h = energy(config.initial_state, spec.inertia, spec.potential)
     w_minus, w_plus = asymptotic_points(spec.j_diag, spec.constraint_axis, h)
     report.section("asymptotic")
     report.put("energy_level", h)
@@ -611,7 +597,7 @@ def _analysis_asymptotic(report, config, traj):
     converged = dist[-1] < 1e-6
     report.put("converged", converged)
     report.put("pass", converged)
-    return converged
+    return None if converged else "asymptotic"
 
 
 def _analysis_period(report, config, traj):
@@ -619,7 +605,7 @@ def _analysis_period(report, config, traj):
     report.section("period")
     report.put("observable", f"Omega_1_{config.n}")
     report.put("period", t if t is not None else "none")
-    return True
+    return None
 
 
 _ANALYSIS_FNS = {
@@ -635,7 +621,8 @@ _ANALYSIS_FNS = {
 def run(config: ScenarioConfig, analyses=None) -> int:
     """Simulate, write trajectory.csv and report.txt, run the analyses.
 
-    Returns the exit status (0 ok, 4 when an analysis marked itself failed).
+    Returns the exit status: 0, or 4 after an ``[error]`` record on stderr
+    naming what failed (each analysis returns None or its failure).
     """
     os.makedirs(config.output_dir, exist_ok=True)
     spec = config.case_spec
@@ -661,13 +648,15 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     report.put("accepted", traj.stats.accepted)
     report.put("rejected", traj.stats.rejected)
     report.put("rhs_evals", traj.stats.rhs_evals)
-    all_ok = True
-    for name in analyses if analyses is not None else config.analyses:
-        all_ok = _ANALYSIS_FNS[name](report, config, traj) and all_ok
+    names = analyses if analyses is not None else config.analyses
+    failed = [fail for fail in (_ANALYSIS_FNS[name](report, config, traj)
+                                for name in names) if fail is not None]
     report.section("result")
-    report.put("pass", all_ok)
+    report.put("pass", not failed)
     _atomic_write(os.path.join(config.output_dir, "report.txt"), report.text())
-    return 0 if all_ok else 4
+    if failed:
+        _error_record("verification", "failed sections: " + "; ".join(failed))
+    return 4 if failed else 0
 
 
 def verify(config: ScenarioConfig) -> int:

@@ -2,7 +2,7 @@
 
 Two steppers are provided: classical fixed-step RK4 and an embedded
 Dormand-Prince 5(4) pair with standard proportional step control.  States
-are flattened to ``(upper triangle of Omega, Gamma)`` for stepping.
+are flattened to ``(upper triangle of Omega, Gamma)``; fields act on it.
 
 The Dormand-Prince step stores its seven stage derivatives as the rows of
 one 7-by-d array ``K``: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]``
@@ -14,8 +14,8 @@ tolerance alone sets the step size; only the final step is shortened, so
 that it lands on the end of the output grid.  Every output sample inside an
 accepted step ``[t, t + h]`` comes from the free fourth-order interpolant of
 the pair, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]`` with ``x = (t_i - t) / h``.
-The field sees a ``BodyState`` built from the flat vector by scattering into
-precomputed flat indices of the n-by-n matrix, with no re-validation or copy.
+Output samples become ``BodyState`` objects; :func:`state_field` adapts a
+field on states to the flat vector.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "integrate",
+    "state_field",
     "reparametrize",
     "detect_period",
     "drift_report",
@@ -50,16 +52,17 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Propagation failed; ``t_last`` holds the last completed time, ``h``
-    the step size of the failing attempt and ``attempts`` the number of
-    steps tried so far."""
+    """Propagation failed; ``t_last`` and ``y_last`` hold the last accepted
+    time and point (in the stepper's coordinates), ``h`` the step size of
+    the failing attempt and ``attempts`` the number of steps tried so far."""
 
-    def __init__(self, message, t_last, h, attempts):
+    def __init__(self, message, t_last, h, attempts, y_last):
         super().__init__(
             f"{message} (last valid time t = {t_last:.6g}, step h = {h:.6g}, "
             f"{attempts} attempts)"
         )
         self.t_last = t_last
+        self.y_last = y_last
         self.h = h
         self.attempts = attempts
 
@@ -220,7 +223,7 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
                 y = post_step(y)
             count += 1
             if count > max_steps:
-                raise IntegrationError("max_steps exceeded", t, h, count)
+                raise IntegrationError("max_steps exceeded", t, h, count, y)
         ys.append(y)
     stats = IntegratorStats(
         count, 0, 4 * count, float(h_min), float(h_max), float(h)
@@ -254,7 +257,7 @@ def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
         if last:
             h = t_end - t
         if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", t, h, attempts)
+            raise IntegrationError("step size underflow", t, h, attempts, y)
         K, y_new = _dp5_stages(f, t, y, h, k0)
         err = h * (_DP_E @ K)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -279,7 +282,7 @@ def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
             y = y_new if post_step is None else post_step(y_new)
             k0 = K[6]
         if attempts > max_steps:
-            raise IntegrationError("max_steps exceeded", t, h, attempts)
+            raise IntegrationError("max_steps exceeded", t, h, attempts, y)
         if err_norm == 0.0:
             factor = 5.0
         else:
@@ -333,6 +336,9 @@ class _Packing:
         self.size = self.k + n
         self.upper = iu * n + ju
         self.lower = ju * n + iu
+        self.column = np.flatnonzero(ju == n - 1)  # the Omega_in slots
+        for index in (self.upper, self.lower, self.column):
+            index.flags.writeable = False
 
     def pack(self, omega: SkewMatrix, gamma) -> np.ndarray:
         y = np.empty(self.size)
@@ -348,6 +354,9 @@ class _Packing:
         return BodyState._wrap(SkewMatrix._wrap(mat.reshape(self.n, self.n)), y[k:])
 
 
+_packing = lru_cache(maxsize=32)(_Packing)  # one shared _Packing per n
+
+
 def integrate(
     field,
     state0: BodyState,
@@ -358,7 +367,9 @@ def integrate(
     potential: Potential | None = None,
     constraints: ConstraintSet | None = None,
 ) -> Trajectory:
-    """Propagate ``field(state) -> (omega_dot, gamma_dot)`` over ``t_span``.
+    """Propagate ``field(y) -> ydot`` from ``state0`` over ``t_span``; ``y``
+    is the flat vector of :func:`suslov.cases.build_field` (wrap a field on
+    states in :func:`state_field`).
 
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``.  When the model
     context (inertia/potential/constraints) is supplied, the per-sample
@@ -368,7 +379,7 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    packing = _Packing(state0.n)
+    packing = _packing(state0.n)
     k = packing.k
     if output_dt is None:
         output_dt = max(cfg.step, (t1 - t0) / 1000.0)
@@ -377,7 +388,7 @@ def integrate(
     t_grid = t0 + (t1 - t0) * np.arange(n_out + 1) / n_out
 
     def f(t, y):
-        return packing.pack(*field(packing.unpack(y)))
+        return field(y)
 
     post = None
     if cfg.renormalize_gamma:
@@ -398,10 +409,6 @@ def integrate(
         )
 
     states = [packing.unpack(y) for y in ys]
-    return _finish(t_grid, states, stats, inertia, potential, constraints)
-
-
-def _finish(t_grid, states, stats, inertia, potential, constraints):
     aux = {
         "gamma_norm_err": np.array(
             [abs(np.linalg.norm(s.gamma) - 1.0) for s in states]
@@ -414,6 +421,17 @@ def _finish(t_grid, states, stats, inertia, potential, constraints):
             [constraints.residual(s.omega) for s in states]
         )
     return Trajectory(times=t_grid, states=states, aux=aux, stats=stats)
+
+
+def state_field(fn, n):
+    """Packed field ``field(y) -> ydot`` in dimension ``n`` from a field on
+    states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`."""
+    packing = _packing(n)
+
+    def field(y):
+        return packing.pack(*fn(packing.unpack(y)))
+
+    return field
 
 
 def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajectory:

@@ -300,29 +300,34 @@ def _torque(state: BodyState, inertia: MassTensor, potential: Potential) -> Skew
     return k + wedge(grad, state.gamma)
 
 
+def _reaction(inertia: MassTensor, constraints: ConstraintSet):
+    """``k -> lambda``: reaction coefficients for the unconstrained momentum
+    derivative ``k``, solving ``<a^i, J^-1 (k + sum_j lambda_j a^j)> = 0``
+    with the weighted Gram matrix, built once (it does not depend on state)."""
+    gens = constraints.generators
+    jinv_gens = [inertia.invert(g) for g in gens]
+    gram = np.array([[inner(a, jg) for jg in jinv_gens] for a in gens])
+
+    def solve(k):
+        jinv_k = inertia.invert(k)
+        rhs = np.array([inner(a, jinv_k) for a in gens])
+        try:
+            return np.linalg.solve(gram, -rhs)
+        except np.linalg.LinAlgError:
+            raise ValueError("degenerate constraint/inertia combination: "
+                             "weighted Gram matrix singular")
+
+    return solve
+
+
 def multipliers(
     state: BodyState,
     inertia: MassTensor,
     potential: Potential,
     constraints: ConstraintSet,
 ) -> np.ndarray:
-    """Reaction coefficients lambda keeping <a^i, Omega> constant.
-
-    Solves the r-by-r system ``<a^i, J^-1 (K + sum_k lambda_k a^k)> = 0``
-    with K the unconstrained momentum derivative.
-    """
-    k = _torque(state, inertia, potential)
-    jinv_gens = [inertia.invert(g) for g in constraints.generators]
-    gram = np.array(
-        [[inner(a, jg) for jg in jinv_gens] for a in constraints.generators]
-    )
-    rhs = np.array([inner(a, inertia.invert(k)) for a in constraints.generators])
-    try:
-        return np.linalg.solve(gram, -rhs)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "degenerate constraint/inertia combination: weighted Gram matrix singular"
-        )
+    """Reaction coefficients lambda keeping <a^i, Omega> constant."""
+    return _reaction(inertia, constraints)(_torque(state, inertia, potential))
 
 
 def vector_field_general(
@@ -336,39 +341,33 @@ def vector_field_general(
     Returns ``(omega_dot, gamma_dot)`` with the multiplier reaction included,
     so ``<a^i, omega_dot> = 0`` for every generator.
     """
-    lam = multipliers(state, inertia, potential, constraints)
-    k = _torque(state, inertia, potential)
-    mat = k.mat.copy()
-    for c, g in zip(lam, constraints.generators):
-        mat += c * g.mat
-    omega_dot = inertia.invert(SkewMatrix._wrap(mat))
-    gamma_dot = -(state.omega.mat @ state.gamma)
-    return omega_dot, gamma_dot
+    return general_field(inertia, potential, constraints)(state)
 
 
 def general_field(inertia: MassTensor, potential: Potential, constraints: ConstraintSet):
-    """Closure over :func:`vector_field_general` with the weighted Gram
-    matrix factored once (it does not depend on the state)."""
-    jinv_gens = [inertia.invert(g) for g in constraints.generators]
-    gram = np.array(
-        [[inner(a, jg) for jg in jinv_gens] for a in constraints.generators]
-    )
-    gram_inv = np.linalg.inv(gram)
+    """:func:`vector_field_general` as a closure ``state -> (omega_dot,
+    gamma_dot)``, with the weighted Gram matrix built once."""
+    reaction = _reaction(inertia, constraints)
     gen_mats = [g.mat for g in constraints.generators]
 
     def field(state: BodyState):
         k = _torque(state, inertia, potential)
-        jinv_k = inertia.invert(k)
-        rhs = np.array([inner(a, jinv_k) for a in constraints.generators])
-        lam = gram_inv @ (-rhs)
         mat = k.mat.copy()
-        for c, g in zip(lam, gen_mats):
+        for c, g in zip(reaction(k), gen_mats):
             mat += c * g
         omega_dot = inertia.invert(SkewMatrix._wrap(mat))
-        gamma_dot = -(state.omega.mat @ state.gamma)
-        return omega_dot, gamma_dot
+        return omega_dot, -(state.omega.mat @ state.gamma)
 
     return field
+
+
+def _reduced_rates(col, gamma, pair, potential, gamma_dot):
+    """The one copy of the reduced equations: returns ``d/dt Omega_in`` from
+    ``col = Omega_in`` and writes ``d/dt Gamma`` into ``gamma_dot``."""
+    grad = potential.gradient(gamma)
+    gamma_dot[:-1] = -gamma[-1] * col
+    gamma_dot[-1] = np.dot(gamma[:-1], col)
+    return (grad[:-1] * gamma[-1] - gamma[:-1] * grad[-1]) / pair
 
 
 def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Potential):
@@ -385,17 +384,14 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         raise ValueError("reduced field needs a diagonal mass tensor; "
                          "use vector_field_general instead")
     n = state.n
-    gamma = state.gamma
-    grad = potential.gradient(gamma)
-    col = state.omega.mat[: n - 1, n - 1]
-    pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
-    col_dot = (grad[: n - 1] * gamma[n - 1] - gamma[: n - 1] * grad[n - 1]) / pair
+    gamma_dot = np.empty(n)
+    col_dot = _reduced_rates(
+        state.omega.mat[: n - 1, n - 1], state.gamma,
+        inertia.diag[: n - 1] + inertia.diag[n - 1], potential, gamma_dot,
+    )
     dmat = np.zeros((n, n))
     dmat[: n - 1, n - 1] = col_dot
     dmat[n - 1, : n - 1] = -col_dot
-    gamma_dot = np.empty(n)
-    gamma_dot[: n - 1] = -gamma[n - 1] * col
-    gamma_dot[n - 1] = float(np.dot(gamma[: n - 1], col))
     return SkewMatrix._wrap(dmat), gamma_dot
 
 
@@ -465,15 +461,10 @@ def lagrange_full_field(state: BodyState, inertia: MassTensor, b_n: float):
     head = inertia.diag[:-1]
     if np.max(head) - np.min(head) > 1e-12 * max(1.0, np.max(np.abs(head))):
         raise ValueError("mass tensor must have the form diag(I1, ..., I1, In)")
-    n = state.n
-    m = inertia.apply(state.omega)
-    k = commutator(m, state.omega)
-    e_n = np.zeros(n)
-    e_n[n - 1] = b_n
-    k = k + wedge(e_n, state.gamma)
-    omega_dot = inertia.invert(k)
-    gamma_dot = -(state.omega.mat @ state.gamma)
-    return omega_dot, gamma_dot
+    b = np.zeros(state.n)
+    b[-1] = b_n
+    omega_dot = inertia.invert(_torque(state, inertia, LinearPotential(b)))
+    return omega_dot, -(state.omega.mat @ state.gamma)
 
 
 def energy(state: BodyState, inertia: MassTensor, potential: Potential) -> float:
@@ -506,14 +497,10 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
     pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
 
     def f(x):
-        col = x[: n - 1]
-        gamma = x[n - 1 :]
-        grad = potential.gradient(gamma)
-        col_dot = (grad[: n - 1] * gamma[n - 1] - gamma[: n - 1] * grad[n - 1]) / pair
-        gamma_dot = np.empty(n)
-        gamma_dot[: n - 1] = -gamma[n - 1] * col
-        gamma_dot[n - 1] = np.dot(gamma[: n - 1], col)
-        return np.concatenate([col_dot, gamma_dot])
+        out = np.empty(2 * n - 1)
+        out[: n - 1] = _reduced_rates(x[: n - 1], x[n - 1 :], pair, potential,
+                                      out[n - 1 :])
+        return out
 
     return f, 2 * n - 1
 

@@ -42,6 +42,7 @@ from suslov.integrate import (
     integrate,
     reparametrize,
     solve_adaptive_rk45,
+    state_field,
 )
 from suslov.kharlamova import (
     KharlamovaCoords,
@@ -325,7 +326,8 @@ def test_criterion_5_lagrange_pendulum():
     def full(state):
         return lagrange_full_field(state, mass, b_n)
 
-    traj_full = integrate(full, state0, (0.0, 100.0), REFERENCE, output_dt=0.25)
+    traj_full = integrate(state_field(full, n), state0, (0.0, 100.0), REFERENCE,
+                          output_dt=0.25)
     block = max(np.max(np.abs(s.omega.mat[:3, :3])) for s in traj_full.states)
 
     # (b) derived angular momenta conserved on generic data

@@ -12,7 +12,13 @@ from suslov.cases import (
     jacobian_rank,
     pendulum_reference_field,
 )
-from suslov.integrate import IntegratorConfig, drift_report, integrate, solve_adaptive_rk45
+from suslov.integrate import (
+    IntegratorConfig,
+    drift_report,
+    integrate,
+    solve_adaptive_rk45,
+    state_field,
+)
 from suslov.model import (
     BodyState,
     DGJPotential,
@@ -334,7 +340,8 @@ class TestLagrangeCase:
             return lagrange_full_field(state, self.mass, self.b_n)
 
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj_full = integrate(full, state0, (0.0, 100.0), cfg, output_dt=0.25)
+        traj_full = integrate(state_field(full, self.n), state0, (0.0, 100.0),
+                              cfg, output_dt=0.25)
         block_max = max(
             np.max(np.abs(s.omega.mat[:3, :3])) for s in traj_full.states
         )
@@ -361,7 +368,8 @@ class TestLagrangeCase:
             return lagrange_full_field(state, self.mass, 0.0)
 
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(full, state0, (0.0, 50.0), cfg, output_dt=0.25)
+        traj = integrate(state_field(full, self.n), state0, (0.0, 50.0), cfg,
+                         output_dt=0.25)
         vals = np.array(
             [energy(s, self.mass, ZeroPotential()) for s in traj.states]
         )

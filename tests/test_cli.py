@@ -224,18 +224,40 @@ class TestRunAndVerify:
         assert rep["measure.invariant_measure"] == "yes"
         assert rep["result.pass"] == "true"
 
-    def test_verify_fails_with_sloppy_integrator(self, tmp_path):
-        out = tmp_path / "out"
+    @staticmethod
+    def sloppy_cfg(tmp_path, out):
         text = kharlamova_cfg(out, t_end=40.0).replace(
             "integrator.method = rk45", "integrator.method = rk4"
         )
         text = text.replace("integrator.rel_tol = 1e-10",
                             "integrator.step = 0.4")
         text = text.replace("integrator.abs_tol = 1e-12", "")
-        path = write(tmp_path, "bad.cfg", text)
+        return write(tmp_path, "bad.cfg", text)
+
+    def test_verify_fails_with_sloppy_integrator(self, tmp_path):
+        out = tmp_path / "out"
+        path = self.sloppy_cfg(tmp_path, out)
         assert main(["verify", path]) == 4
         rep = report_dict(out / "report.txt")
         assert rep["integrals.pass"] == "false"
+
+    def test_verification_failure_names_failing_integrals(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        path = self.sloppy_cfg(tmp_path, out)
+        assert main(["verify", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\nkind = verification\nmessage = ")
+        assert "integrals" in err and "measure" not in err
+        rep = report_dict(out / "report.txt")
+        drifts = {key.removeprefix("integrals.drift."): float(value)
+                  for key, value in rep.items()
+                  if key.startswith("integrals.drift.")}
+        assert any(d > 1e-8 for d in drifts.values())
+        for label, drift in drifts.items():
+            assert (f" {label} = " in err) == (drift > 1e-8)
+        # the record goes to stderr only
+        assert "[error]" not in (out / "report.txt").read_text()
 
     def test_csv_header_and_grid(self, tmp_path):
         out = tmp_path / "out"

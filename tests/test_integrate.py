@@ -19,6 +19,7 @@ from suslov.integrate import (
     rk45_step,
     solve_adaptive_rk45,
     solve_fixed_rk4,
+    state_field,
     write_csv,
 )
 from suslov.model import (
@@ -112,6 +113,8 @@ class TestSteppers:
         assert 0.0 <= err.value.t_last <= 0.6
         assert 0.0 < err.value.h < 1e-12
         assert err.value.attempts > 0
+        # y' = 1 from y = 0: the last accepted point is y = t_last
+        assert err.value.y_last[0] == pytest.approx(err.value.t_last, abs=1e-12)
 
 
 # Dormand-Prince 5(4), one stage at a time, as a reference for the
@@ -321,8 +324,8 @@ class TestConstraintPreservation:
         field = general_field(inertia, pot, constraints)
         state0 = random_canonical_state(rng, n, speed=0.6)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(field, state0, (0.0, 100.0), cfg, output_dt=0.5,
-                         inertia=inertia, potential=pot,
+        traj = integrate(state_field(field, n), state0, (0.0, 100.0), cfg,
+                         output_dt=0.5, inertia=inertia, potential=pot,
                          constraints=constraints)
         assert np.max(traj.aux["constraint_residual"]) <= 1e-8
         assert np.max(np.abs(traj.aux["energy"] - traj.aux["energy"][0])) \
@@ -415,7 +418,8 @@ class TestDetectPeriod:
         w0 = np.array([0.6, -0.1, -0.5])  # admissible: sums to zero
         state0 = BodyState(vector_to_skew(w0), np.array([0.0, 0.6, 0.8]))
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(field, state0, (0.0, 120.0), cfg, output_dt=0.1)
+        traj = integrate(state_field(field, 3), state0, (0.0, 120.0), cfg,
+                         output_dt=0.1)
         assert detect_period(traj, lambda s: s.omega.mat[0, 2]) is None
 
 
