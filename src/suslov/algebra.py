@@ -1,10 +1,17 @@
-"""Dense skew-symmetric matrix algebra on so(n).
+"""Skew-symmetric matrix algebra on so(n) and its packed layout.
 
 Conventions used throughout the package:
 
+* the packed vector of ``X`` in so(n) is its upper triangle in row-major
+  order, ``(X_12, X_13, ..., X_1n, X_23, ..., X_{n-1,n})``, of length
+  ``k = n(n-1)/2``; :func:`layout` holds its index table, and
+  :func:`pack`/:func:`unpack` convert exactly, with no rounding;
 * the pairing on so(n) is ``<A, B> = -1/2 tr(A B) = sum_{i<j} A_ij B_ij``,
-  which makes the basis matrices ``E_ij`` orthonormal and turns the n=3
-  vector identification into an isometry;
+  the dot product of the packed vectors, which makes the basis matrices
+  ``E_ij`` orthonormal and turns the n=3 vector identification into an
+  isometry;
+* a constraint set is stored as packed rows, so pairing a state with every
+  constraint covector is one matrix-vector product;
 * the wedge of two vectors is ``u ^ v = u v^T - v u^T``;
 * for n=3 a skew matrix corresponds to the vector
   ``(-A_23, A_13, -A_12)`` (the classical hat map), under which the matrix
@@ -13,10 +20,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "SkewMatrix",
+    "Layout",
+    "layout",
+    "pack",
+    "unpack",
     "ConstraintSet",
     "commutator",
     "wedge",
@@ -111,6 +125,43 @@ class SkewMatrix:
         return f"SkewMatrix(n={self.n})\n{self.mat!r}"
 
 
+class Layout(NamedTuple):
+    """Packed so(n): slot ``p`` holds ``X[iu[p], ju[p]]``, at flat row-major
+    index ``upper[p]`` (``lower[p]`` for ``X[ju[p], iu[p]]``); ``column``
+    lists the slots ``X_in``.  The index arrays are read-only."""
+
+    k: int
+    iu: np.ndarray
+    ju: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    column: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def layout(n: int) -> Layout:
+    """The packed layout of so(n), built once per n and shared."""
+    iu, ju = np.triu_indices(n, k=1)
+    index = (iu, ju, iu * n + ju, ju * n + iu, np.flatnonzero(ju == n - 1))
+    for a in index:
+        a.flags.writeable = False
+    return Layout(iu.size, *index)
+
+
+def pack(x: SkewMatrix) -> np.ndarray:
+    """The packed vector of ``X`` (a new array)."""
+    return x.mat.ravel()[layout(x.n).upper]
+
+
+def unpack(v, n: int) -> SkewMatrix:
+    """The element of so(n) with packed vector ``v``; exactly skew."""
+    lay = layout(n)
+    mat = np.zeros(n * n)
+    mat[lay.upper] = v
+    mat[lay.lower] = -v
+    return SkewMatrix._wrap(mat.reshape(n, n))
+
+
 def _check_same_dim(a: SkewMatrix, b: SkewMatrix):
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
@@ -158,9 +209,13 @@ def skew_to_vector(a: SkewMatrix):
 
 class ConstraintSet:
     """Left-invariant constraint covectors a^1..a^r spanning the annihilator
-    of the admissible distribution D = {X : <a^i, X> = 0 for all i}."""
+    of the admissible distribution D = {X : <a^i, X> = 0 for all i}.
 
-    __slots__ = ("generators", "n", "r", "_gram")
+    The covectors are stored as the rows of the read-only r-by-k matrix
+    ``rows`` (packed layout), with their Gram matrix ``gram = rows @ rows.T``.
+    """
+
+    __slots__ = ("rows", "gram", "n", "r")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -170,14 +225,19 @@ class ConstraintSet:
         for g in generators:
             if g.n != n:
                 raise ValueError("constraint generators have mixed dimensions")
-        gram = np.array([[inner(a, b) for b in generators] for a in generators])
+        self._fill(n, np.array([pack(g) for g in generators]))
+
+    def _fill(self, n, rows):
+        gram = rows @ rows.T
         eig = np.linalg.eigvalsh(gram)
         if eig[0] <= 1e-12 * max(eig[-1], 1.0):
             raise ValueError("constraint generators are linearly dependent")
-        object.__setattr__(self, "generators", generators)
+        rows.flags.writeable = False
+        gram.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", len(generators))
-        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "r", rows.shape[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstraintSet is immutable")
@@ -188,12 +248,10 @@ class ConstraintSet:
         block: only rotations in planes containing e_n remain admissible."""
         if n < 3:
             raise ValueError("canonical constraints need n >= 3")
-        gens = [
-            SkewMatrix.basis(n, i, j)
-            for i in range(n - 1)
-            for j in range(i + 1, n - 1)
-        ]
-        return cls(gens)
+        lay = layout(n)
+        obj = object.__new__(cls)
+        obj._fill(n, np.eye(lay.k)[lay.ju < n - 1])
+        return obj
 
     @classmethod
     def single_3d(cls, a) -> "ConstraintSet":
@@ -202,41 +260,24 @@ class ConstraintSet:
 
     def residual(self, x: SkewMatrix) -> float:
         """max_i |<a^i, X>|, the distance of X from satisfying the constraints."""
-        return max(abs(inner(g, x)) for g in self.generators)
+        return float(np.max(np.abs(self.rows @ pack(x))))
 
 
 def project_admissible(x: SkewMatrix, constraints: ConstraintSet) -> SkewMatrix:
     """Orthogonal projection of X onto D with respect to the pairing."""
     if x.n != constraints.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {constraints.n}")
-    rhs = np.array([inner(g, x) for g in constraints.generators])
-    coeff = np.linalg.solve(constraints._gram, rhs)
-    mat = x.mat.copy()
-    for c, g in zip(coeff, constraints.generators):
-        mat = mat - c * g.mat
-    return SkewMatrix._wrap(mat)
+    rows, v = constraints.rows, pack(x)
+    coeff = np.linalg.solve(constraints.gram, rows @ v)
+    return unpack(v - rows.T @ coeff, x.n)
 
 
 def distribution_basis(constraints: ConstraintSet):
-    """Orthonormal basis of D, built by projecting the E_ij basis and
-    Gram-Schmidt pruning."""
-    n = constraints.n
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cand = project_admissible(SkewMatrix.basis(n, i, j), constraints)
-            mat = cand.mat.copy()
-            for b in basis:
-                mat = mat - inner(SkewMatrix._wrap(mat.copy()), b) * b.mat
-            nrm = np.sqrt(0.5) * np.linalg.norm(mat)
-            if nrm > 1e-10:
-                basis.append(SkewMatrix._wrap(mat / nrm))
-    expected = n * (n - 1) // 2 - constraints.r
-    if len(basis) != expected:
-        raise RuntimeError(
-            f"distribution basis has {len(basis)} elements, expected {expected}"
-        )
-    return basis
+    """Orthonormal basis of D: the null space of the packed rows, from the
+    right singular vectors (the rows are independent, so it has k - r
+    elements)."""
+    vt = np.linalg.svd(constraints.rows)[2]
+    return [unpack(v, constraints.n) for v in vt[constraints.r :]]
 
 
 def is_nonholonomic(constraints: ConstraintSet, rel_tol: float = 1e-10) -> bool:

@@ -40,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import ConstraintSet, SkewMatrix, skew_to_vector
-from .integrate import _packing
+from . import model
+from .algebra import ConstraintSet, SkewMatrix, layout, skew_to_vector
 from .model import (
+    _E3,
     BodyState,
     DGJPotential,
     LinearPotential,
@@ -50,7 +51,6 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
-    _cross,
     _plane_basis,
     _reduced_rates,
     energy,
@@ -118,6 +118,14 @@ class CaseSpec:
             axis = axis / np.linalg.norm(axis)
             object.__setattr__(self, "constraint_axis", axis)
         self.validate()
+
+    @property
+    def vector_axis(self) -> np.ndarray | None:
+        """Constraint axis of the 3D vector form (e3 unless a custom axis is
+        set), or None for the cases on the canonical reduced form."""
+        if self.constraint_axis is not None:
+            return self.constraint_axis
+        return _E3 if self.kind in _3D_KINDS else None
 
     @property
     def j_diag(self) -> np.ndarray:
@@ -395,11 +403,8 @@ def build_field(spec: CaseSpec):
     (upper triangle of Omega, then Gamma).  Canonical cases leave exact
     zeros in the so(n-1) block; 3D cases go through the vector form."""
     spec.validate()
-    if spec.kind in _3D_KINDS or (
-        spec.kind is CaseKind.SUSLOV_FREE and spec.constraint_axis is not None
-    ):
-        axis = spec.constraint_axis
-        axis = np.array([0.0, 0.0, 1.0]) if axis is None else axis
+    axis = spec.vector_axis
+    if axis is not None:
         j, pot, eps = spec.j_diag, spec.potential, spec.gyro_eps
         # packed (Omega_12, Omega_13, Omega_23) is (-w_3, w_2, -w_1): w reversed
         sign = np.array([-1.0, 1.0, -1.0])
@@ -410,8 +415,8 @@ def build_field(spec: CaseSpec):
 
         return field, ConstraintSet.single_3d(axis)
 
-    packing, pot = _packing(spec.n), spec.potential
-    size, k, slots = packing.size, packing.k, packing.column
+    lay, pot = layout(spec.n), spec.potential
+    size, k, slots = lay.k + spec.n, lay.k, lay.column
     pair = spec.inertia.diag[:-1] + spec.inertia.diag[-1]
 
     def field(y):
@@ -468,10 +473,11 @@ def asymptotic_points(j_diag, axis, energy_level: float):
         d = np.cos(psi) * u + np.sin(psi) * v
         return d * np.sqrt(2.0 * energy_level / np.dot(j * d, d))
 
+    free, rest = ZeroPotential(), np.zeros(3)
+
     def omega_dot(w):
-        k = _cross(j * w, w)
-        lam = -np.dot(a, k / j) / np.dot(a, a / j)
-        return (k + lam * a) / j
+        # through the model module, not this module's traced global
+        return model.vector_field_3d(w, rest, j, free, 0.0, a)[0]
 
     def speed(psi):
         # signed speed along the ellipse; zero exactly at rest points

@@ -30,14 +30,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import clebsch, kharlamova
-from .algebra import SkewMatrix, inner, skew_to_vector, vector_to_skew
+from .algebra import ConstraintSet, SkewMatrix, skew_to_vector
 from .cases import (
-    _3D_KINDS,
     CaseError,
     CaseKind,
     CaseSpec,
@@ -67,7 +66,7 @@ from .model import (
     packed_suslov3d_field,
 )
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "run", "verify", "main"]
+__all__ = ["ConfigError", "ScenarioConfig", "load_config", "run", "main"]
 
 ENV_OUTPUT_DIR = "SUSLOV_OUTPUT_DIR"
 
@@ -105,7 +104,6 @@ class ScenarioConfig:
     output_dt: float
     analyses: list
     output_dir: str
-    raw: dict = dataclass_field(default_factory=dict)
 
 
 def _parse_lines(text):
@@ -308,7 +306,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
                 "constraints (only entries in column n are free)"
             )
     else:
-        residual = abs(inner(vector_to_skew(case_spec.constraint_axis), omega))
+        residual = ConstraintSet.single_3d(case_spec.constraint_axis).residual(omega)
         if residual > 1e-8 * max(1.0, omega.norm()):
             raise ConfigError(
                 "initial angular velocity violates <a, Omega> = 0 for the "
@@ -369,7 +367,6 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         output_dt=output_dt,
         analyses=list(analyses),
         output_dir=output_dir,
-        raw={k: v[0] for k, v in e.entries.items()},
     )
 
 
@@ -451,9 +448,8 @@ def _analysis_verify_integrals(report, config, traj):
 def _analysis_measure_check(report, config, traj):
     spec = config.case_spec
     rng = np.random.default_rng(0)
-    axis = spec.constraint_axis
-    if axis is not None or spec.kind in _3D_KINDS:
-        axis = np.array([0.0, 0.0, 1.0]) if axis is None else axis
+    axis = spec.vector_axis
+    if axis is not None:
         f, dim, _ = packed_suslov3d_field(
             spec.j_diag, axis, spec.potential, spec.gyro_eps
         )
@@ -659,9 +655,18 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     return 4 if failed else 0
 
 
-def verify(config: ScenarioConfig) -> int:
-    """Conservation plus measure check; nonzero exit on failure."""
-    return run(config, analyses=["verify_integrals", "measure_check"])
+# subcommand -> (help text, analyses it runs; None runs the configured ones)
+COMMANDS = {
+    "simulate": ("run the scenario with its configured analyses", None),
+    "verify": ("conservation and measure checks",
+               ["verify_integrals", "measure_check"]),
+    "kharlamova-period": ("closed-form vs measured period",
+                          ["kharlamova_quadrature"]),
+    "clebsch-tori": ("torus classification and rotation numbers",
+                     ["clebsch_tori"]),
+    "suslov-asymptotic": ("limit points of the free non-eigenvector case",
+                          ["asymptotic"]),
+}
 
 
 def _error_record(kind, message):
@@ -674,14 +679,7 @@ def main(argv=None) -> int:
         description="constrained rigid body simulation and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "run the scenario with its configured analyses",
-        "verify": "conservation and measure checks",
-        "kharlamova-period": "closed-form vs measured period",
-        "clebsch-tori": "torus classification and rotation numbers",
-        "suslov-asymptotic": "limit points of the free non-eigenvector case",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="scenario file")
         p.add_argument("--t-end", type=float, default=None)
@@ -700,15 +698,8 @@ def main(argv=None) -> int:
         _error_record("config", exc)
         return 2
 
-    forced = {
-        "simulate": None,
-        "verify": ["verify_integrals", "measure_check"],
-        "kharlamova-period": ["kharlamova_quadrature"],
-        "clebsch-tori": ["clebsch_tori"],
-        "suslov-asymptotic": ["asymptotic"],
-    }[args.command]
     try:
-        return run(config, analyses=forced)
+        return run(config, analyses=COMMANDS[args.command][1])
     except (CaseError, ConfigError) as exc:
         _error_record("config", exc)
         return 2

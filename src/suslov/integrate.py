@@ -2,7 +2,8 @@
 
 Two steppers are provided: classical fixed-step RK4 and an embedded
 Dormand-Prince 5(4) pair with standard proportional step control.  States
-are flattened to ``(upper triangle of Omega, Gamma)``; fields act on it.
+are flattened to ``(pack(Omega), Gamma)`` in the layout of
+:mod:`suslov.algebra`; fields act on this flat vector.
 
 The Dormand-Prince step stores its seven stage derivatives as the rows of
 one 7-by-d array ``K``: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]``
@@ -15,7 +16,8 @@ that it lands on the end of the output grid.  Every output sample inside an
 accepted step ``[t, t + h]`` comes from the free fourth-order interpolant of
 the pair, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]`` with ``x = (t_i - t) / h``.
 Output samples become ``BodyState`` objects; :func:`state_field` adapts a
-field on states to the flat vector.
+field on states to the flat vector.  The constraint residuals of all
+samples are one product of the packed samples with the constraint rows.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ConstraintSet, SkewMatrix
+from .algebra import ConstraintSet, layout, pack, unpack
 from .model import BodyState, MassTensor, Potential, energy
 
 __all__ = [
@@ -320,43 +321,6 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
     )[0]
 
 
-class _Packing:
-    """Flat coordinates ``(upper triangle of Omega, Gamma)`` of so(n) x R^n.
-
-    The upper and lower triangles are addressed through precomputed flat
-    indices of the row-major n-by-n matrix, and states are rebuilt through
-    the unchecked ``_wrap`` constructors: every array written here is exactly
-    skew or freshly allocated.
-    """
-
-    def __init__(self, n):
-        iu, ju = np.triu_indices(n, k=1)
-        self.n = n
-        self.k = iu.size
-        self.size = self.k + n
-        self.upper = iu * n + ju
-        self.lower = ju * n + iu
-        self.column = np.flatnonzero(ju == n - 1)  # the Omega_in slots
-        for index in (self.upper, self.lower, self.column):
-            index.flags.writeable = False
-
-    def pack(self, omega: SkewMatrix, gamma) -> np.ndarray:
-        y = np.empty(self.size)
-        y[: self.k] = omega.mat.ravel()[self.upper]
-        y[self.k :] = gamma
-        return y
-
-    def unpack(self, y) -> BodyState:
-        k = self.k
-        mat = np.zeros(self.n * self.n)
-        mat[self.upper] = y[:k]
-        mat[self.lower] = -y[:k]
-        return BodyState._wrap(SkewMatrix._wrap(mat.reshape(self.n, self.n)), y[k:])
-
-
-_packing = lru_cache(maxsize=32)(_Packing)  # one shared _Packing per n
-
-
 def integrate(
     field,
     state0: BodyState,
@@ -379,8 +343,8 @@ def integrate(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    packing = _packing(state0.n)
-    k = packing.k
+    n = state0.n
+    k = layout(n).k
     if output_dt is None:
         output_dt = max(cfg.step, (t1 - t0) / 1000.0)
     n_out = int(round((t1 - t0) / output_dt))
@@ -400,7 +364,7 @@ def integrate(
                 y[k:] /= nrm
             return y
 
-    y0 = packing.pack(state0.omega, state0.gamma)
+    y0 = np.concatenate((pack(state0.omega), state0.gamma))
     if cfg.method == "rk4":
         ys, stats = _rk4_solve(f, y0, t_grid, cfg.step, post, cfg.max_steps)
     else:
@@ -408,7 +372,7 @@ def integrate(
             f, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post, cfg.max_steps
         )
 
-    states = [packing.unpack(y) for y in ys]
+    states = [BodyState._wrap(unpack(y[:k], n), y[k:]) for y in ys]
     aux = {
         "gamma_norm_err": np.array(
             [abs(np.linalg.norm(s.gamma) - 1.0) for s in states]
@@ -417,8 +381,8 @@ def integrate(
     if inertia is not None and potential is not None:
         aux["energy"] = np.array([energy(s, inertia, potential) for s in states])
     if constraints is not None:
-        aux["constraint_residual"] = np.array(
-            [constraints.residual(s.omega) for s in states]
+        aux["constraint_residual"] = np.max(
+            np.abs(ys[:, :k] @ constraints.rows.T), axis=1
         )
     return Trajectory(times=t_grid, states=states, aux=aux, stats=stats)
 
@@ -426,10 +390,11 @@ def integrate(
 def state_field(fn, n):
     """Packed field ``field(y) -> ydot`` in dimension ``n`` from a field on
     states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`."""
-    packing = _packing(n)
+    k = layout(n).k
 
     def field(y):
-        return packing.pack(*fn(packing.unpack(y)))
+        omega_dot, gamma_dot = fn(BodyState._wrap(unpack(y[:k], n), y[k:]))
+        return np.concatenate((pack(omega_dot), gamma_dot))
 
     return field
 
@@ -545,16 +510,16 @@ def write_csv(traj: Trajectory, path):
             "the model context to export CSV"
         )
     n = traj.states[0].n
-    iu, ju = np.triu_indices(n, k=1)
+    lay = layout(n)
     header = ["t"]
-    header += [f"Omega_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
+    header += [f"Omega_{i + 1}_{j + 1}" for i, j in zip(lay.iu, lay.ju)]
     header += [f"Gamma_{i + 1}" for i in range(n)]
     header += ["E", "constraint_residual", "gamma_norm_err"]
     fmt = "{:.17g}"
     lines = [",".join(header)]
     for idx, state in enumerate(traj.states):
         row = [fmt.format(traj.times[idx])]
-        row += [fmt.format(v) for v in state.omega.mat[iu, ju]]
+        row += [fmt.format(v) for v in pack(state.omega)]
         row += [fmt.format(v) for v in state.gamma]
         row.append(fmt.format(traj.aux["energy"][idx]))
         row.append(fmt.format(traj.aux["constraint_residual"][idx]))

@@ -29,6 +29,8 @@ from .algebra import (
     SkewMatrix,
     commutator,
     inner,
+    pack,
+    unpack,
     wedge,
 )
 
@@ -122,30 +124,22 @@ class MassTensor:
             raise ValueError(f"dimension mismatch: {m.n} vs {self.n}")
         if self.diag is not None:
             return SkewMatrix._wrap(m.mat / self._pair)
-        iu, ju = np.triu_indices(self.n, k=1)
         try:
-            sol = np.linalg.solve(self._op, m.mat[iu, ju])
+            sol = np.linalg.solve(self._op, pack(m))
         except np.linalg.LinAlgError:
             raise ValueError("inertia map is singular for this mass tensor")
-        out = np.zeros((self.n, self.n))
-        out[iu, ju] = sol
-        out[ju, iu] = -sol
-        return SkewMatrix._wrap(out)
+        return unpack(sol, self.n)
 
 
 def _inertia_operator(matrix):
-    """Matrix of Omega -> I Omega + Omega I in the E_ij basis (full case)."""
+    """Matrix of Omega -> I Omega + Omega I in the E_ij basis (full case),
+    acting on packed vectors."""
     n = matrix.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    dim = iu.size
-    op = np.zeros((dim, dim))
-    for col in range(dim):
-        e = np.zeros((n, n))
-        e[iu[col], ju[col]] = 1.0
-        e[ju[col], iu[col]] = -1.0
-        me = matrix @ e
-        me = me - me.T
-        op[:, col] = me[iu, ju]
+    basis = np.eye(n * (n - 1) // 2)
+    op = np.empty_like(basis)
+    for col, e in enumerate(basis):
+        me = matrix @ unpack(e, n).mat
+        op[:, col] = pack(SkewMatrix._wrap(me - me.T))
     return op
 
 
@@ -303,14 +297,13 @@ def _torque(state: BodyState, inertia: MassTensor, potential: Potential) -> Skew
 def _reaction(inertia: MassTensor, constraints: ConstraintSet):
     """``k -> lambda``: reaction coefficients for the unconstrained momentum
     derivative ``k``, solving ``<a^i, J^-1 (k + sum_j lambda_j a^j)> = 0``
-    with the weighted Gram matrix, built once (it does not depend on state)."""
-    gens = constraints.generators
-    jinv_gens = [inertia.invert(g) for g in gens]
-    gram = np.array([[inner(a, jg) for jg in jinv_gens] for a in gens])
+    with the weighted Gram matrix, built once (it does not depend on state).
+    Every pairing is a product with the packed constraint rows."""
+    rows, n = constraints.rows, constraints.n
+    gram = rows @ np.array([pack(inertia.invert(unpack(a, n))) for a in rows]).T
 
     def solve(k):
-        jinv_k = inertia.invert(k)
-        rhs = np.array([inner(a, jinv_k) for a in gens])
+        rhs = rows @ pack(inertia.invert(k))
         try:
             return np.linalg.solve(gram, -rhs)
         except np.linalg.LinAlgError:
@@ -348,14 +341,11 @@ def general_field(inertia: MassTensor, potential: Potential, constraints: Constr
     """:func:`vector_field_general` as a closure ``state -> (omega_dot,
     gamma_dot)``, with the weighted Gram matrix built once."""
     reaction = _reaction(inertia, constraints)
-    gen_mats = [g.mat for g in constraints.generators]
+    rows, n = constraints.rows, constraints.n
 
     def field(state: BodyState):
         k = _torque(state, inertia, potential)
-        mat = k.mat.copy()
-        for c, g in zip(reaction(k), gen_mats):
-            mat += c * g
-        omega_dot = inertia.invert(SkewMatrix._wrap(mat))
+        omega_dot = inertia.invert(k + unpack(reaction(k) @ rows, n))
         return omega_dot, -(state.omega.mat @ state.gamma)
 
     return field
@@ -385,8 +375,10 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
                          "use vector_field_general instead")
     n = state.n
     gamma_dot = np.empty(n)
+    # a contiguous column, so that the dot product for d/dt G_n sums in the
+    # same order as in the packed fields (BLAS splits strided sums)
     col_dot = _reduced_rates(
-        state.omega.mat[: n - 1, n - 1], state.gamma,
+        np.ascontiguousarray(state.omega.mat[: n - 1, n - 1]), state.gamma,
         inertia.diag[: n - 1] + inertia.diag[n - 1], potential, gamma_dot,
     )
     dmat = np.zeros((n, n))
@@ -395,7 +387,8 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
     return SkewMatrix._wrap(dmat), gamma_dot
 
 
-_E3 = np.array([0.0, 0.0, 1.0])
+_E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis
+_E3.flags.writeable = False
 
 
 def _cross(x, y) -> np.ndarray:

@@ -10,6 +10,11 @@ RTOL = 1e-10
 ATOL = 1e-12
 
 
+def bits(x):
+    """The IEEE bit patterns of a float array, for bit-for-bit comparisons."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
 def random_skew(rng, n):
     return SkewMatrix(rng.normal(size=(n, n)))
 

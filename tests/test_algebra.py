@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_skew
+from conftest import bits, random_skew
 from suslov.algebra import (
     ConstraintSet,
     SkewMatrix,
@@ -9,11 +14,36 @@ from suslov.algebra import (
     distribution_basis,
     inner,
     is_nonholonomic,
+    layout,
+    pack,
     project_admissible,
     skew_to_vector,
+    unpack,
     vector_to_skew,
     wedge,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "suslov"
+
+
+def random_constraints(rng, n):
+    """A random set of r <= k/2 dense generators (independent almost surely)."""
+    r = int(rng.integers(1, n * (n - 1) // 4 + 1))
+    gens = [random_skew(rng, n) for _ in range(r)]
+    return gens, ConstraintSet(gens)
+
+
+def dense_residual(gens, x):
+    """The dense formula: max_i |<a^i, X>| with <A, B> = 1/2 sum A * B."""
+    return max(abs(0.5 * np.sum(g.mat * x.mat)) for g in gens)
+
+
+def dense_projection(gens, x):
+    """The dense formula: X - sum_i c_i a^i with G c = (<a^i, X>)_i."""
+    gram = np.array([[0.5 * np.sum(a.mat * b.mat) for b in gens] for a in gens])
+    rhs = np.array([0.5 * np.sum(g.mat * x.mat) for g in gens])
+    coeff = np.linalg.solve(gram, rhs)
+    return x.mat - sum(c * g.mat for c, g in zip(coeff, gens))
 
 
 def test_constructor_antisymmetrizes():
@@ -128,6 +158,40 @@ def test_jacobi_identity():
         )
 
 
+class TestLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7))
+    def test_pack_unpack_round_trip_bit_for_bit(self, data, n):
+        k = n * (n - 1) // 2
+        v = data.draw(arrays(np.float64, k, elements=st.floats(width=64)))
+        x = unpack(v, n)
+        assert np.array_equal(bits(pack(x)), bits(v))
+        finite = data.draw(arrays(np.float64, (n, n),
+                                  elements=st.floats(-1e300, 1e300, width=64)))
+        y = SkewMatrix(finite)
+        back = unpack(pack(y), n).mat
+        # equal values; a zero below the diagonal may come back as -0.0
+        assert np.array_equal(back, y.mat)
+        assert np.array_equal(bits(np.triu(back)), bits(np.triu(y.mat)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_layout_is_the_row_major_upper_triangle(self, n):
+        lay = layout(n)
+        assert layout(n) is lay
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert list(zip(lay.iu.tolist(), lay.ju.tolist())) == pairs
+        assert lay.k == len(pairs)
+        assert [pairs[p][1] for p in lay.column] == [n - 1] * (n - 1)
+        for index in lay[2:]:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 0
+
+    def test_triu_indices_only_in_algebra(self):
+        users = sorted(p.name for p in SRC.glob("*.py")
+                       if "np.triu_indices" in p.read_text())
+        assert users == ["algebra.py"]
+
+
 class TestProjection:
     def test_projection_fixes_admissible_elements(self):
         c = ConstraintSet.canonical_suslov(4)
@@ -183,6 +247,59 @@ class TestConstraintSet:
         c = ConstraintSet.canonical_suslov(3)
         a = SkewMatrix.basis(3, 0, 1)
         assert c.residual(a) == pytest.approx(1.0)
+
+    def test_rows_are_packed_generators(self):
+        rng = np.random.default_rng(13)
+        gens, c = random_constraints(rng, 5)
+        assert c.rows.shape == (c.r, 10)
+        assert not hasattr(c, "generators")
+        for row, g in zip(c.rows, gens):
+            assert np.array_equal(bits(row), bits(pack(g)))
+        assert np.array_equal(bits(c.gram), bits(c.rows @ c.rows.T))
+        for array in (c.rows, c.gram):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_mixed_dimensions_and_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            ConstraintSet([SkewMatrix.basis(3, 0, 1), SkewMatrix.basis(4, 0, 1)])
+        with pytest.raises(ValueError, match="at least one"):
+            ConstraintSet([])
+
+    # fixed draws: the projection's error grows with the Gram condition
+    # number, which a rare random set can make large
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6))
+    def test_random_sets_match_dense_formulas(self, seed, n):
+        rng = np.random.default_rng(seed)
+        gens, c = random_constraints(rng, n)
+        x = random_skew(rng, n)
+        scale = max(g.norm() for g in gens) * x.norm()
+        assert abs(c.residual(x) - dense_residual(gens, x)) <= 1e-14 * scale
+        p = project_admissible(x, c).mat
+        assert np.max(np.abs(p - dense_projection(gens, x))) <= 1e-14 * x.norm()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
+    def test_canonical_residual_is_the_block_max(self, seed, n):
+        x = random_skew(np.random.default_rng(seed), n)
+        block = np.abs(x.mat[: n - 1, : n - 1])
+        assert np.array_equal(bits(ConstraintSet.canonical_suslov(n).residual(x)),
+                              bits(np.max(block)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distribution_basis_is_orthonormal_null_space(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 4
+        for c in (random_constraints(rng, n)[1],
+                  ConstraintSet.canonical_suslov(n)):
+            basis = distribution_basis(c)
+            assert len(basis) == n * (n - 1) // 2 - c.r
+            pairing = np.array([[inner(a, b) for b in basis] for a in basis])
+            assert np.allclose(pairing, np.eye(len(basis)), rtol=0, atol=1e-14)
+            packed = np.array([pack(b) for b in basis])
+            assert np.max(np.abs(c.rows @ packed.T)) <= 1e-14 * np.max(
+                np.abs(c.rows))
 
 
 class TestNonholonomy:

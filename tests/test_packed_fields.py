@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_canonical_state, state_from_vec3
-from suslov.algebra import skew_to_vector, vector_to_skew
+from conftest import bits, random_canonical_state, state_from_vec3
+from suslov.algebra import layout, pack, skew_to_vector, vector_to_skew
 from suslov.cases import _3D_KINDS, CaseKind, CaseSpec, build_field
 from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
-    _Packing,
-    _packing,
     integrate,
     state_field,
 )
@@ -91,11 +89,9 @@ def state_level_field(spec):
 
 
 # (kind, n): every reduced kind, every 3D kind and the free case with a
-# custom axis (drawn for n = 3).  The reduced kinds stop at n = 4: from
-# n = 5 on, d/dt Gamma_n is a dot product of four or more terms, which
-# OpenBLAS sums in order for the contiguous column of the packed vector but
-# with two partial sums for the strided column of the dense matrix (see
-# test_reduced_dot_rounding_from_n5).
+# custom axis (drawn for n = 3).  The n = 5-7 entries cover d/dt Gamma_n as
+# a dot product of four or more terms, which BLAS may sum in another order
+# when one operand is strided.
 CASES = [
     (CaseKind.SUSLOV_FREE, 4),
     (CaseKind.LAGRANGE_ND, 4),
@@ -103,6 +99,9 @@ CASES = [
     (CaseKind.KHARLAMOVA_ND, 4),
     (CaseKind.CLEBSCH_TISSERAND_ND, 3),
     (CaseKind.CLEBSCH_TISSERAND_ND, 4),
+    (CaseKind.CLEBSCH_TISSERAND_ND, 5),
+    (CaseKind.CLEBSCH_TISSERAND_ND, 6),
+    (CaseKind.CLEBSCH_TISSERAND_ND, 7),
     (CaseKind.LAGRANGE_3D, 3),
     (CaseKind.KHARLAMOVA_3D, 3),
     (CaseKind.CLEBSCH_TISSERAND_3D, 3),
@@ -112,8 +111,8 @@ CASES = [
 ]
 
 
-def bits(x):
-    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+def pack_state(state):
+    return np.concatenate((pack(state.omega), state.gamma))
 
 
 class TestPackedField:
@@ -135,51 +134,35 @@ class TestPackedField:
     def test_reduced_field_leaves_block_exactly_zero(self, n):
         rng = np.random.default_rng(n)
         spec = make_spec(CaseKind.CLEBSCH_TISSERAND_ND, n, rng)
-        packing = _Packing(n)
-        ydot = build_field(spec)[0](rng.normal(size=packing.size))
-        block = np.setdiff1d(np.arange(packing.k), packing.column)
+        lay = layout(n)
+        ydot = build_field(spec)[0](rng.normal(size=lay.k + n))
+        block = np.setdiff1d(np.arange(lay.k), lay.column)
         assert np.all(bits(ydot[block]) == 0)  # +0.0 exactly
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 7))
-    def test_reduced_dot_rounding_from_n5(self, seed, n):
-        # every entry bit for bit except d/dt Gamma_n, which differs from
-        # the state field's by no more than the rounding of its dot product
-        rng = np.random.default_rng(seed)
-        spec = make_spec(CaseKind.CLEBSCH_TISSERAND_ND, n, rng)
-        y = rng.normal(size=_Packing(n).size)
-        got = build_field(spec)[0](y)
-        expected = state_field(state_level_field(spec), n)(y)
-        assert np.array_equal(bits(got[:-1]), bits(expected[:-1]))
-        terms = np.abs(y[_Packing(n).column] * y[-n:-1])
-        bound = 2 * (n - 1) * np.finfo(float).eps * np.sum(terms)
-        assert abs(got[-1] - expected[-1]) <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
     def test_reduced_forms_share_one_formula(self, seed, n):
-        # the packed chart of the measure check and build_field's field
-        # agree bit for bit at every n; the state field too, up to n = 4
+        # the packed chart of the measure check, build_field's field and
+        # the state field agree bit for bit at every n
         rng = np.random.default_rng(seed)
         spec = make_spec(CaseKind.KHARLAMOVA_ND, n, rng)
         state = random_canonical_state(rng, n)
-        packing = _Packing(n)
-        ydot = build_field(spec)[0](packing.pack(state.omega, state.gamma))
+        lay = layout(n)
+        ydot = build_field(spec)[0](pack_state(state))
         f, _ = packed_reduced_field(spec.inertia, spec.potential)
         chart = f(np.concatenate([state.omega.mat[: n - 1, n - 1], state.gamma]))
         assert np.array_equal(bits(chart),
-                              bits(np.concatenate([ydot[packing.column],
-                                                   ydot[packing.k:]])))
-        if n <= 4:
-            om_dot, g_dot = vector_field_reduced(state, spec.inertia,
-                                                 spec.potential)
-            assert np.array_equal(bits(ydot), bits(packing.pack(om_dot, g_dot)))
+                              bits(np.concatenate([ydot[lay.column],
+                                                   ydot[lay.k:]])))
+        om_dot, g_dot = vector_field_reduced(state, spec.inertia, spec.potential)
+        assert np.array_equal(bits(ydot),
+                              bits(np.concatenate((pack(om_dot), g_dot))))
 
 
 def test_packing_is_shared_and_read_only():
-    # build_field and integrate share one packing per n
-    packing = _packing(5)
-    assert _packing(5) is packing
+    # build_field and integrate share one layout per n
+    packing = layout(5)
+    assert layout(5) is packing
     for index in (packing.upper, packing.lower, packing.column):
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
@@ -219,11 +202,11 @@ class TestLastAcceptedPoint:
         with pytest.raises(IntegrationError, match="max_steps") as err:
             integrate(field, state0, (0.0, 10.0), cfg, output_dt=10.0)
         y_last, t_last = err.value.y_last, err.value.t_last
-        assert y_last.shape == (_Packing(4).size,)
+        assert y_last.shape == (layout(4).k + 4,)
         assert 0.0 < t_last < 10.0
         # the reported point is the solution at the reported time
         ref = integrate(field, state0, (0.0, t_last),
                         IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14),
                         output_dt=t_last).states[-1]
-        expect = _Packing(4).pack(ref.omega, ref.gamma)
+        expect = pack_state(ref)
         assert np.max(np.abs(y_last - expect)) <= 1e-9
