@@ -31,6 +31,7 @@ __all__ = [
     "layout",
     "pack",
     "unpack",
+    "from_column",
     "ConstraintSet",
     "commutator",
     "wedge",
@@ -160,6 +161,18 @@ def unpack(v, n: int) -> SkewMatrix:
     mat[lay.upper] = v
     mat[lay.lower] = -v
     return SkewMatrix._wrap(mat.reshape(n, n))
+
+
+def from_column(col) -> SkewMatrix:
+    """The element of so(n), ``n = len(col) + 1``, whose packed vector holds
+    ``col`` in the ``layout(n).column`` slots (``X_in = col[i]``) and zero
+    elsewhere: the velocity of the canonical Suslov cases."""
+    col = np.asarray(col, dtype=float)
+    n = col.size + 1
+    lay = layout(n)
+    v = np.zeros(lay.k)
+    v[lay.column] = col
+    return unpack(v, n)
 
 
 def _check_same_dim(a: SkewMatrix, b: SkewMatrix):

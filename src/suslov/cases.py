@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import model
-from .algebra import ConstraintSet, SkewMatrix, layout, skew_to_vector
+from .algebra import ConstraintSet, from_column, layout, skew_to_vector
 from .model import (
     _E3,
     BodyState,
@@ -517,10 +517,7 @@ def jacobian_rank(evaluators, state: BodyState, threshold: float = 1e-8,
     x0 = np.concatenate([col0, gamma0])
 
     def make_state(x):
-        mat = np.zeros((n, n))
-        mat[: n - 1, n - 1] = x[: n - 1]
-        mat[n - 1, : n - 1] = -x[: n - 1]
-        return BodyState(SkewMatrix._wrap(mat), x[n - 1 :])
+        return BodyState(from_column(x[: n - 1]), x[n - 1 :])
 
     rows = []
     for fn in evaluators:

@@ -9,7 +9,7 @@ comments and whitespace-separated vectors::
     case.b = 1.0 0.7 -0.4 0.0
     initial.omega_1_4 = 0.3
     initial.gamma = 0.1 0.2 0.3 0.93
-    integrator.method = rk45
+    integrator.method = dop853
     run.t_end = 100.0
     run.output_dt = 0.05
     run.analyses = verify_integrals measure_check
@@ -314,14 +314,16 @@ def load_config(path, overrides=None) -> ScenarioConfig:
             )
     state0 = BodyState(omega, gamma)
 
-    step_cfg = e.float_("integrator.step", default=1e-2)
+    defaults = IntegratorConfig  # the dataclass holds each default
+    step_cfg = e.float_("integrator.step", default=defaults.step)
     settings = dict(
-        method=e.string("integrator.method", default="rk45"),
+        method=e.string("integrator.method", default=defaults.method),
         step=step_cfg if overrides.get("step") is None else overrides["step"],
-        rel_tol=e.float_("integrator.rel_tol", default=1e-10),
-        abs_tol=e.float_("integrator.abs_tol", default=1e-12),
-        renormalize_gamma=e.bool_("integrator.renormalize_gamma", default=True),
-        max_steps=e.int_("integrator.max_steps", default=20_000_000),
+        rel_tol=e.float_("integrator.rel_tol", default=defaults.rel_tol),
+        abs_tol=e.float_("integrator.abs_tol", default=defaults.abs_tol),
+        renormalize_gamma=e.bool_("integrator.renormalize_gamma",
+                                  default=defaults.renormalize_gamma),
+        max_steps=e.int_("integrator.max_steps", default=defaults.max_steps),
     )
     try:
         integrator = IntegratorConfig(**settings)
@@ -641,6 +643,7 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     report = Report()
     _case_section(report, config)
     report.section("integrator")
+    report.put("method", config.integrator.method)
     report.put("accepted", traj.stats.accepted)
     report.put("rejected", traj.stats.rejected)
     report.put("rhs_evals", traj.stats.rhs_evals)

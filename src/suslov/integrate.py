@@ -1,37 +1,48 @@
 """ODE propagation with sphere renormalization and trajectory diagnostics.
 
-Two steppers are provided: classical fixed-step RK4 and an embedded
-Dormand-Prince 5(4) pair with standard proportional step control.  States
-are flattened to ``(pack(Omega), Gamma)`` in the layout of
-:mod:`suslov.algebra`; fields act on this flat vector.
+Three steppers are provided: classical fixed-step RK4 and two embedded
+pairs with proportional step control, Dormand-Prince 8(5,3) (``dop853``,
+the default) and Dormand-Prince 5(4) (``rk45``).  States are flattened to
+``(pack(Omega), Gamma)`` in the layout of :mod:`suslov.algebra`; fields act
+on this flat vector.
 
-The Dormand-Prince step stores its seven stage derivatives as the rows of
-one 7-by-d array ``K``: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]``
-with the strictly lower-triangular tableau ``A``, and the step returns
-``y + h B5 @ K`` with the error estimate ``h (B5 - B4) @ K``.  The last
-stage is evaluated at the new point, so it is reused as the first stage of
-the next step (first same as last): a step costs six field calls.  The
-tolerance alone sets the step size; only the final step is shortened, so
-that it lands on the end of the output grid.  Every output sample inside an
-accepted step ``[t, t + h]`` comes from the free fourth-order interpolant of
-the pair, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]`` with ``x = (t_i - t) / h``.
+Both pairs run through one adaptive loop; a pair supplies only its tableau,
+its error norm, its step-size exponent and its interpolant.  A step stores
+its stage derivatives as the rows of one array ``K``: stage ``s`` is
+evaluated at ``y + h A[s, :s] @ K[:s]`` with the strictly lower-triangular
+tableau ``A``.  The solution weights are a row of ``A`` with ``c = 1``, so
+the last stage is ``f`` at the new point and is reused as the first stage
+of the next step (first same as last): an attempt costs six field calls
+with DP5 and twelve with DOP853.  The error is the RMS norm of the scaled
+5(4) estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend
+of its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner
+(section II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
+size; only the final step is shortened, so that it lands on the end of the
+output grid.  Every output sample inside an accepted step ``[t, t + h]``
+comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
+4th-order one of DP5, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]``, or the
+7th-order one of DOP853, whose three extra stages are evaluated on every
+accepted step, so that the counters depend only on the step sequence.
 Output samples become ``BodyState`` objects; :func:`state_field` adapts a
 field on states to the flat vector.  The constraint residuals of all
 samples are one product of the packed samples with the constraint rows.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
-never projects, and it is applied to step endpoints and interpolated
-samples alike.  The constraint residual is recorded rather than repaired.
+never projects, and it is applied to step endpoints and to each step's
+block of interpolated samples alike.  The constraint residual is recorded
+rather than repaired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _dop853
 from .algebra import ConstraintSet, layout, pack, unpack
 from .model import BodyState, MassTensor, Potential, energy
 
@@ -70,7 +81,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk45"          # "rk4" fixed step | "rk45" embedded adaptive
+    method: str = "dop853"        # "dop853" | "rk45" embedded adaptive | "rk4"
     step: float = 1e-2            # RK4 step size / initial adaptive step
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -85,7 +96,7 @@ class IntegratorConfig:
                 raise ValueError("tolerances must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.method not in ("rk4", "rk45"):
+        if self.method != "rk4" and self.method not in _PAIRS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -174,19 +185,40 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp5_stages(f, t, y, h, k0):
-    """Stage derivatives ``K`` (7-by-d) of one Dormand-Prince step and its
-    5th-order solution ``y5``, given ``k0 = f(t, y)``.
+def _fill_stages(pair, f, t, y, h, K, start, stop):
+    """Evaluate stages ``start..stop-1`` of ``pair`` into the rows of ``K``;
+    stage ``s`` is ``f`` at ``y + h A[s, :s] @ K[:s]``.  Returns the last
+    stage input."""
+    rows, c = pair.rows, pair.c
+    for s in range(start, stop):
+        ys = y + h * np.dot(rows[s], K[:s])
+        K[s] = f(t + c[s] * h, ys)
+    return ys
 
-    Row 6 of ``_DP_A`` is ``_DP_B5``, so the last stage input is ``y5`` and
-    ``K[6] = f(t + h, y5)`` is the next step's first stage.
+
+def _stages(pair, f, t, y, h, k0):
+    """Stage derivatives ``K`` of one step of ``pair`` and its solution
+    ``y_new``, given ``k0 = f(t, y)``.
+
+    Row ``pair.stages`` of the tableau holds the solution weights, so the
+    last stage input is ``y_new`` and ``K[pair.stages] = f(t + h, y_new)``
+    is the next step's first stage.  The rows of ``K`` after it are left
+    for the dense-output stages.
     """
-    K = np.empty((7, y.size))
+    K = np.empty((len(pair.rows), y.size))
     K[0] = k0
-    for s in range(1, 7):
-        ys = y + h * (_DP_A[s, :s] @ K[:s])
-        K[s] = f(t + _DP_C[s] * h, ys)
-    return K, ys
+    return K, _fill_stages(pair, f, t, y, h, K, 1, pair.stages + 1)
+
+
+def _dp5_stages(f, t, y, h, k0):
+    """``_stages`` of Dormand-Prince 5(4): ``K`` is 7-by-d, and row 6 of
+    ``_DP_A`` is ``_DP_B5``."""
+    return _stages(_DP5, f, t, y, h, k0)
+
+
+def _dp5_error_norm(K, h, scale):
+    """RMS norm of the scaled 5(4) error estimate ``h (B5 - B4) @ K``."""
+    return float(np.sqrt(np.mean((h * (_DP_E @ K) / scale) ** 2)))
 
 
 def _dp5_dense(y, h, K, x):
@@ -194,6 +226,68 @@ def _dp5_dense(y, h, K, x):
     ``t`` and the step's stages ``K``: the free 4th-order interpolant,
     exact at ``x = 0`` and equal to ``y5`` at ``x = 1`` up to roundoff."""
     return y + h * ((x[:, None] ** _POWERS) @ (_DP_P.T @ K))
+
+
+def _dop853_error_norm(K, h, scale):
+    """Blended norm of the 5th- and 3rd-order error estimates,
+    ``|h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) d)`` on ``e / scale``; both
+    weight the 12 stages and ``f(t + h, y_new)``, the rows ``K[:13]``."""
+    e5 = (_dop853.E5 @ K[:13]) / scale
+    e3 = (_dop853.E3 @ K[:13]) / scale
+    n5, n3 = float(e5 @ e5), float(e3 @ e3)
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
+
+
+def _dop853_dense(y, h, K, x):
+    """States at the step fractions ``x``: the 7th-order interpolant of
+    DOP853 from the 16 stages of an accepted step, the nested form
+    ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))`` evaluated as one
+    product with its weights ``x, x (1 - x), x^2 (1 - x), ...``.  ``F0`` is
+    the step's increment ``h B @ K``, so ``x = 1`` gives ``y_new`` exactly."""
+    dy = h * (_dop853.B @ K[:12])
+    F = np.empty((7, y.size))
+    F[0] = dy
+    F[1] = h * K[0] - dy
+    F[2] = 2.0 * dy - h * (K[12] + K[0])
+    F[3:] = h * (_dop853.D @ K)
+    w = np.empty((x.size, 7))
+    w[:, 0::2] = x[:, None]
+    w[:, 1::2] = 1.0 - x[:, None]
+    return y + np.cumprod(w, axis=1) @ F
+
+
+class _Pair(NamedTuple):
+    """An embedded Runge-Kutta pair, as :func:`_adaptive_solve` steps it.
+
+    ``rows[s]`` is ``A[s, :s]`` of the stage tableau and ``c[s]`` its node.
+    Row ``stages`` holds the solution weights, with ``c = 1`` (first same as
+    last), and any later rows are dense-output stages, evaluated once per
+    accepted step.  So a step costs ``stages`` field calls per attempt plus
+    ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
+    scale)`` is the scaled error, and the step factor is
+    ``0.9 err ** exponent``; ``dense(y, h, K, x)`` gives the states at the
+    step fractions ``x``.
+    """
+
+    rows: tuple
+    c: tuple
+    stages: int
+    exponent: float
+    error_norm: Callable
+    dense: Callable
+
+
+def _pair(A, C, stages, exponent, error_norm, dense):
+    rows = tuple(np.ascontiguousarray(A[s, :s]) for s in range(A.shape[0]))
+    return _Pair(rows, tuple(C.tolist()), stages, exponent, error_norm, dense)
+
+
+_DP5 = _pair(_DP_A, _DP_C, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_dense)
+_DOP853 = _pair(_dop853.A, _dop853.C, _dop853.N_STAGES, -1.0 / 8.0,
+                _dop853_error_norm, _dop853_dense)
+_PAIRS = {"dop853": _DOP853, "rk45": _DP5}
 
 
 def rk45_step(f, t, y, h):
@@ -211,8 +305,10 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
     ys = [np.asarray(y0, dtype=float)]
     count = 0
     h_min, h_max, h = math.inf, 0.0, 0.0
-    for a, b in zip(t_grid[:-1], t_grid[1:]):
-        nsub = max(1, int(math.ceil((b - a) / step - 1e-12)))
+    for a, b in zip(t_grid[:-1].tolist(), t_grid[1:].tolist()):
+        # capped, so that a step too small to count in a float stops at
+        # max_steps instead of overflowing the conversion to int
+        nsub = max(1, math.ceil(min((b - a) / step, 1e18) - 1e-12))
         h = (b - a) / nsub
         h_min, h_max = min(h_min, h), max(h_max, h)
         y = ys[-1]
@@ -237,7 +333,8 @@ def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
     return _rk4_solve(f, y0, t_grid, step, post_step, max_steps)[0]
 
 
-def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
+def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
+                    max_steps):
     t_grid = np.asarray(t_grid, dtype=float)
     y = np.asarray(y0, dtype=float)
     ys = np.empty((t_grid.size, y.size))
@@ -249,6 +346,8 @@ def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
             h0 = min(h0, t_grid[1] - t)
     h = h0
     land = 1e-14 * max(1.0, abs(t_end))
+    S = pair.stages
+    extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
     k0 = f(t, y)
     nxt = 1  # first grid index not yet sampled
     accepted = attempts = 0
@@ -259,38 +358,39 @@ def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
             h = t_end - t
         if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, h, attempts, y)
-        K, y_new = _dp5_stages(f, t, y, h, k0)
-        err = h * (_DP_E @ K)
+        K, y_new = _stages(pair, f, t, y, h, k0)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        err_norm = pair.error_norm(K, h, scale)
         if not math.isfinite(err_norm):
             err_norm = math.inf  # reject and shrink hard
         attempts += 1
         if err_norm <= 1.0:
+            if extra:
+                _fill_stages(pair, f, t, y, h, K, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
             if t_grid[nxt] <= t_new:
                 stop = t_grid.size if last else int(
                     np.searchsorted(t_grid, t_new, side="right")
                 )
-                ys[nxt:stop] = _dp5_dense(y, h, K, (t_grid[nxt:stop] - t) / h)
+                ys[nxt:stop] = pair.dense(y, h, K, (t_grid[nxt:stop] - t) / h)
                 if post_step is not None:
-                    for i in range(nxt, stop):
-                        ys[i] = post_step(ys[i])
+                    ys[nxt:stop] = post_step(ys[nxt:stop])
                 nxt = stop
             accepted += 1
             h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
             t = t_new
             y = y_new if post_step is None else post_step(y_new)
-            k0 = K[6]
+            k0 = K[S]
         if attempts > max_steps:
             raise IntegrationError("max_steps exceeded", t, h, attempts, y)
         if err_norm == 0.0:
             factor = 5.0
         else:
-            factor = min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            factor = min(5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
         h = h * factor
     stats = IntegratorStats(
-        accepted, attempts - accepted, 6 * attempts + 1,
+        accepted, attempts - accepted,
+        S * attempts + extra * accepted + 1,
         float(h_min), float(h_max), float(h_last),
     )
     return ys, stats
@@ -298,27 +398,37 @@ def _rk45_solve(f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps):
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
                         post_step=None, max_steps=10**8):
-    """Dormand-Prince with proportional control; returns the states at
+    """Dormand-Prince 5(4) with proportional control; returns the states at
     ``t_grid`` as a ``(len(t_grid), d)`` array.
 
     The tolerance alone sets the steps: only the last one is shortened, to
     end exactly at ``t_grid[-1]``.  Samples inside an accepted step come
     from the pair's free 4th-order interpolant, so a finer grid costs no
     extra field calls.  ``post_step`` maps each accepted endpoint and each
-    sample.  The last stage ``f(t + h, y5)`` is reused as the next step's
-    first stage, and after a rejection the first stage is kept, so every
-    attempt costs six calls plus one for the start; with ``post_step``
-    set, the reused stage is ``f`` at ``y5`` before ``post_step``, which
-    for the gamma renormalization differs from it only by roundoff.
+    block of samples (an array of rows).  The last stage ``f(t + h, y5)``
+    is reused as the next step's first stage, and after a rejection the
+    first stage is kept, so every attempt costs six calls plus one for the
+    start; with ``post_step`` set, the reused stage is ``f`` at ``y5``
+    before ``post_step``, which for the gamma renormalization differs from
+    it only by roundoff.
 
     ``h0`` is the first trial step; by default the smaller of a hundredth
     of the span and the first grid interval.  ``max_steps`` bounds the
     attempts, accepted and rejected.  Failures raise ``IntegrationError``
     with the last accepted time, the failing step size and the attempts.
     """
-    return _rk45_solve(
-        f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps
+    return _adaptive_solve(
+        _DP5, f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps
     )[0]
+
+
+def _gamma_norm(y, k):
+    """``|Gamma|`` of a packed point or of each row of a block.  ``vecdot``
+    sums like the BLAS dot of ``np.linalg.norm`` on one vector, so a row
+    of a block gets the same bits as the point alone; ``norm(axis=-1)``
+    sums in another order."""
+    g = y[..., k:]
+    return np.sqrt(np.vecdot(g, g))
 
 
 def integrate(
@@ -358,26 +468,23 @@ def integrate(
     if cfg.renormalize_gamma:
 
         def post(y):
-            nrm = np.linalg.norm(y[k:])
-            if nrm > 0:
-                y = y.copy()
-                y[k:] /= nrm
+            # one point or a block of rows; zero norms are left alone
+            nrm = _gamma_norm(y, k)[..., None]
+            y = y.copy()
+            y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
             return y
 
     y0 = np.concatenate((pack(state0.omega), state0.gamma))
     if cfg.method == "rk4":
         ys, stats = _rk4_solve(f, y0, t_grid, cfg.step, post, cfg.max_steps)
     else:
-        ys, stats = _rk45_solve(
-            f, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post, cfg.max_steps
+        ys, stats = _adaptive_solve(
+            _PAIRS[cfg.method], f, y0, t_grid, cfg.rel_tol, cfg.abs_tol,
+            cfg.step, post, cfg.max_steps,
         )
 
     states = [BodyState._wrap(unpack(y[:k], n), y[k:]) for y in ys]
-    aux = {
-        "gamma_norm_err": np.array(
-            [abs(np.linalg.norm(s.gamma) - 1.0) for s in states]
-        )
-    }
+    aux = {"gamma_norm_err": np.abs(_gamma_norm(ys, k) - 1.0)}
     if inertia is not None and potential is not None:
         aux["energy"] = np.array([energy(s, inertia, potential) for s in states])
     if constraints is not None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .algebra import SkewMatrix
+from .algebra import from_column
 from .model import BodyState, MassTensor
 
 __all__ = [
@@ -111,10 +111,7 @@ def from_kharlamova(coords: KharlamovaCoords, inertia: MassTensor, b) -> BodySta
     gamma[0] = -g[0] / c[0]
     gamma[1 : n - 1] = -(g[1 : n - 1] + g[0]) / c[1:]
     gamma[n - 1] = g[n - 1]
-    mat = np.zeros((n, n))
-    mat[: n - 1, n - 1] = col
-    mat[n - 1, : n - 1] = -col
-    return BodyState(SkewMatrix._wrap(mat), gamma)
+    return BodyState(from_column(col), gamma)
 
 
 def reduced_field(coords: KharlamovaCoords, inertia: MassTensor, b) -> KharlamovaCoords:
@@ -293,7 +290,8 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
     Substituting ``w = mid + half * sin(theta)`` cancels the inverse square
     root at simple endpoints, leaving a smooth integrand handled by a
     Gauss-Legendre rule; with ``nodes=None`` the node count doubles from 64
-    until the value settles to 1e-10 relative.
+    until the value settles to 1e-10 relative, and ``ValueError`` is raised
+    if it has not settled by 4096 nodes (an orbit close to a separatrix).
     """
     xi1, xi2 = float(interval[0]), float(interval[1])
     if xi2 <= xi1:
@@ -326,12 +324,13 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
 
     if nodes is not None:
         return quad(nodes)
-    m = 64
-    prev = quad(m)
+    m, cur = 64, quad(64)
     while m <= 2048:
-        m *= 2
+        m, prev = 2 * m, cur
         cur = quad(m)
         if abs(cur - prev) <= 1e-10 * abs(cur):
             return cur
-        prev = cur
-    return prev
+    raise ValueError(
+        f"period quadrature did not settle to 1e-10 relative by {m} nodes: "
+        f"{prev!r} with {m // 2}, {cur!r} with {m}"
+    )

@@ -28,6 +28,7 @@ from .algebra import (
     ConstraintSet,
     SkewMatrix,
     commutator,
+    from_column,
     inner,
     pack,
     unpack,
@@ -381,10 +382,7 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         np.ascontiguousarray(state.omega.mat[: n - 1, n - 1]), state.gamma,
         inertia.diag[: n - 1] + inertia.diag[n - 1], potential, gamma_dot,
     )
-    dmat = np.zeros((n, n))
-    dmat[: n - 1, n - 1] = col_dot
-    dmat[n - 1, : n - 1] = -col_dot
-    return SkewMatrix._wrap(dmat), gamma_dot
+    return from_column(col_dot), gamma_dot
 
 
 _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis

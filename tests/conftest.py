@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from suslov.algebra import SkewMatrix
+from suslov.algebra import SkewMatrix, from_column
 from suslov.model import BodyState
 
 # reference integrator tolerances used across the conservation suites
@@ -27,20 +27,11 @@ def random_unit(rng, n):
 def random_canonical_state(rng, n, speed=1.0):
     """State satisfying the canonical constraints: only the Omega_in column."""
     col = speed * rng.normal(size=n - 1)
-    mat = np.zeros((n, n))
-    mat[: n - 1, n - 1] = col
-    mat[n - 1, : n - 1] = -col
-    return BodyState(SkewMatrix(mat), random_unit(rng, n))
+    return BodyState(from_column(col), random_unit(rng, n))
 
 
 def canonical_state(col, gamma):
-    col = np.asarray(col, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.size
-    mat = np.zeros((n, n))
-    mat[: n - 1, n - 1] = col
-    mat[n - 1, : n - 1] = -col
-    return BodyState(SkewMatrix(mat), gamma)
+    return BodyState(from_column(col), np.asarray(gamma, dtype=float))
 
 
 def state_from_vec3(omega_vec, gamma):

@@ -12,6 +12,7 @@ from suslov.algebra import (
     SkewMatrix,
     commutator,
     distribution_basis,
+    from_column,
     inner,
     is_nonholonomic,
     layout,
@@ -185,6 +186,24 @@ class TestLayout:
         for index in lay[2:]:
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_from_column_fills_the_last_column(self, n):
+        col = np.random.default_rng(n).normal(size=n - 1)
+        x = from_column(col)
+        expected = np.zeros((n, n))
+        expected[: n - 1, n - 1] = col
+        expected[n - 1, : n - 1] = -col
+        assert x.n == n and np.array_equal(x.mat, expected)
+        v = pack(x)
+        assert np.array_equal(bits(v[layout(n).column]), bits(col))
+        assert not np.any(np.delete(v, layout(n).column))
+
+    def test_column_matrix_built_only_in_algebra(self):
+        # the Omega_in column goes into a matrix through from_column only
+        users = sorted(p.name for p in SRC.glob("*.py")
+                       if "[: n - 1, n - 1] =" in p.read_text())
+        assert users == []
 
     def test_triu_indices_only_in_algebra(self):
         users = sorted(p.name for p in SRC.glob("*.py")

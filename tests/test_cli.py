@@ -1,8 +1,13 @@
+import contextlib
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suslov.cli import ConfigError, load_config, main
 
@@ -224,6 +229,27 @@ class TestRunAndVerify:
         assert rep["measure.invariant_measure"] == "yes"
         assert rep["result.pass"] == "true"
 
+    @pytest.mark.parametrize("method, calls", [
+        (None, (12, 3)), ("rk45", (6, 0)), ("rk4", (4, 0)),
+    ])
+    def test_report_names_the_method(self, tmp_path, method, calls):
+        # the default is DOP853: 12 calls an attempt, 3 per accepted step
+        out = tmp_path / "out"
+        text = kharlamova_cfg(out, t_end=5.0).replace(
+            "integrator.method = rk45\n",
+            "" if method is None else f"integrator.method = {method}\n",
+        )
+        assert main(["simulate", write(tmp_path, "k.cfg", text)]) == 0
+        rep = report_dict(out / "report.txt")
+        assert rep["integrator.method"] == (method or "dop853")
+        accepted = int(rep["integrator.accepted"])
+        attempts = accepted + int(rep["integrator.rejected"])
+        per_attempt, per_accepted = calls
+        start = 0 if method == "rk4" else 1
+        assert int(rep["integrator.rhs_evals"]) == (
+            per_attempt * attempts + per_accepted * accepted + start
+        )
+
     @staticmethod
     def sloppy_cfg(tmp_path, out):
         text = kharlamova_cfg(out, t_end=40.0).replace(
@@ -337,3 +363,65 @@ class TestAnalyses:
         assert rep["measure.invariant_measure"] == "no"
         assert float(rep["measure.max_abs_divergence"]) > 1e-3
         assert "no invariant measure" in rep["measure.note"]
+
+
+# one line of scenario text: no control characters or line separators
+_LINE = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+)
+_METHODS = st.sampled_from(["dop853", "rk45", "rk4"])
+_POSITIVE = st.floats(min_value=0.0, max_value=1e3, exclude_min=True).map(repr)
+_NUMBER_TEXT = st.one_of(
+    _POSITIVE,
+    st.floats().map(repr),
+    st.sampled_from(["5e-324", "1e308", "0", "-1e-3", "1_0", ""]),
+    _LINE,
+)
+
+
+def run_with_settings(method, rel_tol, abs_tol, step):
+    """``suslov simulate`` on a short Kharlamova run with the given
+    integrator texts; returns the exit status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        text = kharlamova_cfg(os.path.join(tmp, "out"), t_end=0.5)
+        text = text.replace(
+            "integrator.method = rk45\n"
+            "integrator.rel_tol = 1e-10\n"
+            "integrator.abs_tol = 1e-12\n",
+            f"integrator.method = {method}\n"
+            f"integrator.rel_tol = {rel_tol}\n"
+            f"integrator.abs_tol = {abs_tol}\n"
+            f"integrator.step = {step}\n"
+            "integrator.max_steps = 2000\n",
+        )
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("measure_check", ""))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["simulate", path])
+    err = err.getvalue()
+    assert status in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert ("[error]\n" in err) == (status != 0)
+    return status
+
+
+class TestFuzz:
+    # t_end = 0.5 and max_steps = 2000 keep every example short
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(method=st.one_of(_METHODS, _LINE), rel_tol=_NUMBER_TEXT,
+           abs_tol=_NUMBER_TEXT, step=_NUMBER_TEXT)
+    def test_any_integrator_text_exits_cleanly(self, method, rel_tol,
+                                                abs_tol, step):
+        run_with_settings(method, rel_tol, abs_tol, step)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(method=_METHODS, rel_tol=_POSITIVE, abs_tol=_POSITIVE,
+           step=_POSITIVE)
+    def test_any_positive_settings_run_or_fail_cleanly(self, method, rel_tol,
+                                                       abs_tol, step):
+        # from subnormal to loose tolerances and steps: a result, a
+        # numerical failure or a failed verification, never a crash
+        assert run_with_settings(method, rel_tol, abs_tol, step) != 2

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import canonical_state, random_canonical_state
+from conftest import bits, canonical_state, random_canonical_state
+from suslov import _dop853
 from suslov.algebra import ConstraintSet
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _DOP853,
     _dp5_dense,
     _dp5_stages,
+    _fill_stages,
+    _stages,
     detect_period,
     drift_report,
     integrate,
@@ -90,6 +94,14 @@ class TestSteppers:
         ]
         for p in orders:
             assert abs(p - 4.0) <= 0.3
+
+    def test_subnormal_rk4_step_stops_at_max_steps(self):
+        # (b - a) / step overflows to inf; the substep count must not crash
+        # its conversion to int
+        with pytest.raises(IntegrationError, match="max_steps") as err:
+            solve_fixed_rk4(lambda t, y: -y, np.array([1.0]), [0.0, 0.1],
+                            5e-324, max_steps=10)
+        assert err.value.attempts == 11
 
     def test_max_steps_exceeded(self):
         _, _, field, _ = make_free_case()
@@ -205,6 +217,77 @@ class TestDenseOutput:
             assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
 
 
+def dop853_step(f, t, y, h):
+    """All 16 stages of one DOP853 step and its 8th-order solution."""
+    K, y_new = _stages(_DOP853, f, t, y, h, f(t, y))
+    _fill_stages(_DOP853, f, t, y, h, K, 13, 16)
+    return K, y_new
+
+
+class TestDop853:
+    def test_tableau_equals_scipy_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert _dop853.N_STAGES == ref.N_STAGES == 12
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            ours, theirs = getattr(_dop853, name), getattr(ref, name)
+            assert ours.shape == theirs.shape
+            assert np.array_equal(bits(ours), bits(theirs)), name
+            assert not ours.flags.writeable
+        # the stepper uses that data: B is row 12 of A, evaluated at c = 1
+        assert len(_DOP853.rows) == 16 and _DOP853.stages == 12
+        for row, ref_row in zip(_DOP853.rows, _dop853.A):
+            assert np.array_equal(bits(row), bits(ref_row[: row.size]))
+        assert np.array_equal(bits(_DOP853.rows[12]), bits(_dop853.B))
+        assert _DOP853.c == tuple(_dop853.C) and _DOP853.c[12] == 1.0
+
+    def test_local_error_is_ninth_order(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(12)
+        mat = rng.normal(size=(6, 6)) / np.sqrt(6.0)
+        y0 = rng.normal(size=6)
+
+        def f(t, y):
+            return mat @ y
+
+        hs = [1.0, 0.5, 0.25]
+        local = []
+        for h in hs:
+            _, y_new = dop853_step(f, 0.0, y0, h)
+            local.append(np.linalg.norm(y_new - expm(h * mat) @ y0))
+        for i in range(len(hs) - 1):
+            assert abs(math.log2(local[i] / local[i + 1]) - 9.0) <= 0.3
+
+    lam = np.array([-0.8, 1.3])
+    y0 = np.array([1.0, 0.5])
+
+    def f(self, t, y):
+        return self.lam * y
+
+    def test_interpolant_matches_step_endpoints(self):
+        for h in (1.0, 0.4, 0.05):
+            K, y_new = dop853_step(self.f, 0.0, self.y0, h)
+            ends = _DOP853.dense(self.y0, h, K, np.array([0.0, 1.0]))
+            assert np.array_equal(ends[0], self.y0)
+            assert np.max(np.abs(ends[1] - y_new)) <= 1e-15 * np.max(np.abs(y_new))
+
+    def test_mid_step_error_is_eighth_order(self):
+        errs = []
+        hs = [1.0, 0.5, 0.25]
+        for h in hs:
+            K, _ = dop853_step(self.f, 0.0, self.y0, h)
+            mid = _DOP853.dense(self.y0, h, K, np.array([0.5]))[0]
+            errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
+        for i in range(len(hs) - 1):
+            assert abs(math.log2(errs[i] / errs[i + 1]) - 8.0) <= 0.3
+
+    def test_default_method(self):
+        assert IntegratorConfig().method == "dop853"
+        with pytest.raises(ValueError, match="unknown method"):
+            IntegratorConfig(method="dop54")
+
+
 class TestFreeRunningSteps:
     def setup_method(self):
         n = 4
@@ -220,8 +303,9 @@ class TestFreeRunningSteps:
         self.calls += 1
         return self.field(state)
 
-    def test_steps_do_not_depend_on_output_grid(self):
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    @pytest.mark.parametrize("method", ["rk45", "dop853"])
+    def test_steps_do_not_depend_on_output_grid(self, method):
+        cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-12)
         coarse = integrate(self.field, self.state0, (0.0, 10.0), cfg,
                            output_dt=0.25)
         fine = integrate(self.field, self.state0, (0.0, 10.0), cfg,
@@ -236,7 +320,8 @@ class TestFreeRunningSteps:
     @pytest.mark.parametrize("step", [1e-2, 2.0])
     def test_first_same_as_last_saves_a_call(self, step):
         # a 2.0 first trial step is rejected, and the retry reuses K[0]
-        cfg = IntegratorConfig(step=step, rel_tol=1e-10, abs_tol=1e-12)
+        cfg = IntegratorConfig(method="rk45", step=step, rel_tol=1e-10,
+                               abs_tol=1e-12)
         traj = integrate(self.counted, self.state0, (0.0, 10.0), cfg,
                          output_dt=0.5)
         st = traj.stats
@@ -244,6 +329,20 @@ class TestFreeRunningSteps:
         if step == 2.0:
             assert st.rejected > 0
         assert 0.0 < st.h_min <= st.h_last and st.h_min <= st.h_max
+
+    @pytest.mark.parametrize("step", [1e-2, 2.0])
+    def test_dop853_counts_every_field_call(self, step):
+        # 12 calls per attempt, 3 dense-output stages per accepted step and
+        # one for the start; a 2.0 first trial step is rejected
+        cfg = IntegratorConfig(method="dop853", step=step, rel_tol=1e-10,
+                               abs_tol=1e-12)
+        traj = integrate(self.counted, self.state0, (0.0, 10.0), cfg,
+                         output_dt=0.5)
+        st = traj.stats
+        attempts = st.accepted + st.rejected
+        assert st.rhs_evals == 12 * attempts + 3 * st.accepted + 1 == self.calls
+        if step == 2.0:
+            assert st.rejected > 0
 
     @pytest.mark.parametrize("npts", [3, 2001])
     def test_every_grid_time_sampled(self, npts):

@@ -304,6 +304,46 @@ class TestPeriod:
         with pytest.raises(ValueError, match="equilibrium"):
             period(poly, (1.0, 1.0))
 
+    def test_close_root_pair_matches_closed_form(self):
+        # roots (-1, 1, 1 + 1e-6, 3): the orbit on [-1, 1] passes 1e-6 from
+        # the next root, and the rule settles only at 1024 nodes.  The
+        # period is the complete elliptic integral (DLMF 19.29)
+        # 4 R_F(0, q3(xi2) q4(xi1), q4(xi2) q3(xi1)), q_i(w) = |w - r_i|
+        from scipy.special import elliprf
+
+        coeffs = -np.polynomial.polynomial.polyfromroots([-1.0, 1.0, 1.0 + 1e-6, 3.0])
+        poly = QuarticPolynomial(coeffs, 0.0, 1.0)
+        xi1, xi2 = orbit_interval(poly, 0.0)
+        r3, r4 = poly.roots()[2:]
+        t_ref = 4.0 * elliprf(0.0, abs(xi2 - r3) * abs(xi1 - r4),
+                              abs(xi2 - r4) * abs(xi1 - r3))
+        assert period(poly, (xi1, xi2)) == pytest.approx(t_ref, rel=1e-10)
+
+    def test_unsettled_rule_raises(self, monkeypatch):
+        # a complex root pair 0.3 +- 1e-6 i sits 1e-6 from the orbit: the
+        # integrand peaks with width 1e-6, which no rule up to 4096 nodes
+        # resolves, so the doubling loop must not return its last value.
+        # leggauss builds the 4096-node rule by a dense eigensolve (about
+        # 7 s); scipy's Newton-based rule of the same size takes 0.7 s
+        import functools
+
+        from scipy.special import roots_legendre
+
+        from suslov import kharlamova
+
+        monkeypatch.setattr(kharlamova, "_gauss_legendre",
+                            functools.cache(roots_legendre))
+        coeffs = -np.polynomial.polynomial.polyfromroots(
+            [-1.0, 1.0, 0.3 + 1e-6j, 0.3 - 1e-6j]
+        ).real
+        poly = QuarticPolynomial(coeffs, 0.0, 1.0)
+        interval = orbit_interval(poly, 0.0)
+        with pytest.raises(ValueError, match="did not settle") as err:
+            period(poly, interval)
+        assert "4096 nodes" in str(err.value) and "with 2048" in str(err.value)
+        # the fixed-node path still returns the rule's value
+        assert math.isfinite(period(poly, interval, nodes=64))
+
     @pytest.mark.parametrize("m", [64, 128, 1024])
     def test_cached_rule_is_read_only_leggauss(self, m):
         x, w = _gauss_legendre(m)
@@ -346,6 +386,30 @@ class TestPeriod:
         )
         assert t_measured is not None
         assert abs(t_measured - t_quad) <= 1e-6 * t_quad
+
+    @pytest.mark.slow
+    def test_criterion_3_instances_on_dop853(self):
+        # criterion 3's 50 random instances (seed 3), at its tolerances and
+        # bound, stepped by DOP853 instead of DP5
+        from suslov.cases import CaseKind, CaseSpec, build_field
+
+        rng = np.random.default_rng(3)
+        cfg = IntegratorConfig(method="dop853", rel_tol=1e-10, abs_tol=1e-12)
+        for n in [3] * 17 + [4] * 17 + [5] * 16:
+            inertia = MassTensor(diag=1.0 + 2.0 * rng.random(n))
+            b = np.concatenate([0.5 + rng.random(n - 1), [0.0]])
+            state = random_canonical_state(rng, n, speed=0.6)
+            coords = to_kharlamova(state, inertia, b)
+            poly = trajectory_polynomial(coords, inertia, b)
+            t_quad = period(poly, orbit_interval(poly, coords.omega[0]))
+            field, _ = build_field(
+                CaseSpec(CaseKind.KHARLAMOVA_ND, n, inertia, LinearPotential(b))
+            )
+            traj = integrate(field, state, (0.0, 5.4 * t_quad), cfg,
+                             output_dt=t_quad / 600.0)
+            t_meas = detect_period(traj, lambda s: s.omega.mat[0, s.n - 1])
+            assert t_meas is not None
+            assert abs(t_meas - t_quad) <= 1e-6 * t_quad
 
     def test_double_root_flags_asymptotic(self):
         # build the polynomial from a point on an orbit that limits onto an
