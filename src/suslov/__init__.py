@@ -24,7 +24,6 @@ from .cases import (
     CaseError,
     CaseKind,
     CaseSpec,
-    IntegralSet,
     asymptotic_points,
     build_field,
     first_integrals,

@@ -43,6 +43,8 @@ __all__ = [
     "is_nonholonomic",
 ]
 
+_BRACKET_LEAK_TOL = 1e-10  # bracket component off D / max(1, |bracket|)
+
 
 class SkewMatrix:
     """An element of so(n), stored as a full read-only n-by-n array.
@@ -293,18 +295,18 @@ def distribution_basis(constraints: ConstraintSet):
     return [unpack(v, constraints.n) for v in vt[constraints.r :]]
 
 
-def is_nonholonomic(constraints: ConstraintSet, rel_tol: float = 1e-10) -> bool:
+def is_nonholonomic(constraints: ConstraintSet) -> bool:
     """True iff D fails to close under the bracket.
 
     Checks every pair of an orthonormal basis of D; a bracket component
-    orthogonal to D counts as nonzero when it exceeds ``rel_tol`` times the
-    norm of the inputs.
+    orthogonal to D counts as nonzero when it exceeds 1e-10 times the norm
+    of the bracket (at least 1).
     """
     basis = distribution_basis(constraints)
     for p in range(len(basis)):
         for q in range(p + 1, len(basis)):
             br = commutator(basis[p], basis[q])
             leak = br - project_admissible(br, constraints)
-            if leak.norm() > rel_tol * max(1.0, br.norm()):
+            if leak.norm() > _BRACKET_LEAK_TOL * max(1.0, br.norm()):
                 return True
     return False

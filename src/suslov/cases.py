@@ -35,6 +35,7 @@ is visibly not conserved.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,15 @@ __all__ = [
     "CaseKind",
     "CaseError",
     "CaseSpec",
-    "IntegralSet",
     "first_integrals",
     "build_field",
     "pendulum_reference_field",
     "asymptotic_points",
     "jacobian_rank",
 ]
+
+_RANK_THRESHOLD = 1e-8  # singular value / largest one that jacobian_rank counts
+_RANK_FD_STEP = 1e-6  # jacobian_rank's central-difference step
 
 
 class CaseKind(enum.Enum):
@@ -115,8 +118,10 @@ class CaseSpec:
     def __post_init__(self):
         if self.constraint_axis is not None:
             axis = np.asarray(self.constraint_axis, dtype=float)
-            axis = axis / np.linalg.norm(axis)
-            object.__setattr__(self, "constraint_axis", axis)
+            norm = np.linalg.norm(axis)
+            if not (np.isfinite(norm) and norm > 0.0):
+                raise CaseError("constraint axis must be finite and nonzero")
+            object.__setattr__(self, "constraint_axis", axis / norm)
         self.validate()
 
     @property
@@ -154,6 +159,8 @@ class CaseSpec:
             raise CaseError(f"{kind.value} requires a diagonal mass tensor")
         diag = self.inertia.diag
         pot = self.potential
+        if not np.all(np.isfinite([self.gyro_eps, *getattr(pot, "b", ())])):
+            raise CaseError("gyro_eps and the potential coefficients must be finite")
 
         if kind is CaseKind.SUSLOV_FREE:
             if not isinstance(pot, ZeroPotential):
@@ -212,122 +219,47 @@ class CaseSpec:
                 raise CaseError("Gyroscopic3D linear potential requires B_3 = 0")
 
 
-class IntegralSet:
-    """Ordered collection of labelled conserved quantities."""
-
-    def __init__(self, entries):
-        # entries: list of (label, fn, description)
-        self._entries = list(entries)
-        labels = [e[0] for e in self._entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate integral labels")
-
-    @property
-    def labels(self):
-        return [e[0] for e in self._entries]
-
-    def items(self):
-        return [(label, fn) for label, fn, _ in self._entries]
-
-    def __iter__(self):
-        return iter(self.items())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def function(self, label):
-        for lab, fn, _ in self._entries:
-            if lab == label:
-                return fn
-        raise KeyError(label)
-
-    def description(self, label):
-        for lab, _, desc in self._entries:
-            if lab == label:
-                return desc
-        raise KeyError(label)
-
-    def evaluate(self, state: BodyState) -> dict:
-        return {label: fn(state) for label, fn, _ in self._entries}
-
-
-def _omega_col(state: BodyState) -> np.ndarray:
-    n = state.n
-    return state.omega.mat[: n - 1, n - 1]
-
-
-def first_integrals(spec: CaseSpec) -> IntegralSet:
-    """Energy plus the case-specific conserved quantities."""
+def first_integrals(spec: CaseSpec) -> dict:
+    """Energy plus the case-specific conserved quantities: label -> fn(state)."""
     spec.validate()
     inertia, pot = spec.inertia, spec.potential
-    entries = [
-        (
-            "energy",
-            lambda s, inertia=inertia, pot=pot: energy(s, inertia, pot),
-            "kinetic energy plus potential",
-        )
-    ]
+    integrals = {"energy": lambda s: energy(s, inertia, pot)}
     kind, n = spec.kind, spec.n
 
     if kind is CaseKind.SUSLOV_FREE:
         if spec.constraint_axis is None:
             # admissible velocities are frozen, so each column entry is conserved
             for i in range(n - 1):
-                entries.append(
-                    (
-                        f"Omega_{i + 1}_{n}",
-                        lambda s, i=i, n=n: float(s.omega.mat[i, n - 1]),
-                        "constant angular velocity component of the free case",
-                    )
+                integrals[f"Omega_{i + 1}_{n}"] = (
+                    lambda s, i=i: float(s.omega.mat[i, n - 1])
                 )
     elif kind is CaseKind.LAGRANGE_3D:
         j = spec.j_diag
-
-        def lagrange_momentum(s, j=j):
-            return float(np.dot(j * skew_to_vector(s.omega), s.gamma))
-
-        entries.append(
-            (
-                "lagrange_momentum",
-                lagrange_momentum,
-                "momentum <J Omega, Gamma> about the space-fixed axis",
-            )
+        # momentum <J Omega, Gamma> about the space-fixed axis
+        integrals["lagrange_momentum"] = (
+            lambda s: float(np.dot(j * skew_to_vector(s.omega), s.gamma))
         )
     elif kind is CaseKind.KHARLAMOVA_3D:
-        j = spec.j_diag
-        b = pot.b
+        j, b = spec.j_diag, pot.b
 
-        def kharlamova_momentum(s, j=j, b=b):
+        def kharlamova_momentum(s):
             w = skew_to_vector(s.omega)
             return float(j[0] * w[0] * b[0] + j[1] * w[1] * b[1])
 
-        entries.append(
-            (
-                "kharlamova_momentum",
-                kharlamova_momentum,
-                "linear combination J1 Omega1 B1 + J2 Omega2 B2",
-            )
-        )
+        integrals["kharlamova_momentum"] = kharlamova_momentum
     elif kind is CaseKind.CLEBSCH_TISSERAND_3D:
         j = spec.j_diag
-        eps = pot.b[0] / j[0]
-        a = eps * np.prod(j) / j
+        a = pot.b[0] / j[0] * np.prod(j) / j
 
-        def clebsch_quadratic(s, j=j, a=a):
+        def clebsch_quadratic(s):
             w = j * skew_to_vector(s.omega)
             return float(0.5 * np.dot(w, w) - 0.5 * np.dot(a, s.gamma**2))
 
-        entries.append(
-            (
-                "clebsch_quadratic",
-                clebsch_quadratic,
-                "quadratic integral 1/2 |J Omega|^2 - 1/2 <A Gamma, Gamma>",
-            )
-        )
+        integrals["clebsch_quadratic"] = clebsch_quadratic
     elif kind is CaseKind.DGJ_3D:
         j = spec.j_diag
 
-        def dgj_integral(s, j=j, pot=pot):
+        def dgj_integral(s):
             w = j * skew_to_vector(s.omega)
             g1, g2, g3 = s.gamma
             return float(
@@ -336,65 +268,38 @@ def first_integrals(spec: CaseSpec) -> IntegralSet:
                 + j[0] * pot.v2(g2, g1 * g1 + g3 * g3)
             )
 
-        entries.append(
-            (
-                "dgj_integral",
-                dgj_integral,
-                "1/2 |J Omega|^2 weighted-sum integral of the two-function family",
-            )
-        )
+        integrals["dgj_integral"] = dgj_integral
     elif kind is CaseKind.LAGRANGE_ND:
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
+        # angular momenta mixing two horizontal axes
+        for i, j in itertools.combinations(range(n - 1), 2):
 
-                def momentum(s, i=i, j=j):
-                    col = _omega_col(s)
-                    return float(s.gamma[j] * col[i] - s.gamma[i] * col[j])
+            def momentum(s, i=i, j=j):
+                col = s.omega.mat[: n - 1, n - 1]
+                return float(s.gamma[j] * col[i] - s.gamma[i] * col[j])
 
-                entries.append(
-                    (
-                        f"L_{i + 1}_{j + 1}",
-                        momentum,
-                        "angular momentum mixing two horizontal axes "
-                        "(Gamma_j Omega_in - Gamma_i Omega_jn)",
-                    )
-                )
+            integrals[f"L_{i + 1}_{j + 1}"] = momentum
     elif kind is CaseKind.KHARLAMOVA_ND:
-        b = pot.b
-        scale = (inertia.diag[: n - 1] + inertia.diag[n - 1]) / b[: n - 1]
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
+        scale = (inertia.diag[: n - 1] + inertia.diag[n - 1]) / pot.b[: n - 1]
+        for i, j in itertools.combinations(range(n - 1), 2):
 
-                def fij(s, i=i, j=j, scale=scale):
-                    col = _omega_col(s)
-                    return float(scale[i] * col[i] - scale[j] * col[j])
+            def fij(s, i=i, j=j):
+                col = s.omega.mat[: n - 1, n - 1]
+                return float(scale[i] * col[i] - scale[j] * col[j])
 
-                entries.append(
-                    (
-                        f"F_{i + 1}_{j + 1}",
-                        fij,
-                        "difference of rescaled velocity components",
-                    )
-                )
+            integrals[f"F_{i + 1}_{j + 1}"] = fij
     elif kind is CaseKind.CLEBSCH_TISSERAND_ND:
-        b = pot.b
+        # circle radius in each (Omega_in, Gamma_i) plane
         pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
-        gap = b[: n - 1] - b[n - 1]
+        gap = pot.b[: n - 1] - pot.b[n - 1]
         for i in range(n - 1):
 
-            def fi(s, i=i, pair=pair, gap=gap):
-                col = _omega_col(s)
+            def fi(s, i=i):
+                col = s.omega.mat[: n - 1, n - 1]
                 return float(gap[i] * s.gamma[i] ** 2 + pair[i] * col[i] ** 2)
 
-            entries.append(
-                (
-                    f"F_{i + 1}",
-                    fi,
-                    "circle radius in one (Omega_in, Gamma_i) plane",
-                )
-            )
+            integrals[f"F_{i + 1}"] = fi
     # GYROSCOPIC_3D keeps only the energy
-    return IntegralSet(entries)
+    return integrals
 
 
 def build_field(spec: CaseSpec):
@@ -503,13 +408,12 @@ def asymptotic_points(j_diag, axis, energy_level: float):
     return -w_plus, w_plus
 
 
-def jacobian_rank(evaluators, state: BodyState, threshold: float = 1e-8,
-                  step: float = 1e-6) -> int:
+def jacobian_rank(evaluators, state: BodyState) -> int:
     """Numerical rank of the Jacobian of scalar state functions.
 
     Differentiates in the reduced chart (Omega_in column, ambient Gamma)
-    with central differences and counts singular values above ``threshold``
-    times the largest.
+    with central differences and counts singular values above 1e-8 times
+    the largest.
     """
     n = state.n
     col0 = state.omega.mat[: n - 1, n - 1].copy()
@@ -524,10 +428,10 @@ def jacobian_rank(evaluators, state: BodyState, threshold: float = 1e-8,
         grad = np.empty(x0.size)
         for i in range(x0.size):
             e = np.zeros(x0.size)
-            e[i] = step
-            grad[i] = (fn(make_state(x0 + e)) - fn(make_state(x0 - e))) / (2 * step)
+            e[i] = _RANK_FD_STEP
+            grad[i] = (fn(make_state(x0 + e)) - fn(make_state(x0 - e))) / (2 * e[i])
         rows.append(grad)
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > _RANK_THRESHOLD * sv[0]))

@@ -34,6 +34,10 @@ __all__ = [
     "energy_offset_constant",
 ]
 
+_LEVEL_TOL = 1e-9  # |sum_i c_i / (B_i - B_n) - 1| or |c_i| of a degenerate level
+_ANGLE_RADIUS_TOL = 1e-12  # c_i of a circle too small to carry a phase angle
+_OFFSET_MATCH_TOL = 1e-6  # energy offset residual / max(1, |offset|)
+
 
 class Classification(enum.Enum):
     TWO_DISJOINT_TORI = "two_disjoint_tori"
@@ -62,7 +66,7 @@ def integrals_f(state: BodyState, inertia: MassTensor, b) -> np.ndarray:
     return gap * state.gamma[: n - 1] ** 2 + pair * col**2
 
 
-def torus_classify(c, b, tol: float = 1e-9) -> Classification:
+def torus_classify(c, b) -> Classification:
     """Place the joint level set ``F = c`` on the torus/covering dichotomy.
 
     Requires every ``B_i > B_n``; outside that regime there is no compact
@@ -76,7 +80,7 @@ def torus_classify(c, b, tol: float = 1e-9) -> Classification:
     if np.any(gap <= 0.0):
         return Classification.OUTSIDE_HYPOTHESES
     s = float(np.sum(c / gap))
-    if abs(s - 1.0) <= tol or np.any(np.abs(c) <= tol):
+    if abs(s - 1.0) <= _LEVEL_TOL or np.any(np.abs(c) <= _LEVEL_TOL):
         return Classification.DEGENERATE
     return (
         Classification.TWO_DISJOINT_TORI if s < 1.0 else Classification.BRANCHED_COVERING
@@ -92,12 +96,11 @@ def frequencies(inertia: MassTensor, b) -> np.ndarray:
     return np.sqrt(gap / pair)
 
 
-def angle_coords(state: BodyState, inertia: MassTensor, b,
-                 tol: float = 1e-12) -> np.ndarray:
+def angle_coords(state: BodyState, inertia: MassTensor, b) -> np.ndarray:
     """Phase angle on each (Omega_in, Gamma_i) circle, in (-pi, pi].
 
     ``phi_i = atan2(sqrt(I_i + I_n) Omega_in, sqrt(B_i - B_n) Gamma_i)``;
-    entries with ``c_i`` below ``tol`` have no angle and come back as NaN.
+    entries with ``c_i`` at or below 1e-12 have no angle and are NaN.
     """
     pair, gap = _split(inertia, b)
     if np.any(gap <= 0.0):
@@ -106,7 +109,7 @@ def angle_coords(state: BodyState, inertia: MassTensor, b,
     u = np.sqrt(pair) * state.omega.mat[: n - 1, n - 1]
     v = np.sqrt(gap) * state.gamma[: n - 1]
     phi = np.arctan2(u, v)
-    phi[u * u + v * v <= tol] = np.nan
+    phi[u * u + v * v <= _ANGLE_RADIUS_TOL] = np.nan
     return phi
 
 
@@ -154,18 +157,17 @@ class TorusSpec:
         return len(self.active)
 
 
-def torus_spec(state: BodyState, inertia: MassTensor, b,
-               tol: float = 1e-9) -> TorusSpec:
+def torus_spec(state: BodyState, inertia: MassTensor, b) -> TorusSpec:
     c = integrals_f(state, inertia, b)
-    cls = torus_classify(c, b, tol)
+    cls = torus_classify(c, b)
     freq = None
     if cls is not Classification.OUTSIDE_HYPOTHESES:
         freq = frequencies(inertia, b)
-    active = tuple(int(i) for i in np.nonzero(c > tol)[0])
+    active = tuple(int(i) for i in np.nonzero(c > _LEVEL_TOL)[0])
     return TorusSpec(c=c, classification=cls, frequencies=freq, active=active)
 
 
-def energy_offset_constant(value: float, b, tol: float = 1e-6):
+def energy_offset_constant(value: float, b):
     """Which constant the sampled value of ``E - 1/2 sum F_i`` matches.
 
     Candidates are ``B_n / 2`` and ``n B_n / 2``; returns the matching label
@@ -176,6 +178,6 @@ def energy_offset_constant(value: float, b, tol: float = 1e-6):
     candidates = {"half_Bn": 0.5 * b[-1], "half_nBn": 0.5 * n * b[-1]}
     residuals = {k: abs(value - v) for k, v in candidates.items()}
     label = min(residuals, key=residuals.get)
-    if residuals[label] > tol * max(1.0, abs(value)):
+    if residuals[label] > _OFFSET_MATCH_TOL * max(1.0, abs(value)):
         label = "neither"
     return label, residuals

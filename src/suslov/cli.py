@@ -176,6 +176,8 @@ class _Entries:
             vec = np.array([float(tok) for tok in raw.replace(",", " ").split()])
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} = {raw!r} is not a vector")
+        if not np.all(np.isfinite(vec)):
+            raise ConfigError(f"line {lineno}: {key} = {raw!r} is not finite")
         if length is not None and vec.size != length:
             raise ConfigError(
                 f"line {lineno}: {key} needs {length} entries, got {vec.size}"
@@ -280,7 +282,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
 
     entries = []
     for key in e.leftover_omega_keys():
-        raw, lineno = e.consume(key)
+        lineno = e.entries[key][1]
         tail = key.removeprefix("initial.omega_")
         parts = tail.split("_")
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
@@ -292,10 +294,10 @@ def load_config(path, overrides=None) -> ScenarioConfig:
             raise ConfigError(
                 f"line {lineno}: omega indices ({i},{j}) out of range for n={n}"
             )
-        try:
-            entries.append((i - 1, j - 1, float(raw)))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} = {raw!r} is not a number")
+        value = e.float_(key)
+        if not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} = {value!r} is not finite")
+        entries.append((i - 1, j - 1, value))
     omega = SkewMatrix.from_entries(n, entries)
     if case_spec.constraint_axis is None:
         block = [(i, j) for i, j, v in entries if j < n - 1 and v != 0.0]
@@ -438,10 +440,10 @@ def _analysis_verify_integrals(report, config, traj):
     integrals = first_integrals(spec)
     drifts = drift_report(traj, integrals)
     report.section("integrals")
-    for label in integrals.labels:
+    for label in integrals:
         report.put(f"drift.{label}", drifts[label])
     report.put("max_drift", max(drifts.values()))
-    bad = [f"{label} = {drifts[label]:.3g}" for label in integrals.labels
+    bad = [f"{label} = {drifts[label]:.3g}" for label in integrals
            if not drifts[label] <= 1e-8]
     report.put("pass", not bad)
     return f"integrals (drift above 1e-08: {', '.join(bad)})" if bad else None
@@ -530,25 +532,19 @@ def _analysis_clebsch(report, config, traj):
     ):
         raise CaseError("clebsch_tori needs a quadratic-potential case")
     inertia, b = spec.inertia, spec.potential.b
-    state0 = config.initial_state
-    c = clebsch.integrals_f(state0, inertia, b)
-    cls = clebsch.torus_classify(c, b)
+    torus = clebsch.torus_spec(config.initial_state, inertia, b)
+    cls, exact = torus.classification, torus.frequencies
     report.section("clebsch")
-    report.put("c", c)
+    report.put("c", torus.c)
     report.put("classification", cls.value)
     ok = True
     if cls is clebsch.Classification.OUTSIDE_HYPOTHESES:
         report.put("pass", True)
         return None
-    exact = clebsch.frequencies(inertia, b)
     report.put("frequencies_exact", exact)
-    offsets = np.array(
-        [
-            energy(s, inertia, spec.potential)
-            - 0.5 * float(np.sum(clebsch.integrals_f(s, inertia, b)))
-            for s in traj.states
-        ]
-    )
+    sums = [float(np.sum(clebsch.integrals_f(s, inertia, b))) for s in traj.states]
+    # run() has integrate record each sample's energy in aux
+    offsets = traj.aux["energy"] - 0.5 * np.array(sums)
     report.put("energy_offset", float(offsets[0]))
     report.put("energy_offset_spread", float(np.max(np.abs(offsets - offsets[0]))))
     label, residuals = clebsch.energy_offset_constant(float(offsets[0]), b)

@@ -45,6 +45,10 @@ __all__ = [
     "period",
 ]
 
+_BASE_POINT_TOL = 1e-9  # -P(omega1_0) / max(1, |coeffs|) read as roundoff
+_REAL_ROOT_TOL = 1e-7  # |Im root| / (1 + |root|) of a real root; also |root - end|
+_DOUBLE_ROOT_TOL = 1e-8  # |P'| / derivative_scale at a double root
+
 
 @dataclass(frozen=True)
 class KharlamovaCoords:
@@ -231,7 +235,7 @@ def trajectory_polynomial(
     return QuarticPolynomial(total, float(w0[0]), float(g0[m]))
 
 
-def orbit_interval(poly: QuarticPolynomial, omega1_0: float, tol: float = 1e-9):
+def orbit_interval(poly: QuarticPolynomial, omega1_0: float):
     """Adjacent real roots bracketing ``omega1_0`` with P >= 0 between.
 
     The endpoints are the turning values of w_1 where ``g_n`` vanishes.  If
@@ -241,7 +245,7 @@ def orbit_interval(poly: QuarticPolynomial, omega1_0: float, tol: float = 1e-9):
     """
     scale = max(1.0, float(np.max(np.abs(poly.coeffs))))
     v0 = float(poly(omega1_0))
-    if v0 < -tol * scale:
+    if v0 < -_BASE_POINT_TOL * scale:
         raise ValueError(
             f"inconsistent initial data: P(omega1_0) = {v0:.3e} < 0 "
             "(the induced Gamma is not on the unit sphere)"
@@ -249,7 +253,8 @@ def orbit_interval(poly: QuarticPolynomial, omega1_0: float, tol: float = 1e-9):
     roots = poly.roots()
     if roots.size == 0:
         raise ValueError("polynomial has no roots; positivity interval unbounded")
-    real = np.sort(roots[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))].real)
+    real = roots[np.abs(roots.imag) <= _REAL_ROOT_TOL * (1.0 + np.abs(roots))].real
+    real = np.sort(real)
     slack = 1e-9 * (1.0 + abs(omega1_0))
     left = real[real <= omega1_0 + slack]
     right = real[real >= omega1_0 - slack]
@@ -282,10 +287,11 @@ def _gauss_legendre(m: int):
     return x, w
 
 
-def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
-           double_root_tol: float = 1e-8):
-    """Period ``T = 2 * integral dw / sqrt(P)`` over the interval, or
-    ``math.inf`` when an endpoint is a double root (asymptotic orbit).
+def period(poly: QuarticPolynomial, interval, nodes: int | None = None):
+    """Period ``T = 2 * integral dw / sqrt(P)`` between the roots of ``P``
+    nearest the ends of ``interval``, or ``math.inf`` when one is a double
+    root (asymptotic orbit); ``ValueError`` if an end is farther than
+    1e-7 (1 + |root|) from every root.
 
     Substituting ``w = mid + half * sin(theta)`` cancels the inverse square
     root at simple endpoints, leaving a smooth integrand handled by a
@@ -296,15 +302,21 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None,
     xi1, xi2 = float(interval[0]), float(interval[1])
     if xi2 <= xi1:
         raise ValueError("degenerate interval: the orbit is an equilibrium point")
-    for xi in (xi1, xi2):
-        if abs(poly.derivative(xi)) < double_root_tol * poly.derivative_scale(xi):
-            return math.inf
     roots = poly.roots()
-    # drop one root nearest each endpoint; the rest build the smooth factor
-    keep = list(range(roots.size))
+    # the root nearest each endpoint replaces it; the rest build the smooth
+    # factor
+    keep, ends = list(range(roots.size)), []
     for xi in (xi1, xi2):
         best = min(keep, key=lambda idx: abs(roots[idx] - xi))
+        if abs(roots[best] - xi) > _REAL_ROOT_TOL * (1.0 + abs(roots[best])):
+            raise ValueError(f"interval endpoint {xi!r} is not a root of P "
+                             f"(nearest root {roots[best]!r})")
         keep.remove(best)
+        ends.append(float(roots[best].real))
+    xi1, xi2 = ends
+    for xi in ends:
+        if abs(poly.derivative(xi)) < _DOUBLE_ROOT_TOL * poly.derivative_scale(xi):
+            return math.inf
     others = roots[keep]
     lead = poly.coeffs[poly.degree]
     mid = 0.5 * (xi1 + xi2)

@@ -57,6 +57,9 @@ __all__ = [
     "packed_suslov3d_field",
 ]
 
+_GRADIENT_CHECK_TOL = 1e-6  # |gradient - central difference| / max(1, |gradient|)
+_GRADIENT_CHECK_SEED = 0  # check_gradient's random unit vectors
+
 
 class MassTensor:
     """Symmetric positive-definite mass tensor; diagonal in most cases.
@@ -266,9 +269,9 @@ class CustomPotential(Potential):
         return np.asarray(self.fn(np.asarray(gamma, dtype=float))[1], dtype=float)
 
 
-def check_gradient(potential: Potential, n: int, tol: float = 1e-6, seed: int = 0):
+def check_gradient(potential: Potential, n: int):
     """Central-difference consistency check of the gradient evaluator."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_GRADIENT_CHECK_SEED)
     h = 1e-6
     for _ in range(5):
         g = rng.normal(size=n)
@@ -280,7 +283,7 @@ def check_gradient(potential: Potential, n: int, tol: float = 1e-6, seed: int = 
             e[i] = h
             fd[i] = (potential.value(g + e) - potential.value(g - e)) / (2 * h)
         scale = max(1.0, np.linalg.norm(grad))
-        if np.linalg.norm(grad - fd) > tol * scale:
+        if np.linalg.norm(grad - fd) > _GRADIENT_CHECK_TOL * scale:
             raise ValueError(
                 "potential gradient disagrees with finite differences "
                 f"(|diff| = {np.linalg.norm(grad - fd):.3e})"

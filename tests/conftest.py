@@ -46,7 +46,6 @@ def state_with_sizable_integrals(rng, spec, integrals, min_abs=0.05, speed=0.7):
     zero; relative drift is meaningless against a vanishing reference."""
     for _ in range(100):
         state = random_canonical_state(rng, spec.n, speed=speed)
-        vals = integrals.evaluate(state)
-        if all(abs(v) >= min_abs for v in vals.values()):
+        if all(abs(fn(state)) >= min_abs for fn in integrals.values()):
             return state
     raise RuntimeError("could not draw a state with sizable integrals")

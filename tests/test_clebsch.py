@@ -277,6 +277,6 @@ class TestTorusSpec:
     def test_independence_rank(self):
         inertia, b, spec, rng = make_case(4, seed=51)
         integrals = first_integrals(spec)
-        fns = [integrals.function(f"F_{i}") for i in (1, 2, 3)]
+        fns = [integrals[f"F_{i}"] for i in (1, 2, 3)]
         state = random_canonical_state(rng, 4, speed=0.5)
         assert jacobian_rank(fns, state) == 3

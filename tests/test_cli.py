@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from suslov.cli import ConfigError, load_config, main
@@ -87,6 +87,16 @@ def report_dict(path):
             key, value = line.split(" = ", 1)
             out[f"{section}.{key}"] = value
     return out
+
+
+def with_values(text, values):
+    """Scenario text with the line of each key in ``values`` replaced by
+    ``key = value``; a value of None drops the key."""
+    lines = [line for line in text.splitlines()
+             if line.split("=", 1)[0].strip() not in values]
+    lines += [f"{key} = {value}" for key, value in values.items()
+              if value is not None]
+    return "\n".join(lines) + "\n"
 
 
 class TestConfigParsing:
@@ -206,6 +216,36 @@ class TestConfigParsing:
         assert "[error]\nkind = config\n" in err and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"initial.gamma": "nan 0 1"},
+            {"initial.omega_1_3": "nan"},
+            {"initial.omega_1_3": "inf"},
+            {"case.b": "nan 1.0 0.0"},
+            {"case.b": "inf 1.0 0.0"},
+            {"case.kind": "Gyroscopic3D", "case.potential": "quadratic",
+             "case.b": "0.5 nan 0.2"},
+            {"case.kind": "LagrangeND", "case.inertia": "1.0 1.0 1.5",
+             "case.b": None, "case.b_n": "nan"},
+            {"case.kind": "LagrangeND", "case.inertia": "1.0 1.0 1.5",
+             "case.b": None, "case.b_n": "inf"},
+            {"case.kind": "Gyroscopic3D", "case.b": None, "case.gyro_eps": "nan"},
+            {"case.kind": "Gyroscopic3D", "case.b": None, "case.gyro_eps": "inf"},
+            {"case.kind": "SuslovFree", "case.b": None,
+             "case.constraint_axis": "nan 1 1"},
+            {"case.kind": "SuslovFree", "case.b": None,
+             "case.constraint_axis": "0 0 0"},
+        ],
+        ids=lambda values: "{}={}".format(*list(values.items())[-1]),
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, values):
+        text = with_values(kharlamova_cfg(tmp_path / "out"), values)
+        assert main(["simulate", write(tmp_path, "bad.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert "[error]\nkind = config\n" in err
+        assert "Traceback" not in err
 
 
 class TestRunAndVerify:
@@ -379,27 +419,31 @@ _NUMBER_TEXT = st.one_of(
 )
 
 
-def run_with_settings(method, rel_tol, abs_tol, step):
-    """``suslov simulate`` on a short Kharlamova run with the given
-    integrator texts; returns the exit status."""
+def run_with_values(values, t_end=None, step=None):
+    """``suslov simulate`` on a short Kharlamova run (``max_steps`` 2000,
+    no measure check) with ``values`` set by ``with_values`` and the given
+    ``--t-end``/``--step`` flags; returns the exit status.
+
+    Examples whose output grid would exceed 10^4 intervals are skipped:
+    ``integrate`` allocates every output row up front."""
+    flags = [f"--{name}={value!r}" for name, value
+             in (("t-end", t_end), ("step", step)) if value is not None]
     with tempfile.TemporaryDirectory() as tmp:
         text = kharlamova_cfg(os.path.join(tmp, "out"), t_end=0.5)
-        text = text.replace(
-            "integrator.method = rk45\n"
-            "integrator.rel_tol = 1e-10\n"
-            "integrator.abs_tol = 1e-12\n",
-            f"integrator.method = {method}\n"
-            f"integrator.rel_tol = {rel_tol}\n"
-            f"integrator.abs_tol = {abs_tol}\n"
-            f"integrator.step = {step}\n"
-            "integrator.max_steps = 2000\n",
-        )
+        text = with_values(text, {"integrator.max_steps": "2000",
+                                  "run.analyses": "verify_integrals", **values})
         path = os.path.join(tmp, "fuzz.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace("measure_check", ""))
+            fh.write(text)
+        try:
+            cfg = load_config(path, {"t_end": t_end, "step": step})
+        except ConfigError:
+            pass
+        else:
+            assume(cfg.t_end / cfg.output_dt <= 1e4)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            status = main(["simulate", path])
+            status = main(["simulate", path, *flags])
     err = err.getvalue()
     assert status in (0, 2, 3, 4)
     assert "Traceback" not in err
@@ -407,8 +451,41 @@ def run_with_settings(method, rel_tol, abs_tol, step):
     return status
 
 
+def run_with_settings(method, rel_tol, abs_tol, step):
+    """``run_with_values`` with the given integrator texts."""
+    return run_with_values({
+        "integrator.method": method,
+        "integrator.rel_tol": rel_tol,
+        "integrator.abs_tol": abs_tol,
+        "integrator.step": step,
+    })
+
+
+# every case.*, initial.* and run.* key of the Kharlamova scenario except
+# run.output_dir, which names where the run writes
+_KEYS = st.sampled_from([
+    "case.kind", "case.inertia", "case.b", "initial.omega_1_3",
+    "initial.omega_2_3", "initial.gamma", "run.t_end", "run.output_dt",
+    "run.analyses",
+])
+_VALUE = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(_POSITIVE, max_size=4).map(" ".join),
+    st.sampled_from(["KharlamovaND", "ClebschTisserandND", "LagrangeND",
+                     "SuslovFree", "Gyroscopic3D", "period", "clebsch_tori",
+                     "kharlamova_quadrature measure_check"]),
+)
+# --t-end and --step values; up to 1e3, so the 0.1 output grid stays small
+_FLAG = st.one_of(
+    st.none(),
+    st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324]),
+)
+
+
 class TestFuzz:
-    # t_end = 0.5 and max_steps = 2000 keep every example short
+    # max_steps = 2000 and at most 10^4 output intervals keep every
+    # example short
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(method=st.one_of(_METHODS, _LINE), rel_tol=_NUMBER_TEXT,
@@ -425,3 +502,9 @@ class TestFuzz:
         # from subnormal to loose tolerances and steps: a result, a
         # numerical failure or a failed verification, never a crash
         assert run_with_settings(method, rel_tol, abs_tol, step) != 2
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(key=_KEYS, value=_VALUE, t_end=_FLAG, step=_FLAG)
+    def test_any_key_text_and_flags_exit_cleanly(self, key, value, t_end,
+                                                 step):
+        run_with_values({key: value}, t_end=t_end, step=step)

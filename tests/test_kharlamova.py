@@ -304,11 +304,14 @@ class TestPeriod:
         with pytest.raises(ValueError, match="equilibrium"):
             period(poly, (1.0, 1.0))
 
-    def test_close_root_pair_matches_closed_form(self):
+    @pytest.mark.parametrize("source", ["orbit_interval", "by_hand"])
+    def test_close_root_pair_matches_closed_form(self, source):
         # roots (-1, 1, 1 + 1e-6, 3): the orbit on [-1, 1] passes 1e-6 from
         # the next root, and the rule settles only at 1024 nodes.  The
         # period is the complete elliptic integral (DLMF 19.29)
-        # 4 R_F(0, q3(xi2) q4(xi1), q4(xi2) q3(xi1)), q_i(w) = |w - r_i|
+        # 4 R_F(0, q3(xi2) q4(xi1), q4(xi2) q3(xi1)), q_i(w) = |w - r_i|.
+        # The computed root near 1 is 1 + 6.6e-11, so the interval (-1, 1)
+        # given by hand must be read as the roots it stands for
         from scipy.special import elliprf
 
         coeffs = -np.polynomial.polynomial.polyfromroots([-1.0, 1.0, 1.0 + 1e-6, 3.0])
@@ -317,7 +320,13 @@ class TestPeriod:
         r3, r4 = poly.roots()[2:]
         t_ref = 4.0 * elliprf(0.0, abs(xi2 - r3) * abs(xi1 - r4),
                               abs(xi2 - r4) * abs(xi1 - r3))
-        assert period(poly, (xi1, xi2)) == pytest.approx(t_ref, rel=1e-10)
+        interval = (xi1, xi2) if source == "orbit_interval" else (-1.0, 1.0)
+        assert period(poly, interval) == pytest.approx(t_ref, rel=1e-10)
+
+    def test_endpoint_off_every_root_rejected(self):
+        poly = QuarticPolynomial(np.array([1.0, 0.0, -1.0, 0.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="not a root of P"):
+            period(poly, (-0.5, 1.0))
 
     def test_unsettled_rule_raises(self, monkeypatch):
         # a complex root pair 0.3 +- 1e-6 i sits 1e-6 from the orbit: the
