@@ -31,6 +31,7 @@ __all__ = [
     "layout",
     "pack",
     "unpack",
+    "unpack_mats",
     "from_column",
     "ConstraintSet",
     "commutator",
@@ -38,6 +39,7 @@ __all__ = [
     "inner",
     "vector_to_skew",
     "skew_to_vector",
+    "packed_to_vector",
     "project_admissible",
     "distribution_basis",
     "is_nonholonomic",
@@ -165,6 +167,19 @@ def unpack(v, n: int) -> SkewMatrix:
     return SkewMatrix._wrap(mat.reshape(n, n))
 
 
+def unpack_mats(v, n: int) -> np.ndarray:
+    """The n-by-n matrices of packed vectors ``v`` of shape ``(..., k)``, as
+    one ``(..., n, n)`` array filled by two index assignments: the same
+    entries as :func:`unpack` of each vector.  (``unpack`` keeps its own
+    one-vector fill, which indexes about twice as fast as the ``...`` form.)"""
+    v = np.asarray(v, dtype=float)
+    lay = layout(n)
+    mat = np.zeros(v.shape[:-1] + (n * n,))
+    mat[..., lay.upper] = v
+    mat[..., lay.lower] = -v
+    return mat.reshape(v.shape[:-1] + (n, n))
+
+
 def from_column(col) -> SkewMatrix:
     """The element of so(n), ``n = len(col) + 1``, whose packed vector holds
     ``col`` in the ``layout(n).column`` slots (``X_in = col[i]``) and zero
@@ -218,8 +233,19 @@ def skew_to_vector(a: SkewMatrix):
     """Inverse of :func:`vector_to_skew`: (-A_23, A_13, -A_12)."""
     if a.n != 3:
         raise ValueError("skew_to_vector expects so(3)")
-    m = a.mat
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    return packed_to_vector(pack(a))
+
+
+_HAT_SIGNS = np.array([-1.0, 1.0, -1.0])
+_HAT_SIGNS.flags.writeable = False
+
+
+def packed_to_vector(v) -> np.ndarray:
+    """The so(3) vectors ``(-X_23, X_13, -X_12)`` of packed vectors ``v`` of
+    shape ``(..., 3)``: the packed layout ``(X_12, X_13, X_23)`` reversed,
+    with two signs flipped (exactly).  The map is its own inverse, so it
+    also packs vectors."""
+    return v[..., ::-1] * _HAT_SIGNS
 
 
 class ConstraintSet:

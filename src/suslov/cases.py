@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import model
-from .algebra import ConstraintSet, from_column, layout, skew_to_vector
+from . import clebsch, model
+from .algebra import ConstraintSet, layout, packed_to_vector
 from .model import (
     _E3,
     BodyState,
@@ -54,7 +54,8 @@ from .model import (
     ZeroPotential,
     _plane_basis,
     _reduced_rates,
-    energy,
+    energies,
+    pack_state,
     vector_field_3d,
     vector_field_reduced,  # noqa: F401  kept as a public name of this module
 )
@@ -220,50 +221,58 @@ class CaseSpec:
 
 
 def first_integrals(spec: CaseSpec) -> dict:
-    """Energy plus the case-specific conserved quantities: label -> fn(state)."""
+    """Energy plus the case-specific conserved quantities: label -> fn(y).
+
+    Each ``fn`` is one formula on packed points ``y`` of shape ``(..., k +
+    n)`` (the coordinates of :func:`suslov.integrate.integrate`), so it
+    maps a trajectory's ``ys`` to all its values at once, and a single
+    state to its value through ``fn(pack_state(state.omega,
+    state.gamma))``; a row of a block gets the bits of the row alone.
+    """
     spec.validate()
     inertia, pot = spec.inertia, spec.potential
-    integrals = {"energy": lambda s: energy(s, inertia, pot)}
+    integrals = {"energy": lambda y: energies(y, inertia, pot)}
     kind, n = spec.kind, spec.n
+    lay = layout(n)
+    cols = lay.column  # slots of Omega_in in the packed point
+    k = lay.k
 
     if kind is CaseKind.SUSLOV_FREE:
         if spec.constraint_axis is None:
             # admissible velocities are frozen, so each column entry is conserved
             for i in range(n - 1):
-                integrals[f"Omega_{i + 1}_{n}"] = (
-                    lambda s, i=i: float(s.omega.mat[i, n - 1])
-                )
+                integrals[f"Omega_{i + 1}_{n}"] = lambda y, c=cols[i]: y[..., c]
     elif kind is CaseKind.LAGRANGE_3D:
         j = spec.j_diag
         # momentum <J Omega, Gamma> about the space-fixed axis
         integrals["lagrange_momentum"] = (
-            lambda s: float(np.dot(j * skew_to_vector(s.omega), s.gamma))
+            lambda y: np.vecdot(j * packed_to_vector(y[..., :3]), y[..., 3:])
         )
     elif kind is CaseKind.KHARLAMOVA_3D:
         j, b = spec.j_diag, pot.b
 
-        def kharlamova_momentum(s):
-            w = skew_to_vector(s.omega)
-            return float(j[0] * w[0] * b[0] + j[1] * w[1] * b[1])
+        def kharlamova_momentum(y):
+            w = packed_to_vector(y[..., :3])
+            return j[0] * w[..., 0] * b[0] + j[1] * w[..., 1] * b[1]
 
         integrals["kharlamova_momentum"] = kharlamova_momentum
     elif kind is CaseKind.CLEBSCH_TISSERAND_3D:
         j = spec.j_diag
         a = pot.b[0] / j[0] * np.prod(j) / j
 
-        def clebsch_quadratic(s):
-            w = j * skew_to_vector(s.omega)
-            return float(0.5 * np.dot(w, w) - 0.5 * np.dot(a, s.gamma**2))
+        def clebsch_quadratic(y):
+            w = j * packed_to_vector(y[..., :3])
+            return 0.5 * np.vecdot(w, w) - 0.5 * np.vecdot(a, y[..., 3:] ** 2)
 
         integrals["clebsch_quadratic"] = clebsch_quadratic
     elif kind is CaseKind.DGJ_3D:
         j = spec.j_diag
 
-        def dgj_integral(s):
-            w = j * skew_to_vector(s.omega)
-            g1, g2, g3 = s.gamma
-            return float(
-                0.5 * np.dot(w, w)
+        def dgj_integral(y):
+            w = j * packed_to_vector(y[..., :3])
+            g1, g2, g3 = y[..., 3], y[..., 4], y[..., 5]
+            return (
+                0.5 * np.vecdot(w, w)
                 + j[1] * pot.v1(g1, g2 * g2 + g3 * g3)
                 + j[0] * pot.v2(g2, g1 * g1 + g3 * g3)
             )
@@ -273,31 +282,25 @@ def first_integrals(spec: CaseSpec) -> dict:
         # angular momenta mixing two horizontal axes
         for i, j in itertools.combinations(range(n - 1), 2):
 
-            def momentum(s, i=i, j=j):
-                col = s.omega.mat[: n - 1, n - 1]
-                return float(s.gamma[j] * col[i] - s.gamma[i] * col[j])
+            def momentum(y, i=i, j=j):
+                g, col = y[..., k:], y[..., cols]
+                return g[..., j] * col[..., i] - g[..., i] * col[..., j]
 
             integrals[f"L_{i + 1}_{j + 1}"] = momentum
     elif kind is CaseKind.KHARLAMOVA_ND:
         scale = (inertia.diag[: n - 1] + inertia.diag[n - 1]) / pot.b[: n - 1]
         for i, j in itertools.combinations(range(n - 1), 2):
 
-            def fij(s, i=i, j=j):
-                col = s.omega.mat[: n - 1, n - 1]
-                return float(scale[i] * col[i] - scale[j] * col[j])
+            def fij(y, i=i, j=j):
+                return scale[i] * y[..., cols[i]] - scale[j] * y[..., cols[j]]
 
             integrals[f"F_{i + 1}_{j + 1}"] = fij
     elif kind is CaseKind.CLEBSCH_TISSERAND_ND:
         # circle radius in each (Omega_in, Gamma_i) plane
-        pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
-        gap = pot.b[: n - 1] - pot.b[n - 1]
         for i in range(n - 1):
-
-            def fi(s, i=i):
-                col = s.omega.mat[: n - 1, n - 1]
-                return float(gap[i] * s.gamma[i] ** 2 + pair[i] * col[i] ** 2)
-
-            integrals[f"F_{i + 1}"] = fi
+            integrals[f"F_{i + 1}"] = (
+                lambda y, i=i: clebsch.packed_integrals_f(y, inertia, pot.b)[..., i]
+            )
     # GYROSCOPIC_3D keeps only the energy
     return integrals
 
@@ -311,12 +314,12 @@ def build_field(spec: CaseSpec):
     axis = spec.vector_axis
     if axis is not None:
         j, pot, eps = spec.j_diag, spec.potential, spec.gyro_eps
-        # packed (Omega_12, Omega_13, Omega_23) is (-w_3, w_2, -w_1): w reversed
-        sign = np.array([-1.0, 1.0, -1.0])
 
-        def field(y, j=j, pot=pot, eps=eps, axis=axis, sign=sign):
-            w_dot, g_dot = vector_field_3d(y[2::-1] * sign, y[3:], j, pot, eps, axis)
-            return np.concatenate((w_dot[::-1] * sign, g_dot))
+        # packed_to_vector is its own inverse, so it also packs w_dot
+        def field(y, j=j, pot=pot, eps=eps, axis=axis):
+            w = packed_to_vector(y[:3])
+            w_dot, g_dot = vector_field_3d(w, y[3:], j, pot, eps, axis)
+            return np.concatenate((packed_to_vector(w_dot), g_dot))
 
         return field, ConstraintSet.single_3d(axis)
 
@@ -409,27 +412,25 @@ def asymptotic_points(j_diag, axis, energy_level: float):
 
 
 def jacobian_rank(evaluators, state: BodyState) -> int:
-    """Numerical rank of the Jacobian of scalar state functions.
+    """Numerical rank of the Jacobian of scalar functions of the packed
+    point (such as the functions of :func:`first_integrals`) at ``state``.
 
     Differentiates in the reduced chart (Omega_in column, ambient Gamma)
     with central differences and counts singular values above 1e-8 times
     the largest.
     """
     n = state.n
-    col0 = state.omega.mat[: n - 1, n - 1].copy()
-    gamma0 = state.gamma.copy()
-    x0 = np.concatenate([col0, gamma0])
-
-    def make_state(x):
-        return BodyState(from_column(x[: n - 1]), x[n - 1 :])
-
+    lay = layout(n)
+    chart = np.concatenate([lay.column, np.arange(lay.k, lay.k + n)])
+    y0 = np.zeros(lay.k + n)  # the so(n-1) block stays zero
+    y0[chart] = pack_state(state.omega, state.gamma)[chart]
     rows = []
     for fn in evaluators:
-        grad = np.empty(x0.size)
-        for i in range(x0.size):
-            e = np.zeros(x0.size)
-            e[i] = _RANK_FD_STEP
-            grad[i] = (fn(make_state(x0 + e)) - fn(make_state(x0 - e))) / (2 * e[i])
+        grad = np.empty(chart.size)
+        for i, slot in enumerate(chart):
+            e = np.zeros(y0.size)
+            e[slot] = _RANK_FD_STEP
+            grad[i] = (fn(y0 + e) - fn(y0 - e)) / (2 * _RANK_FD_STEP)
         rows.append(grad)
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BodyState, MassTensor
+from .algebra import layout
+from .model import BodyState, MassTensor, pack_state
 
 __all__ = [
     "Classification",
     "TorusSpec",
     "integrals_f",
+    "packed_integrals_f",
     "torus_classify",
     "angle_coords",
     "frequencies",
@@ -60,10 +62,22 @@ def _split(inertia: MassTensor, b):
 
 def integrals_f(state: BodyState, inertia: MassTensor, b) -> np.ndarray:
     """The n-1 values (B_i - B_n) Gamma_i^2 + (I_i + I_n) Omega_in^2."""
+    return packed_integrals_f(pack_state(state.omega, state.gamma), inertia, b)
+
+
+def packed_integrals_f(y, inertia: MassTensor, b) -> np.ndarray:
+    """:func:`integrals_f` of packed points ``y`` of shape ``(..., k + n)``:
+    the values ``(..., n - 1)``, elementwise the same operations."""
     pair, gap = _split(inertia, b)
-    n = state.n
-    col = state.omega.mat[: n - 1, n - 1]
-    return gap * state.gamma[: n - 1] ** 2 + pair * col**2
+    col, gamma = _circle_coords(y, inertia.n)
+    return gap * gamma**2 + pair * col**2
+
+
+def _circle_coords(y, n):
+    """``Omega_in`` and ``Gamma_i`` (i < n) of packed points: the two axes
+    of each circle."""
+    lay = layout(n)
+    return y[..., lay.column], y[..., lay.k : lay.k + n - 1]
 
 
 def torus_classify(c, b) -> Classification:
@@ -102,12 +116,17 @@ def angle_coords(state: BodyState, inertia: MassTensor, b) -> np.ndarray:
     ``phi_i = atan2(sqrt(I_i + I_n) Omega_in, sqrt(B_i - B_n) Gamma_i)``;
     entries with ``c_i`` at or below 1e-12 have no angle and are NaN.
     """
+    return _packed_angles(pack_state(state.omega, state.gamma), inertia, b)
+
+
+def _packed_angles(y, inertia: MassTensor, b) -> np.ndarray:
+    """:func:`angle_coords` of packed points ``y`` of shape ``(..., k + n)``."""
     pair, gap = _split(inertia, b)
     if np.any(gap <= 0.0):
         raise ValueError("angles need B_i > B_n")
-    n = state.n
-    u = np.sqrt(pair) * state.omega.mat[: n - 1, n - 1]
-    v = np.sqrt(gap) * state.gamma[: n - 1]
+    col, gamma = _circle_coords(y, inertia.n)
+    u = np.sqrt(pair) * col
+    v = np.sqrt(gap) * gamma
     phi = np.arctan2(u, v)
     phi[u * u + v * v <= _ANGLE_RADIUS_TOL] = np.nan
     return phi
@@ -120,9 +139,7 @@ def rotation_numbers(traj, inertia: MassTensor, b) -> np.ndarray:
     Raises if consecutive samples jump by ``pi`` or more, which makes the
     unwrap ambiguous; use a finer output grid in that case.
     """
-    phis = np.array(
-        [angle_coords(s, inertia, b) for s in traj.states]
-    )  # (N, n-1)
+    phis = _packed_angles(traj.ys, inertia, b)  # (N, n-1)
     if np.any(np.isnan(phis)):
         raise ValueError("rotation numbers undefined: some c_i vanish "
                          "along the trajectory")

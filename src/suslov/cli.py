@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clebsch, kharlamova
-from .algebra import ConstraintSet, SkewMatrix, skew_to_vector
+from .algebra import ConstraintSet, SkewMatrix, packed_to_vector
 from .cases import (
     CaseError,
     CaseKind,
@@ -78,6 +78,10 @@ ANALYSES = (
     "asymptotic",
     "period",
 )
+
+# largest run.t_end / run.output_dt: integrate allocates every output row
+# before the first step, so a larger grid is a config error
+MAX_OUTPUT_INTERVALS = 10**6
 
 # two-argument potential fixtures selectable by name in DGJ scenarios
 DGJ_FUNCTIONS = {
@@ -342,6 +346,13 @@ def load_config(path, overrides=None) -> ScenarioConfig:
             f"run.output_dt = {output_dt!r} must be positive and at most "
             f"run.t_end = {t_end!r}"
         )
+    if t_end / output_dt > MAX_OUTPUT_INTERVALS:
+        t_key = "run.t_end" if overrides.get("t_end") is None else "--t-end"
+        raise ConfigError(
+            f"{t_key} = {t_end!r} over run.output_dt = {output_dt!r} is "
+            f"{t_end / output_dt:.6g} output intervals; at most "
+            f"{MAX_OUTPUT_INTERVALS} are allowed"
+        )
     analyses_raw = e.string("run.analyses", default="verify_integrals")
     analyses = analyses_raw.replace(",", " ").split()
     for name in analyses:
@@ -542,9 +553,10 @@ def _analysis_clebsch(report, config, traj):
         report.put("pass", True)
         return None
     report.put("frequencies_exact", exact)
-    sums = [float(np.sum(clebsch.integrals_f(s, inertia, b))) for s in traj.states]
+    ys = traj.ys
+    sums = np.sum(clebsch.packed_integrals_f(ys, inertia, b), axis=1)
     # run() has integrate record each sample's energy in aux
-    offsets = traj.aux["energy"] - 0.5 * np.array(sums)
+    offsets = traj.aux["energy"] - 0.5 * sums
     report.put("energy_offset", float(offsets[0]))
     report.put("energy_offset_spread", float(np.max(np.abs(offsets - offsets[0]))))
     label, residuals = clebsch.energy_offset_constant(float(offsets[0]), b)
@@ -552,7 +564,7 @@ def _analysis_clebsch(report, config, traj):
     for key in sorted(residuals):
         report.put(f"energy_offset_residual.{key}", residuals[key])
 
-    signs = np.array([np.sign(s.gamma[-1]) for s in traj.states])
+    signs = np.sign(ys[:, -1])
     sign_invariant = bool(np.all(signs == signs[0]) and signs[0] != 0.0)
     report.put("gamma_n_sign_invariant", sign_invariant)
     if cls is clebsch.Classification.TWO_DISJOINT_TORI and sign_invariant:
@@ -583,9 +595,9 @@ def _analysis_asymptotic(report, config, traj):
     report.put("w_plus", w_plus)
     report.put("w_minus", w_minus)
 
-    dist = np.array(
-        [np.linalg.norm(skew_to_vector(s.omega) - w_plus) for s in traj.states]
-    )
+    # vecdot sums each row like the dot product of np.linalg.norm on it
+    d = packed_to_vector(traj.ys[:, :3]) - w_plus
+    dist = np.sqrt(np.vecdot(d, d))
     report.put("initial_distance", float(dist[0]))
     report.put("final_distance", float(dist[-1]))
     converged = dist[-1] < 1e-6

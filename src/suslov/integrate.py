@@ -23,9 +23,12 @@ comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
 4th-order one of DP5, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]``, or the
 7th-order one of DOP853, whose three extra stages are evaluated on every
 accepted step, so that the counters depend only on the step sequence.
-Output samples become ``BodyState`` objects; :func:`state_field` adapts a
-field on states to the flat vector.  The constraint residuals of all
-samples are one product of the packed samples with the constraint rows.
+The output samples stay one packed array, the rows of
+``Trajectory.ys``; ``BodyState`` objects are built from it only when
+``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
+and constraint residuals, the drift report and the CSV rows are array
+operations on that block.  :func:`state_field` adapts a field on states to
+the flat vector.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
@@ -37,14 +40,14 @@ rather than repaired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _dop853
-from .algebra import ConstraintSet, layout, pack, unpack
-from .model import BodyState, MassTensor, Potential, energy
+from .algebra import ConstraintSet, SkewMatrix, layout, unpack, unpack_mats
+from .model import BodyState, MassTensor, Potential, energies, pack_state
 
 __all__ = [
     "IntegratorConfig",
@@ -114,26 +117,68 @@ class IntegratorStats:
     h_last: float
 
 
-@dataclass
 class Trajectory:
-    """Sampled solution: strictly increasing times, matching states,
+    """Sampled solution: strictly increasing times, the matching samples,
     per-sample diagnostics in ``aux`` and, when it came from a stepper,
-    the step counters in ``stats``."""
+    the step counters in ``stats``.
 
-    times: np.ndarray
-    states: list
-    aux: dict = field(default_factory=dict)
-    stats: IntegratorStats | None = None
+    The samples are given either as the packed block ``ys`` of shape
+    ``(N, k + n)`` (upper triangle of each Omega, then Gamma; what
+    :func:`integrate` returns) or as a sequence of ``states``.  The other
+    form is derived on first access and kept: ``states`` unpacks the whole
+    block at once into ``BodyState`` views of it, ``ys`` packs the states.
+    ``ys`` is read-only and ``states`` a tuple, so the two stay aligned.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.states) != self.times.size:
+    def __init__(self, times, states=None, aux=None, stats=None, ys=None):
+        if (states is None) == (ys is None):
+            raise ValueError("give exactly one of states and ys")
+        self.times = np.asarray(times, dtype=float)
+        self.aux = {} if aux is None else aux
+        self.stats = stats
+        self._states = None if states is None else tuple(states)
+        self._ys = None
+        if ys is not None:
+            self._ys = _read_only(np.asarray(ys, dtype=float))
+        if len(self._states if ys is None else self._ys) != self.times.size:
             raise ValueError("times and states lengths differ")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
     def __len__(self):
         return self.times.size
+
+    @property
+    def n(self) -> int:
+        """Dimension of the body; the block width is ``n (n + 1) / 2``."""
+        if self._ys is None:
+            return self._states[0].n
+        return (math.isqrt(8 * self._ys.shape[1] + 1) - 1) // 2
+
+    @property
+    def ys(self) -> np.ndarray:
+        if self._ys is None:
+            self._ys = _read_only(
+                np.array([pack_state(s.omega, s.gamma) for s in self._states])
+            )
+        return self._ys
+
+    @property
+    def states(self) -> tuple:
+        if self._states is None:
+            n, ys = self.n, self._ys
+            k = layout(n).k
+            mats = unpack_mats(ys[:, :k], n)
+            self._states = tuple(
+                BodyState._wrap(SkewMatrix._wrap(m), g)
+                for m, g in zip(mats, ys[:, k:])
+            )
+        return self._states
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -474,7 +519,7 @@ def integrate(
             y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
             return y
 
-    y0 = np.concatenate((pack(state0.omega), state0.gamma))
+    y0 = pack_state(state0.omega, state0.gamma)
     if cfg.method == "rk4":
         ys, stats = _rk4_solve(f, y0, t_grid, cfg.step, post, cfg.max_steps)
     else:
@@ -483,15 +528,14 @@ def integrate(
             cfg.step, post, cfg.max_steps,
         )
 
-    states = [BodyState._wrap(unpack(y[:k], n), y[k:]) for y in ys]
     aux = {"gamma_norm_err": np.abs(_gamma_norm(ys, k) - 1.0)}
     if inertia is not None and potential is not None:
-        aux["energy"] = np.array([energy(s, inertia, potential) for s in states])
+        aux["energy"] = energies(ys, inertia, potential)
     if constraints is not None:
         aux["constraint_residual"] = np.max(
             np.abs(ys[:, :k] @ constraints.rows.T), axis=1
         )
-    return Trajectory(times=t_grid, states=states, aux=aux, stats=stats)
+    return Trajectory(times=t_grid, ys=ys, aux=aux, stats=stats)
 
 
 def state_field(fn, n):
@@ -500,8 +544,7 @@ def state_field(fn, n):
     k = layout(n).k
 
     def field(y):
-        omega_dot, gamma_dot = fn(BodyState._wrap(unpack(y[:k], n), y[k:]))
-        return np.concatenate((pack(omega_dot), gamma_dot))
+        return pack_state(*fn(BodyState._wrap(unpack(y[:k], n), y[k:])))
 
     return field
 
@@ -537,14 +580,14 @@ def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajec
     w = 1.0 / vals if inverse else vals
     dtau = np.diff(traj.times) * sign * np.sqrt(w[:-1] * w[1:])
     tau = np.concatenate([[0.0], np.cumsum(dtau)])
-    states = list(traj.states)
+    ys = traj.ys
     aux = {key: np.asarray(val) for key, val in traj.aux.items()}
     if tau[-1] < 0:
         tau = tau[::-1].copy()
-        states = states[::-1]
+        ys = ys[::-1]
         aux = {key: val[::-1].copy() for key, val in aux.items()}
     tau = tau - tau[0]
-    return Trajectory(times=tau, states=states, aux=aux, stats=traj.stats)
+    return Trajectory(times=tau, ys=ys, aux=aux, stats=traj.stats)
 
 
 def detect_period(traj: Trajectory, observable):
@@ -596,41 +639,51 @@ def detect_period(traj: Trajectory, observable):
 
 
 def drift_report(traj: Trajectory, integrals) -> dict:
-    """max_t |F(t) - F(0)| / max(|F(0)|, 1e-12) for each labelled integral."""
+    """max_t |F(t) - F(0)| / max(|F(0)|, 1e-12) for each labelled integral;
+    each ``F`` maps the packed samples ``traj.ys`` to their values at once
+    (as the functions of :func:`suslov.cases.first_integrals` do)."""
     report = {}
     for label, fn in integrals.items():
-        vals = np.array([fn(s) for s in traj.states])
+        vals = fn(traj.ys)
         report[label] = float(
             np.max(np.abs(vals - vals[0])) / max(abs(vals[0]), 1e-12)
         )
     return report
 
 
+_CSV_BLOCK = 4096  # rows formatted per write; bounds the transient floats
+
+
 def write_csv(traj: Trajectory, path):
     """Trajectory CSV: t, upper-triangle Omega entries, Gamma, diagnostics.
 
-    Floats carry 17 significant digits so round-trips are bit-stable.
+    Floats carry 17 significant digits so round-trips are bit-stable.  The
+    rows are one array, formatted a block at a time with one ``%.17g``
+    row format (the text of ``"{:.17g}".format`` for every float).
     """
     if "energy" not in traj.aux or "constraint_residual" not in traj.aux:
         raise ValueError(
             "trajectory lacks energy/constraint diagnostics; integrate with "
             "the model context to export CSV"
         )
-    n = traj.states[0].n
+    n = traj.n
     lay = layout(n)
     header = ["t"]
     header += [f"Omega_{i + 1}_{j + 1}" for i, j in zip(lay.iu, lay.ju)]
     header += [f"Gamma_{i + 1}" for i in range(n)]
     header += ["E", "constraint_residual", "gamma_norm_err"]
-    fmt = "{:.17g}"
-    lines = [",".join(header)]
-    for idx, state in enumerate(traj.states):
-        row = [fmt.format(traj.times[idx])]
-        row += [fmt.format(v) for v in pack(state.omega)]
-        row += [fmt.format(v) for v in state.gamma]
-        row.append(fmt.format(traj.aux["energy"][idx]))
-        row.append(fmt.format(traj.aux["constraint_residual"][idx]))
-        row.append(fmt.format(traj.aux["gamma_norm_err"][idx]))
-        lines.append(",".join(row))
+    aux = traj.aux
+    table = np.column_stack((
+        traj.times, traj.ys, aux["energy"], aux["constraint_residual"],
+        aux["gamma_norm_err"],
+    ))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            fh.write(_csv_rows(table[start : start + _CSV_BLOCK]))
+
+
+def _csv_rows(block) -> str:
+    """The CSV text of the rows of a 2D float array, ``%.17g`` per value."""
+    row = ",".join(["%.17g"] * block.shape[1])
+    return "".join([row % tuple(values) + "\n" for values in block.tolist()])

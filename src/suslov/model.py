@@ -29,9 +29,10 @@ from .algebra import (
     SkewMatrix,
     commutator,
     from_column,
-    inner,
+    layout,
     pack,
     unpack,
+    unpack_mats,
     wedge,
 )
 
@@ -52,6 +53,8 @@ __all__ = [
     "vector_field_3d",
     "lagrange_full_field",
     "energy",
+    "energies",
+    "pack_state",
     "divergence_fd",
     "packed_reduced_field",
     "packed_suslov3d_field",
@@ -117,10 +120,14 @@ class MassTensor:
         """M = I Omega + Omega I."""
         if omega.n != self.n:
             raise ValueError(f"dimension mismatch: {omega.n} vs {self.n}")
+        return SkewMatrix._wrap(self._apply_mats(omega.mat))
+
+    def _apply_mats(self, mats):
+        """``I Omega + Omega I`` of skew matrices ``(..., n, n)``."""
         if self.diag is not None:
-            return SkewMatrix._wrap(self._pair * omega.mat)
-        m = self.matrix @ omega.mat
-        return SkewMatrix._wrap(m - m.T)
+            return self._pair * mats
+        m = self.matrix @ mats
+        return m - np.swapaxes(m, -1, -2)
 
     def invert(self, m: SkewMatrix) -> SkewMatrix:
         """Solve I Omega + Omega I = M for Omega."""
@@ -180,7 +187,11 @@ class BodyState:
 
 
 class Potential:
-    """Interface: a potential on the sphere with value and gradient."""
+    """Interface: a potential on the sphere with value and gradient.
+
+    ``value`` also takes a block ``(..., n)`` of Poisson vectors and returns
+    the values over its leading axes, each with the bits of the row alone.
+    """
 
     def value(self, gamma) -> float:
         raise NotImplementedError
@@ -204,7 +215,7 @@ class LinearPotential(Potential):
         self.b = np.asarray(b, dtype=float)
 
     def value(self, gamma):
-        return float(np.dot(self.b, gamma))
+        return np.vecdot(self.b, gamma)
 
     def gradient(self, gamma):
         return self.b.copy()
@@ -217,7 +228,7 @@ class QuadraticPotential(Potential):
         self.b = np.asarray(b, dtype=float)
 
     def value(self, gamma):
-        return float(0.5 * np.dot(self.b, np.asarray(gamma) ** 2))
+        return 0.5 * np.vecdot(self.b, np.asarray(gamma) ** 2)
 
     def gradient(self, gamma):
         return self.b * np.asarray(gamma)
@@ -237,8 +248,9 @@ class DGJPotential(Potential):
         check_gradient(self, 3)
 
     def value(self, gamma):
-        g1, g2, g3 = gamma
-        return float(self.v1(g1, g2 * g2 + g3 * g3) + self.v2(g2, g1 * g1 + g3 * g3))
+        gamma = np.asarray(gamma, dtype=float)
+        g1, g2, g3 = gamma[..., 0], gamma[..., 1], gamma[..., 2]
+        return self.v1(g1, g2 * g2 + g3 * g3) + self.v2(g2, g1 * g1 + g3 * g3)
 
     def gradient(self, gamma):
         g1, g2, g3 = gamma
@@ -263,7 +275,11 @@ class CustomPotential(Potential):
         check_gradient(self, n)
 
     def value(self, gamma):
-        return float(self.fn(np.asarray(gamma, dtype=float))[0])
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.ndim > 1:  # the callable takes one vector: loop over rows
+            rows = gamma.reshape(-1, gamma.shape[-1])
+            return np.array([self.value(g) for g in rows]).reshape(gamma.shape[:-1])
+        return float(self.fn(gamma)[0])
 
     def gradient(self, gamma):
         return np.asarray(self.fn(np.asarray(gamma, dtype=float))[1], dtype=float)
@@ -463,8 +479,31 @@ def lagrange_full_field(state: BodyState, inertia: MassTensor, b_n: float):
 
 def energy(state: BodyState, inertia: MassTensor, potential: Potential) -> float:
     """E = 1/2 <J(Omega), Omega> + V(Gamma); conserved by every field here."""
-    m = inertia.apply(state.omega)
-    return 0.5 * inner(m, state.omega) + potential.value(state.gamma)
+    return float(_energy(state.omega.mat, state.gamma, inertia, potential))
+
+
+def energies(y, inertia: MassTensor, potential: Potential) -> np.ndarray:
+    """:func:`energy` of packed points ``y`` of shape ``(..., k + n)``, over
+    the leading axes; each value has the bits of :func:`energy` of its
+    state."""
+    n = inertia.n
+    k = layout(n).k
+    return _energy(unpack_mats(y[..., :k], n), y[..., k:], inertia, potential)
+
+
+def _energy(mats, gamma, inertia, potential):
+    """The one copy of the energy: ``mats`` ``(..., n, n)`` and ``gamma``
+    ``(..., n)``.  The pairing ``1/2 sum_ij M_ij Omega_ij`` sums over the
+    trailing two axes, the order of one matrix alone."""
+    m = inertia._apply_mats(mats)
+    return 0.5 * (0.5 * np.sum(m * mats, axis=(-2, -1))) + potential.value(gamma)
+
+
+def pack_state(omega: SkewMatrix, gamma) -> np.ndarray:
+    """The packed point ``(pack(Omega), Gamma)`` of a state, the coordinates
+    of :func:`suslov.integrate.integrate`; also packs a field's
+    ``(Omega_dot, Gamma_dot)``."""
+    return np.concatenate((pack(omega), gamma))
 
 
 def divergence_fd(f, x, h_fd: float) -> float:

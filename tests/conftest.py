@@ -3,7 +3,7 @@
 import numpy as np
 
 from suslov.algebra import SkewMatrix, from_column
-from suslov.model import BodyState
+from suslov.model import BodyState, pack_state
 
 # reference integrator tolerances used across the conservation suites
 RTOL = 1e-10
@@ -46,6 +46,7 @@ def state_with_sizable_integrals(rng, spec, integrals, min_abs=0.05, speed=0.7):
     zero; relative drift is meaningless against a vanishing reference."""
     for _ in range(100):
         state = random_canonical_state(rng, spec.n, speed=speed)
-        if all(abs(fn(state)) >= min_abs for fn in integrals.values()):
+        y = pack_state(state.omega, state.gamma)
+        if all(abs(fn(y)) >= min_abs for fn in integrals.values()):
             return state
     raise RuntimeError("could not draw a state with sizable integrals")

@@ -28,6 +28,7 @@ from suslov.model import (
     ZeroPotential,
     energy,
     lagrange_full_field,
+    pack_state,
 )
 
 
@@ -248,7 +249,8 @@ class TestConservation:
             w = np.append(rng.normal(size=2), 0.0)  # admissible: w3 = 0
             state = state_from_vec3(w, random_unit(rng, 3))
             expect = j[0] * w[0] * state.gamma[0] + j[1] * w[1] * state.gamma[1]
-            assert fn(state) == pytest.approx(expect, rel=1e-13, abs=1e-13)
+            y = pack_state(state.omega, state.gamma)
+            assert fn(y) == pytest.approx(expect, rel=1e-13, abs=1e-13)
 
     def test_dgj_integral_independent_of_energy(self):
         spec = CaseSpec(

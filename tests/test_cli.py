@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from suslov.cli import ConfigError, load_config, main
+from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
 
 GAMMA3 = f"0.3 0.2 {float(np.sqrt(1.0 - 0.13))!r}"
 
@@ -246,6 +246,37 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "[error]\nkind = config\n" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "values, flags, t_key",
+        [
+            ({"run.output_dt": "1e-8"}, [], "run.t_end"),
+            ({"run.t_end": "100.0", "run.output_dt": "1e-8"}, [], "run.t_end"),
+            ({"run.t_end": "125000.125", "run.output_dt": "0.125"}, [],
+             "run.t_end"),
+            ({}, ["--t-end", "1e6"], "--t-end"),
+        ],
+        ids=["1e-8", "1e10", "one_above", "t_end_flag"],
+    )
+    def test_oversized_output_grid_exit_2(self, tmp_path, capsys, values,
+                                          flags, t_key):
+        # integrate allocates every output row before the first step, so a
+        # grid above MAX_OUTPUT_INTERVALS is rejected before anything runs
+        text = with_values(kharlamova_cfg(tmp_path / "out"), values)
+        assert main(["simulate", write(tmp_path, "big.cfg", text), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "[error]\nkind = config\n" in err
+        assert f"{t_key} = " in err and "run.output_dt = " in err
+        assert str(MAX_OUTPUT_INTERVALS) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_grid_at_the_bound_loads(self, tmp_path):
+        text = with_values(kharlamova_cfg(tmp_path / "out"),
+                           {"run.t_end": "125000.0", "run.output_dt": "0.125"})
+        cfg = load_config(write(tmp_path, "edge.cfg", text))
+        assert cfg.t_end / cfg.output_dt == MAX_OUTPUT_INTERVALS == 10**6
 
 
 class TestRunAndVerify:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bits, canonical_state, random_canonical_state
 from suslov import _dop853
-from suslov.algebra import ConstraintSet
+from suslov.algebra import ConstraintSet, layout
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.integrate import (
     IntegrationError,
@@ -543,16 +543,16 @@ class TestDriftReport:
         # constant observable drifts by exactly zero
         class Const:
             def items(self):
-                return [("one", lambda s: 1.0)]
+                return [("one", lambda ys: np.ones(len(ys)))]
 
         assert drift_report(traj, Const())["one"] == 0.0
 
         # perturbing an integral coefficient must blow the drift up
         scale = (inertia.diag[:3] + inertia.diag[3]) / pot.b[:3]
 
-        def wrong(s):
-            col = s.omega.mat[:3, 3]
-            return float(1.01 * scale[0] * col[0] - scale[1] * col[1])
+        def wrong(ys):
+            col = ys[:, layout(n).column]
+            return 1.01 * scale[0] * col[:, 0] - scale[1] * col[:, 1]
 
         class Wrong:
             def items(self):
