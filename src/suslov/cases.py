@@ -39,9 +39,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import clebsch, model
+from . import clebsch
 from .algebra import ConstraintSet, layout, packed_to_vector
 from .model import (
     _E3,
@@ -52,7 +51,6 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
-    _plane_basis,
     _reduced_rates,
     energies,
     pack_state,
@@ -361,11 +359,16 @@ def pendulum_reference_field(gamma, gamma_dot, mass: float, b_n: float) -> np.nd
 def asymptotic_points(j_diag, axis, energy_level: float):
     """Rest points of the free 3D constrained motion on its energy ellipse.
 
-    For a constraint axis that is not an eigenvector of the inertia form,
-    the angular velocity moves along the ellipse ``1/2 <J w, w> = h`` inside
-    the admissible plane and converges to one of two opposite rest points.
-    Returns ``(w_minus, w_plus)`` with ``w_plus`` the forward-time attractor
-    and ``w_minus = -w_plus``.
+    For a constraint axis ``a`` that is not an eigenvector of the inertia
+    form, the angular velocity moves along the ellipse ``1/2 <J w, w> = h``
+    inside the admissible plane ``w . a = 0`` and converges to one of two
+    opposite rest points.  There ``J w x w`` is parallel to ``a``, that is
+    ``<J w, a> = 0``, so the rest points lie on the line ``d = a x J a``.
+    On the plane ``d/dt <J w, a> = <J w, a> <w, a x J^-1 a> / <a, J^-1 a>``,
+    so the attractor is the point with ``<w, a x J^-1 a> < 0``; as
+    ``<d, a x J^-1 a> = 1 - <a, J a> <a, J^-1 a> < 0`` (Cauchy-Schwarz),
+    that is ``d`` itself.  Returns ``(w_minus, w_plus)`` with ``w_plus`` the
+    forward-time attractor and ``w_minus = -w_plus``.
     """
     j = np.asarray(j_diag, dtype=float)
     a = np.asarray(axis, dtype=float)
@@ -373,41 +376,10 @@ def asymptotic_points(j_diag, axis, energy_level: float):
     if energy_level <= 0.0:
         raise ValueError("energy level must be positive")
     ja = j * a
-    if np.linalg.norm(ja - np.dot(a, ja) * a) <= 1e-12 * np.linalg.norm(ja):
+    d = np.cross(a, ja)
+    if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(ja):
         raise ValueError("no asymptotic line; solutions are constants")
-    u, v = _plane_basis(a)
-
-    def omega_of(psi):
-        d = np.cos(psi) * u + np.sin(psi) * v
-        return d * np.sqrt(2.0 * energy_level / np.dot(j * d, d))
-
-    free, rest = ZeroPotential(), np.zeros(3)
-
-    def omega_dot(w):
-        # through the model module, not this module's traced global
-        return model.vector_field_3d(w, rest, j, free, 0.0, a)[0]
-
-    def speed(psi):
-        # signed speed along the ellipse; zero exactly at rest points
-        h = 1e-7
-        tangent = (omega_of(psi + h) - omega_of(psi - h)) / (2.0 * h)
-        tangent /= np.linalg.norm(tangent)
-        return float(np.dot(omega_dot(omega_of(psi)), tangent))
-
-    psis = np.linspace(0.0, np.pi, 361)
-    values = np.array([speed(p) for p in psis])
-    roots = []
-    for i in range(psis.size - 1):
-        if values[i] == 0.0:
-            roots.append(psis[i])
-        elif values[i] * values[i + 1] < 0.0:
-            roots.append(brentq(speed, psis[i], psis[i + 1], xtol=1e-14))
-    if not roots:
-        raise ValueError("no rest direction found on the energy ellipse")
-    psi_star = roots[0]
-    slope = (speed(psi_star + 1e-6) - speed(psi_star - 1e-6)) / 2e-6
-    w = omega_of(psi_star)
-    w_plus = w if slope < 0.0 else -w
+    w_plus = d * np.sqrt(2.0 * energy_level / np.dot(j * d, d))
     return -w_plus, w_plus
 
 

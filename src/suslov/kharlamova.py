@@ -23,7 +23,6 @@ double.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -274,30 +273,20 @@ def orbit_interval(poly: QuarticPolynomial, omega1_0: float):
     return (xi1, xi2)
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(m: int):
-    """Read-only Gauss-Legendre nodes and weights of size m.
-
-    ``leggauss`` is a dense eigensolve, so building a rule costs far more
-    than using it; :func:`period` asks for the same few sizes every call.
-    """
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def period(poly: QuarticPolynomial, interval, nodes: int | None = None):
     """Period ``T = 2 * integral dw / sqrt(P)`` between the roots of ``P``
     nearest the ends of ``interval``, or ``math.inf`` when one is a double
     root (asymptotic orbit); ``ValueError`` if an end is farther than
     1e-7 (1 + |root|) from every root.
 
-    Substituting ``w = mid + half * sin(theta)`` cancels the inverse square
-    root at simple endpoints, leaving a smooth integrand handled by a
-    Gauss-Legendre rule; with ``nodes=None`` the node count doubles from 64
-    until the value settles to 1e-10 relative, and ``ValueError`` is raised
-    if it has not settled by 4096 nodes (an orbit close to a separatrix).
+    With ``nodes=None`` the period is the complete elliptic integral
+    ``4 Re R_F(0, q3(xi1) q4(xi2), q4(xi1) q3(xi2)) / sqrt(|lead|)``
+    (DLMF 19.29; Carlson, Numer. Algorithms 10, 1995) over the remaining
+    roots ``r_i``: ``q_i(w) = |w - r_i|`` for a real root, ``w - r_i`` for
+    each member of a conjugate pair, and 1 for a root the degree lacks.
+    With ``nodes=m`` it is an m-node Gauss-Legendre rule instead, after
+    ``w = mid + half * sin(theta)`` cancels the inverse square root at the
+    simple endpoints: an independent cross-check of the closed form.
     """
     xi1, xi2 = float(interval[0]), float(interval[1])
     if xi2 <= xi1:
@@ -322,27 +311,25 @@ def period(poly: QuarticPolynomial, interval, nodes: int | None = None):
     mid = 0.5 * (xi1 + xi2)
     half = 0.5 * (xi2 - xi1)
 
-    def quad(m):
-        x, wts = _gauss_legendre(m)
-        theta = 0.5 * np.pi * x
-        w = mid + half * np.sin(theta)
-        smooth = -lead * np.ones_like(w, dtype=complex)
-        for r in others:
-            smooth = smooth * (w - r)
-        smooth = smooth.real
-        if np.any(smooth <= 0.0):
-            raise ValueError("integrand factor lost positivity on the interval")
+    # a real root inside the interval would flip the sign of the integrand
+    real = np.abs(others.imag) <= _REAL_ROOT_TOL * (1.0 + np.abs(others))
+    inside = real & (np.abs(others.real - mid) < half)
+    if nodes is None:
+        w = np.array([mid])
+    else:
+        x, wts = np.polynomial.legendre.leggauss(nodes)
+        w = mid + half * np.sin(0.5 * np.pi * x)
+    # P(w) / ((w - xi1)(xi2 - w))
+    smooth = -lead * np.prod(w[:, None] - others, axis=1).real
+    if np.any(smooth <= 0.0) or np.any(inside):
+        raise ValueError("integrand factor lost positivity on the interval")
+    if nodes is not None:
         return float(np.pi * np.sum(wts / np.sqrt(smooth)))
 
-    if nodes is not None:
-        return quad(nodes)
-    m, cur = 64, quad(64)
-    while m <= 2048:
-        m, prev = 2 * m, cur
-        cur = quad(m)
-        if abs(cur - prev) <= 1e-10 * abs(cur):
-            return cur
-    raise ValueError(
-        f"period quadrature did not settle to 1e-10 relative by {m} nodes: "
-        f"{prev!r} with {m // 2}, {cur!r} with {m}"
-    )
+    from scipy.special import elliprf
+
+    pad = np.ones(2 - others.size)
+    q1 = np.concatenate([np.where(real, np.abs(xi1 - others.real), xi1 - others), pad])
+    q2 = np.concatenate([np.where(real, np.abs(xi2 - others.real), xi2 - others), pad])
+    rf = elliprf(0.0, q1[0] * q2[1], q1[1] * q2[0])
+    return float(4.0 * rf.real / math.sqrt(abs(lead)))

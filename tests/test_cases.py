@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import canonical_state, random_canonical_state, random_unit, state_from_vec3
 from suslov.cases import (
@@ -29,6 +31,7 @@ from suslov.model import (
     energy,
     lagrange_full_field,
     pack_state,
+    vector_field_3d,
 )
 
 
@@ -464,6 +467,27 @@ class TestAsymptoticPoints:
         with pytest.raises(ValueError, match="constants"):
             asymptotic_points(self.j, np.array([0.0, 0.0, 1.0]), self.h)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        j=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        a=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        h=st.floats(1e-3, 1e3),
+    )
+    def test_rest_points_property(self, j, a, h):
+        j, a = np.array(j), np.array(a)
+        assume(np.linalg.norm(a) > 1e-3)
+        a = a / np.linalg.norm(a)
+        assume(np.linalg.norm(np.cross(a, j * a)) > 1e-3 * np.linalg.norm(j * a))
+        w_minus, w_plus = asymptotic_points(j, a, h)
+        gamma = np.array([0.0, 0.6, 0.8])
+        for w in (w_minus, w_plus):
+            norm = np.linalg.norm(w)
+            assert abs(np.dot(a, w)) <= 1e-12 * norm
+            assert 0.5 * np.dot(j * w, w) == pytest.approx(h, rel=1e-12)
+            w_dot = vector_field_3d(w, gamma, j, ZeroPotential(), 0.0, a)[0]
+            assert np.linalg.norm(w_dot) <= 1e-12 * np.linalg.norm(j * w) * norm
+        assert np.dot(w_plus, np.cross(a, a / j)) < 0.0
+
     def test_forward_convergence(self):
         from suslov.model import vector_field_3d
 
@@ -490,3 +514,21 @@ class TestAsymptoticPoints:
         tail = dist[started:]
         tail = tail[tail > 1e-10]
         assert np.all(np.diff(tail) < 1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone takes most of a second to import; only
+    # integrate.detect_period needs it, and imports it on first call
+    import os
+    import subprocess
+    import sys
+
+    import suslov
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(suslov.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, suslov; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -15,7 +15,6 @@ from suslov.kharlamova import (
     QuarticPolynomial,
     from_kharlamova,
     orbit_curve,
-    _gauss_legendre,
     orbit_interval,
     period,
     reduced_field,
@@ -307,7 +306,7 @@ class TestPeriod:
     @pytest.mark.parametrize("source", ["orbit_interval", "by_hand"])
     def test_close_root_pair_matches_closed_form(self, source):
         # roots (-1, 1, 1 + 1e-6, 3): the orbit on [-1, 1] passes 1e-6 from
-        # the next root, and the rule settles only at 1024 nodes.  The
+        # the next root, where a Gauss-Legendre rule needs 1024 nodes.  The
         # period is the complete elliptic integral (DLMF 19.29)
         # 4 R_F(0, q3(xi2) q4(xi1), q4(xi2) q3(xi1)), q_i(w) = |w - r_i|.
         # The computed root near 1 is 1 + 6.6e-11, so the interval (-1, 1)
@@ -328,38 +327,50 @@ class TestPeriod:
         with pytest.raises(ValueError, match="not a root of P"):
             period(poly, (-0.5, 1.0))
 
-    def test_unsettled_rule_raises(self, monkeypatch):
-        # a complex root pair 0.3 +- 1e-6 i sits 1e-6 from the orbit: the
-        # integrand peaks with width 1e-6, which no rule up to 4096 nodes
-        # resolves, so the doubling loop must not return its last value.
-        # leggauss builds the 4096-node rule by a dense eigensolve (about
-        # 7 s); scipy's Newton-based rule of the same size takes 0.7 s
-        import functools
-
-        from scipy.special import roots_legendre
-
-        from suslov import kharlamova
-
-        monkeypatch.setattr(kharlamova, "_gauss_legendre",
-                            functools.cache(roots_legendre))
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_close_complex_pair_matches_mpmath(self, eps):
+        # a complex root pair 0.3 +- eps i sits eps from the orbit, so the
+        # integrand peaks with width eps.  The reference does not use R_F:
+        # 30-digit roots of the same float coefficients, then 2 int dw /
+        # sqrt(P) by tanh-sinh after the sine substitution, split at the
+        # pair's real part
+        mp = pytest.importorskip("mpmath")
         coeffs = -np.polynomial.polynomial.polyfromroots(
-            [-1.0, 1.0, 0.3 + 1e-6j, 0.3 - 1e-6j]
+            [-1.0, 1.0, 0.3 + eps * 1j, 0.3 - eps * 1j]
         ).real
+        with mp.workdps(30):
+            roots = mp.polyroots([mp.mpf(c) for c in coeffs[::-1]],
+                                 maxsteps=200, extraprec=200)
+            xi1, xi2, *others = sorted(roots, key=lambda r: abs(r.imag))
+            xi1, xi2 = sorted([xi1.real, xi2.real])
+            mid, half = (xi1 + xi2) / 2, (xi2 - xi1) / 2
+
+            def integrand(theta):
+                w = mid + half * mp.sin(theta)
+                smooth = -mp.mpf(coeffs[4]) * (w - others[0]) * (w - others[1])
+                return 1 / mp.sqrt(smooth.real)
+
+            split = mp.asin((mp.mpf(0.3) - mid) / half)
+            t_ref = float(2 * mp.quad(integrand, [-mp.pi / 2, split, mp.pi / 2]))
         poly = QuarticPolynomial(coeffs, 0.0, 1.0)
         interval = orbit_interval(poly, 0.0)
-        with pytest.raises(ValueError, match="did not settle") as err:
-            period(poly, interval)
-        assert "4096 nodes" in str(err.value) and "with 2048" in str(err.value)
-        # the fixed-node path still returns the rule's value
-        assert math.isfinite(period(poly, interval, nodes=64))
+        assert interval == pytest.approx((-1.0, 1.0), abs=1e-12)
+        assert period(poly, interval) == pytest.approx(t_ref, rel=1e-11)
 
-    @pytest.mark.parametrize("m", [64, 128, 1024])
-    def test_cached_rule_is_read_only_leggauss(self, m):
-        x, w = _gauss_legendre(m)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(m)
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
-        assert not x.flags.writeable and not w.flags.writeable
-        assert _gauss_legendre(m)[0] is x
+    def test_real_root_inside_interval_rejected(self):
+        # the cubic -(w + 1)(w - 0.5)(w - 3) is negative on (-1, 0.5), and
+        # the interval (-1, 3) holds the root 0.5, with P > 0 at its
+        # midpoint: neither bounds an orbit
+        coeffs = -np.polynomial.polynomial.polyfromroots([-1.0, 0.5, 3.0])
+        poly = QuarticPolynomial(np.append(coeffs, 0.0), 0.0, 1.0)
+        # on (0.5, 3) it does, with one remaining root: q4 = 1 in R_F
+        assert period(poly, (0.5, 3.0)) == pytest.approx(
+            period(poly, (0.5, 3.0), nodes=256), rel=1e-12
+        )
+        for interval in [(-1.0, 0.5), (-1.0, 3.0)]:
+            for nodes in [None, 64]:
+                with pytest.raises(ValueError, match="lost positivity"):
+                    period(poly, interval, nodes=nodes)
 
     def test_node_doubling_self_consistency(self):
         inertia, b, rng = make_params(4, 11)
