@@ -26,11 +26,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -69,15 +70,6 @@ from .model import (
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "run", "main"]
 
 ENV_OUTPUT_DIR = "SUSLOV_OUTPUT_DIR"
-
-ANALYSES = (
-    "verify_integrals",
-    "measure_check",
-    "kharlamova_quadrature",
-    "clebsch_tori",
-    "asymptotic",
-    "period",
-)
 
 # largest run.t_end / run.output_dt: integrate allocates every output row
 # before the first step, so a larger grid is a config error
@@ -415,16 +407,22 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+def _write_atomically(path, write):
+    """Have ``write(part)`` write the file ``part`` beside ``path``, then
+    move it onto ``path``.  ``part`` is made by ``open``, so every output
+    gets the mode the umask gives; a failed write removes it, and an
+    ``OSError`` becomes a ``ConfigError`` naming ``path``."""
+    part = path + ".part"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        write(part)
+        os.replace(part, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(part)
+        if isinstance(exc, OSError):
+            raise ConfigError(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from exc
         raise
 
 
@@ -488,8 +486,6 @@ def _analysis_measure_check(report, config, traj):
 
 def _analysis_kharlamova(report, config, traj):
     spec = config.case_spec
-    if spec.kind not in (CaseKind.KHARLAMOVA_ND, CaseKind.KHARLAMOVA_3D):
-        raise CaseError("kharlamova_quadrature needs a Kharlamova case")
     inertia, b = spec.inertia, spec.potential.b
     coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
     poly = kharlamova.trajectory_polynomial(coords, inertia, b)
@@ -537,11 +533,6 @@ def _omega_first(n):
 
 def _analysis_clebsch(report, config, traj):
     spec = config.case_spec
-    if spec.kind not in (
-        CaseKind.CLEBSCH_TISSERAND_ND,
-        CaseKind.CLEBSCH_TISSERAND_3D,
-    ):
-        raise CaseError("clebsch_tori needs a quadratic-potential case")
     inertia, b = spec.inertia, spec.potential.b
     torus = clebsch.torus_spec(config.initial_state, inertia, b)
     cls, exact = torus.classification, torus.frequencies
@@ -584,10 +575,6 @@ def _analysis_clebsch(report, config, traj):
 
 def _analysis_asymptotic(report, config, traj):
     spec = config.case_spec
-    if spec.constraint_axis is None or spec.kind is not CaseKind.SUSLOV_FREE:
-        raise CaseError(
-            "asymptotic analysis needs the free 3D case with case.constraint_axis"
-        )
     h = energy(config.initial_state, spec.inertia, spec.potential)
     w_minus, w_plus = asymptotic_points(spec.j_diag, spec.constraint_axis, h)
     report.section("asymptotic")
@@ -622,16 +609,49 @@ _ANALYSIS_FNS = {
     "asymptotic": _analysis_asymptotic,
     "period": _analysis_period,
 }
+ANALYSES = tuple(_ANALYSIS_FNS)
+
+# analysis -> (test on the CaseSpec, the error when the case fails it)
+_CASE_NEEDS = {
+    "kharlamova_quadrature": (
+        lambda spec: spec.kind in (CaseKind.KHARLAMOVA_ND,
+                                   CaseKind.KHARLAMOVA_3D),
+        "kharlamova_quadrature needs a Kharlamova case",
+    ),
+    "clebsch_tori": (
+        lambda spec: spec.kind in (CaseKind.CLEBSCH_TISSERAND_ND,
+                                   CaseKind.CLEBSCH_TISSERAND_3D),
+        "clebsch_tori needs a quadratic-potential case",
+    ),
+    "asymptotic": (
+        lambda spec: (spec.kind is CaseKind.SUSLOV_FREE
+                      and spec.constraint_axis is not None),
+        "asymptotic analysis needs the free 3D case with case.constraint_axis",
+    ),
+}
 
 
 def run(config: ScenarioConfig, analyses=None) -> int:
     """Simulate, write trajectory.csv and report.txt, run the analyses.
 
     Returns the exit status: 0, or 4 after an ``[error]`` record on stderr
-    naming what failed (each analysis returns None or its failure).
+    naming what failed (each analysis returns None or its failure).  An
+    analysis the case does not support and an unusable output location
+    raise ``ConfigError``, the former before anything is integrated or
+    written.
     """
-    os.makedirs(config.output_dir, exist_ok=True)
     spec = config.case_spec
+    names = analyses if analyses is not None else config.analyses
+    for name in names:
+        if name in _CASE_NEEDS and not _CASE_NEEDS[name][0](spec):
+            raise ConfigError(_CASE_NEEDS[name][1])
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {config.output_dir}: "
+            f"{exc.strerror or exc}"
+        ) from exc
     field, constraints = build_field(spec)
     traj = integrate(
         field,
@@ -643,10 +663,8 @@ def run(config: ScenarioConfig, analyses=None) -> int:
         potential=spec.potential,
         constraints=constraints,
     )
-    csv_path = os.path.join(config.output_dir, "trajectory.csv")
-    tmp_csv = csv_path + ".part"
-    write_csv(traj, tmp_csv)
-    os.replace(tmp_csv, csv_path)
+    _write_atomically(os.path.join(config.output_dir, "trajectory.csv"),
+                      lambda part: write_csv(traj, part))
 
     report = Report()
     _case_section(report, config)
@@ -655,12 +673,12 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     report.put("accepted", traj.stats.accepted)
     report.put("rejected", traj.stats.rejected)
     report.put("rhs_evals", traj.stats.rhs_evals)
-    names = analyses if analyses is not None else config.analyses
     failed = [fail for fail in (_ANALYSIS_FNS[name](report, config, traj)
                                 for name in names) if fail is not None]
     report.section("result")
     report.put("pass", not failed)
-    _atomic_write(os.path.join(config.output_dir, "report.txt"), report.text())
+    _write_atomically(os.path.join(config.output_dir, "report.txt"),
+                      lambda part: Path(part).write_text(report.text()))
     if failed:
         _error_record("verification", "failed sections: " + "; ".join(failed))
     return 4 if failed else 0

@@ -3,20 +3,21 @@
 Three steppers are provided: classical fixed-step RK4 and two embedded
 pairs with proportional step control, Dormand-Prince 8(5,3) (``dop853``,
 the default) and Dormand-Prince 5(4) (``rk45``).  States are flattened to
-``(pack(Omega), Gamma)`` in the layout of :mod:`suslov.algebra`; fields act
-on this flat vector.
+``(pack(Omega), Gamma)`` in the layout of :mod:`suslov.algebra`.  Every
+system here is autonomous, so a field is ``field(y) -> ydot`` on this flat
+vector, with no time argument, and the steppers carry no stage nodes.
 
 Both pairs run through one adaptive loop; a pair supplies only its tableau,
 its error norm, its step-size exponent and its interpolant.  A step stores
 its stage derivatives as the rows of one array ``K``: stage ``s`` is
 evaluated at ``y + h A[s, :s] @ K[:s]`` with the strictly lower-triangular
-tableau ``A``.  The solution weights are a row of ``A`` with ``c = 1``, so
-the last stage is ``f`` at the new point and is reused as the first stage
-of the next step (first same as last): an attempt costs six field calls
-with DP5 and twelve with DOP853.  The error is the RMS norm of the scaled
-5(4) estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend
-of its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner
-(section II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
+tableau ``A``.  The solution weights are a row of ``A``, so the last stage
+is ``f`` at the new point and is reused as the first stage of the next
+step (first same as last): an attempt costs six field calls with DP5 and
+twelve with DOP853.  The error is the RMS norm of the scaled 5(4)
+estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend of
+its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner (section
+II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
 size; only the final step is shortened, so that it lands on the end of the
 output grid.  Every output sample inside an accepted step ``[t, t + h]``
 comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
@@ -60,8 +61,6 @@ __all__ = [
     "detect_period",
     "drift_report",
     "write_csv",
-    "rk45_step",
-    "solve_fixed_rk4",
     "solve_adaptive_rk45",
 ]
 
@@ -118,30 +117,25 @@ class IntegratorStats:
 
 
 class Trajectory:
-    """Sampled solution: strictly increasing times, the matching samples,
-    per-sample diagnostics in ``aux`` and, when it came from a stepper,
-    the step counters in ``stats``.
+    """Sampled solution: strictly increasing times, the packed samples
+    ``ys``, per-sample diagnostics in ``aux`` and, when it came from a
+    stepper, the step counters in ``stats``.
 
-    The samples are given either as the packed block ``ys`` of shape
-    ``(N, k + n)`` (upper triangle of each Omega, then Gamma; what
-    :func:`integrate` returns) or as a sequence of ``states``.  The other
-    form is derived on first access and kept: ``states`` unpacks the whole
-    block at once into ``BodyState`` views of it, ``ys`` packs the states.
-    ``ys`` is read-only and ``states`` a tuple, so the two stay aligned.
+    ``ys`` has shape ``(N, k + n)``: the upper triangle of each Omega, then
+    Gamma, as :func:`integrate` returns it; it is read-only.  ``states``
+    unpacks the whole block at once, on first access, into a tuple of
+    ``BodyState`` views of it.
     """
 
-    def __init__(self, times, states=None, aux=None, stats=None, ys=None):
-        if (states is None) == (ys is None):
-            raise ValueError("give exactly one of states and ys")
+    def __init__(self, times, ys, aux=None, stats=None):
         self.times = np.asarray(times, dtype=float)
+        self._ys = np.asarray(ys, dtype=float)
+        self._ys.flags.writeable = False
         self.aux = {} if aux is None else aux
         self.stats = stats
-        self._states = None if states is None else tuple(states)
-        self._ys = None
-        if ys is not None:
-            self._ys = _read_only(np.asarray(ys, dtype=float))
-        if len(self._states if ys is None else self._ys) != self.times.size:
-            raise ValueError("times and states lengths differ")
+        self._states = None
+        if len(self._ys) != self.times.size:
+            raise ValueError("times and samples lengths differ")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -151,22 +145,16 @@ class Trajectory:
     @property
     def n(self) -> int:
         """Dimension of the body; the block width is ``n (n + 1) / 2``."""
-        if self._ys is None:
-            return self._states[0].n
         return (math.isqrt(8 * self._ys.shape[1] + 1) - 1) // 2
 
     @property
     def ys(self) -> np.ndarray:
-        if self._ys is None:
-            self._ys = _read_only(
-                np.array([pack_state(s.omega, s.gamma) for s in self._states])
-            )
         return self._ys
 
     @property
     def states(self) -> tuple:
         if self._states is None:
-            n, ys = self.n, self._ys
+            n, ys = self.n, self.ys
             k = layout(n).k
             mats = unpack_mats(ys[:, :k], n)
             self._states = tuple(
@@ -176,14 +164,8 @@ class Trajectory:
         return self._states
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 # Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
 # section II.5); row s of the strictly lower-triangular A feeds stage s
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array(
     [
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -222,43 +204,37 @@ _DP_P = np.array(
 _POWERS = np.arange(1, 5)
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
+def _rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _fill_stages(pair, f, t, y, h, K, start, stop):
+def _fill_stages(pair, f, y, h, K, start, stop):
     """Evaluate stages ``start..stop-1`` of ``pair`` into the rows of ``K``;
     stage ``s`` is ``f`` at ``y + h A[s, :s] @ K[:s]``.  Returns the last
     stage input."""
-    rows, c = pair.rows, pair.c
+    rows = pair.rows
     for s in range(start, stop):
         ys = y + h * np.dot(rows[s], K[:s])
-        K[s] = f(t + c[s] * h, ys)
+        K[s] = f(ys)
     return ys
 
 
-def _stages(pair, f, t, y, h, k0):
+def _stages(pair, f, y, h, k0):
     """Stage derivatives ``K`` of one step of ``pair`` and its solution
-    ``y_new``, given ``k0 = f(t, y)``.
+    ``y_new``, given ``k0 = f(y)``.
 
     Row ``pair.stages`` of the tableau holds the solution weights, so the
-    last stage input is ``y_new`` and ``K[pair.stages] = f(t + h, y_new)``
-    is the next step's first stage.  The rows of ``K`` after it are left
-    for the dense-output stages.
+    last stage input is ``y_new`` and ``K[pair.stages] = f(y_new)`` is the
+    next step's first stage.  The rows of ``K`` after it are left for the
+    dense-output stages.
     """
     K = np.empty((len(pair.rows), y.size))
     K[0] = k0
-    return K, _fill_stages(pair, f, t, y, h, K, 1, pair.stages + 1)
-
-
-def _dp5_stages(f, t, y, h, k0):
-    """``_stages`` of Dormand-Prince 5(4): ``K`` is 7-by-d, and row 6 of
-    ``_DP_A`` is ``_DP_B5``."""
-    return _stages(_DP5, f, t, y, h, k0)
+    return K, _fill_stages(pair, f, y, h, K, 1, pair.stages + 1)
 
 
 def _dp5_error_norm(K, h, scale):
@@ -306,43 +282,32 @@ def _dop853_dense(y, h, K, x):
 class _Pair(NamedTuple):
     """An embedded Runge-Kutta pair, as :func:`_adaptive_solve` steps it.
 
-    ``rows[s]`` is ``A[s, :s]`` of the stage tableau and ``c[s]`` its node.
-    Row ``stages`` holds the solution weights, with ``c = 1`` (first same as
-    last), and any later rows are dense-output stages, evaluated once per
-    accepted step.  So a step costs ``stages`` field calls per attempt plus
-    ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
+    ``rows[s]`` is ``A[s, :s]`` of the stage tableau.  Row ``stages`` holds
+    the solution weights, so its stage is ``f`` at the new point (first
+    same as last), and any later rows are dense-output stages, evaluated
+    once per accepted step.  So a step costs ``stages`` field calls per
+    attempt plus ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
     scale)`` is the scaled error, and the step factor is
     ``0.9 err ** exponent``; ``dense(y, h, K, x)`` gives the states at the
     step fractions ``x``.
     """
 
     rows: tuple
-    c: tuple
     stages: int
     exponent: float
     error_norm: Callable
     dense: Callable
 
 
-def _pair(A, C, stages, exponent, error_norm, dense):
+def _pair(A, stages, exponent, error_norm, dense):
     rows = tuple(np.ascontiguousarray(A[s, :s]) for s in range(A.shape[0]))
-    return _Pair(rows, tuple(C.tolist()), stages, exponent, error_norm, dense)
+    return _Pair(rows, stages, exponent, error_norm, dense)
 
 
-_DP5 = _pair(_DP_A, _DP_C, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_dense)
-_DOP853 = _pair(_dop853.A, _dop853.C, _dop853.N_STAGES, -1.0 / 8.0,
-                _dop853_error_norm, _dop853_dense)
+_DP5 = _pair(_DP_A, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_dense)
+_DOP853 = _pair(_dop853.A, _dop853.N_STAGES, -1.0 / 8.0, _dop853_error_norm,
+                _dop853_dense)
 _PAIRS = {"dop853": _DOP853, "rk45": _DP5}
-
-
-def rk45_step(f, t, y, h):
-    """One Dormand-Prince step; returns (y5, error_estimate).
-
-    The seven stage derivatives fill the rows of one 7-by-d array ``K``, so
-    every stage input and the error estimate are a single matrix product.
-    """
-    K, y5 = _dp5_stages(f, t, y, h, f(t, y))
-    return y5, h * (_DP_E @ K)
 
 
 def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
@@ -359,7 +324,7 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
         y = ys[-1]
         t = a
         for _ in range(nsub):
-            y = _rk4_step(f, t, y, h)
+            y = _rk4_step(f, y, h)
             t += h
             if post_step is not None:
                 y = post_step(y)
@@ -371,11 +336,6 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
         count, 0, 4 * count, float(h_min), float(h_max), float(h)
     )
     return np.array(ys), stats
-
-
-def solve_fixed_rk4(f, y0, t_grid, step, post_step=None, max_steps=10**8):
-    """RK4 through every grid interval with substeps of size <= step."""
-    return _rk4_solve(f, y0, t_grid, step, post_step, max_steps)[0]
 
 
 def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
@@ -393,7 +353,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     land = 1e-14 * max(1.0, abs(t_end))
     S = pair.stages
     extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
-    k0 = f(t, y)
+    k0 = f(y)
     nxt = 1  # first grid index not yet sampled
     accepted = attempts = 0
     h_min, h_max, h_last = math.inf, 0.0, 0.0
@@ -403,7 +363,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             h = t_end - t
         if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, h, attempts, y)
-        K, y_new = _stages(pair, f, t, y, h, k0)
+        K, y_new = _stages(pair, f, y, h, k0)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = pair.error_norm(K, h, scale)
         if not math.isfinite(err_norm):
@@ -411,7 +371,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
         attempts += 1
         if err_norm <= 1.0:
             if extra:
-                _fill_stages(pair, f, t, y, h, K, S + 1, S + 1 + extra)
+                _fill_stages(pair, f, y, h, K, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
             if t_grid[nxt] <= t_new:
                 stop = t_grid.size if last else int(
@@ -443,15 +403,16 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
                         post_step=None, max_steps=10**8):
-    """Dormand-Prince 5(4) with proportional control; returns the states at
-    ``t_grid`` as a ``(len(t_grid), d)`` array.
+    """Dormand-Prince 5(4) with proportional control for an autonomous
+    ``y' = f(y)``; returns the points at ``t_grid`` as a ``(len(t_grid),
+    d)`` array.  ``y`` is any flat vector, not only a packed body state.
 
     The tolerance alone sets the steps: only the last one is shortened, to
     end exactly at ``t_grid[-1]``.  Samples inside an accepted step come
     from the pair's free 4th-order interpolant, so a finer grid costs no
     extra field calls.  ``post_step`` maps each accepted endpoint and each
-    block of samples (an array of rows).  The last stage ``f(t + h, y5)``
-    is reused as the next step's first stage, and after a rejection the
+    block of samples (an array of rows).  The last stage ``f(y5)`` is
+    reused as the next step's first stage, and after a rejection the
     first stage is kept, so every attempt costs six calls plus one for the
     start; with ``post_step`` set, the reused stage is ``f`` at ``y5``
     before ``post_step``, which for the gamma renormalization differs from
@@ -506,9 +467,6 @@ def integrate(
     n_out = max(1, n_out)
     t_grid = t0 + (t1 - t0) * np.arange(n_out + 1) / n_out
 
-    def f(t, y):
-        return field(y)
-
     post = None
     if cfg.renormalize_gamma:
 
@@ -521,10 +479,11 @@ def integrate(
 
     y0 = pack_state(state0.omega, state0.gamma)
     if cfg.method == "rk4":
-        ys, stats = _rk4_solve(f, y0, t_grid, cfg.step, post, cfg.max_steps)
+        ys, stats = _rk4_solve(field, y0, t_grid, cfg.step, post,
+                               cfg.max_steps)
     else:
         ys, stats = _adaptive_solve(
-            _PAIRS[cfg.method], f, y0, t_grid, cfg.rel_tol, cfg.abs_tol,
+            _PAIRS[cfg.method], field, y0, t_grid, cfg.rel_tol, cfg.abs_tol,
             cfg.step, post, cfg.max_steps,
         )
 

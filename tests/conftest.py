@@ -3,6 +3,7 @@
 import numpy as np
 
 from suslov.algebra import SkewMatrix, from_column
+from suslov.integrate import Trajectory
 from suslov.model import BodyState, pack_state
 
 # reference integrator tolerances used across the conservation suites
@@ -32,6 +33,12 @@ def random_canonical_state(rng, n, speed=1.0):
 
 def canonical_state(col, gamma):
     return BodyState(from_column(col), np.asarray(gamma, dtype=float))
+
+
+def states_trajectory(times, states, aux=None):
+    """Trajectory whose packed samples ``ys`` are those of ``states``."""
+    ys = np.array([pack_state(s.omega, s.gamma) for s in states])
+    return Trajectory(times, ys, aux=aux)
 
 
 def state_from_vec3(omega_vec, gamma):

@@ -347,7 +347,7 @@ def test_criterion_5_lagrange_pendulum():
     gd0[:3] = -gamma0[3] * col0
     gd0[3] = float(np.dot(gamma0[:3], col0))
 
-    def pend(t, y):
+    def pend(y):
         return np.concatenate(
             [y[n:], pendulum_reference_field(y[:n], y[n:], mass_eff, b_n)]
         )
@@ -378,7 +378,7 @@ def test_criterion_6_free_asymptotics():
     w0 = d * np.sqrt(2.0 * h / np.dot(j * d, d))
     w_minus, w_plus = asymptotic_points(j, axis, h)
 
-    def f(t, y):
+    def f(y):
         wd, gd = vector_field_3d(y[:3], y[3:], j, ZeroPotential(), 0.0, axis)
         return np.concatenate([wd, gd])
 

@@ -56,7 +56,7 @@ def integrate_case(spec, state0, t_end, output_dt=0.1, rtol=1e-10, atol=1e-12):
 def integrate_pendulum(gamma0, gamma_dot0, mass, b_n, t_grid, rtol=1e-12):
     n = gamma0.size
 
-    def f(t, y):
+    def f(y):
         return np.concatenate(
             [y[n:], pendulum_reference_field(y[:n], y[n:], mass, b_n)]
         )
@@ -497,7 +497,7 @@ class TestAsymptoticPoints:
         d -= np.dot(d, self.axis) * self.axis
         w0 = d * np.sqrt(2.0 * self.h / np.dot(self.j * d, d))
 
-        def f(t, y):
+        def f(y):
             wd, gd = vector_field_3d(
                 y[:3], y[3:], self.j, ZeroPotential(), 0.0, self.axis
             )

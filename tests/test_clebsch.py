@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import canonical_state, random_canonical_state
+from conftest import canonical_state, random_canonical_state, states_trajectory
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals, jacobian_rank
 from suslov.clebsch import (
     Classification,
@@ -15,7 +15,6 @@ from suslov.clebsch import (
 )
 from suslov.integrate import (
     IntegratorConfig,
-    Trajectory,
     integrate,
     reparametrize,
 )
@@ -178,7 +177,7 @@ class TestRotationNumbers:
             g_head = np.sqrt(c / gap) * np.cos(phi)
             g_n = np.sqrt(max(0.0, 1.0 - np.sum(g_head**2)))
             states.append(canonical_state(col, np.append(g_head, g_n)))
-        traj = Trajectory(times=taus, states=states, aux={})
+        traj = states_trajectory(taus, states, aux={})
         slopes = rotation_numbers(traj, inertia, b)
         assert np.allclose(slopes, 0.3, atol=1e-12)
 
@@ -194,7 +193,7 @@ class TestRotationNumbers:
             g_head = np.sqrt(0.3 / gap) * np.cos(phi)
             g_n = np.sqrt(max(0.0, 1.0 - np.sum(g_head**2)))
             states.append(canonical_state(col, np.append(g_head, g_n)))
-        traj = Trajectory(times=taus, states=states, aux={})
+        traj = states_trajectory(taus, states, aux={})
         with pytest.raises(ValueError, match="grid"):
             rotation_numbers(traj, inertia, b)
 

@@ -435,6 +435,66 @@ class TestAnalyses:
         assert float(rep["measure.max_abs_divergence"]) > 1e-3
         assert "no invariant measure" in rep["measure.note"]
 
+    @pytest.mark.parametrize(
+        "cfg, command, analyses, message",
+        [
+            (clebsch_cfg, "simulate", "verify_integrals kharlamova_quadrature",
+             "kharlamova_quadrature needs a Kharlamova case"),
+            (kharlamova_cfg, "clebsch-tori", None,
+             "clebsch_tori needs a quadratic-potential case"),
+            (kharlamova_cfg, "simulate", "asymptotic",
+             "asymptotic analysis needs the free 3D case with "
+             "case.constraint_axis"),
+        ],
+        ids=["kharlamova_quadrature", "clebsch_tori", "asymptotic"],
+    )
+    def test_unsupported_analysis_exits_2_before_writing(
+            self, tmp_path, capsys, cfg, command, analyses, message):
+        out = tmp_path / "out"
+        text = cfg(out)
+        if analyses is not None:
+            text = with_values(text, {"run.analyses": analyses})
+        path = write(tmp_path, "x.cfg", text)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert f"[error]\nkind = config\nmessage = {message}\n" == err
+        assert not out.exists()
+
+
+class TestOutputLocation:
+    @pytest.mark.parametrize("below", [(), ("out",)], ids=["is", "under"])
+    def test_output_dir_at_a_file_exits_2(self, tmp_path, capsys, below):
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = tmp_path.joinpath("taken", *below)
+        path = write(tmp_path, "k.cfg", kharlamova_cfg(out, t_end=1.0))
+        assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\nkind = config\n")
+        assert str(out) in err and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
+        # a directory where trajectory.csv goes: the move onto it fails
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        path = write(tmp_path, "k.cfg", kharlamova_cfg(out, t_end=1.0))
+        assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\nkind = config\n")
+        assert str(out / "trajectory.csv") in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
+
+    def test_both_outputs_get_the_same_mode(self, tmp_path):
+        out = tmp_path / "out"
+        path = write(tmp_path, "k.cfg", kharlamova_cfg(out, t_end=1.0))
+        assert main(["simulate", path]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        modes = {name: (out / name).stat().st_mode & 0o777
+                 for name in ("trajectory.csv", "report.txt")}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+        assert sorted(p.name for p in out.iterdir()) == sorted(modes)
+
 
 # one line of scenario text: no control characters or line separators
 _LINE = st.text(

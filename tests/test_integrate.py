@@ -3,26 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bits, canonical_state, random_canonical_state
+from conftest import (
+    bits,
+    canonical_state,
+    random_canonical_state,
+    states_trajectory,
+)
 from suslov import _dop853
 from suslov.algebra import ConstraintSet, layout
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
-    Trajectory,
     _DOP853,
+    _DP5,
+    _DP_E,
     _dp5_dense,
-    _dp5_stages,
     _fill_stages,
+    _rk4_solve,
     _stages,
     detect_period,
     drift_report,
     integrate,
     reparametrize,
-    rk45_step,
     solve_adaptive_rk45,
-    solve_fixed_rk4,
     state_field,
     write_csv,
 )
@@ -54,7 +58,7 @@ class TestSteppers:
     def test_linear_system_exponential_oracle(self):
         mat = np.array([[0.0, 1.0], [-4.0, -0.4]])
 
-        def f(t, y):
+        def f(y):
             return mat @ y
 
         y0 = np.array([1.0, 0.0])
@@ -65,7 +69,7 @@ class TestSteppers:
 
         errs = []
         for step in (0.02, 0.01):
-            ys = solve_fixed_rk4(f, y0, t_grid, step)
+            ys, _ = _rk4_solve(f, y0, t_grid, step, None, 10**8)
             errs.append(np.linalg.norm(ys[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0  # fourth-order convergence on halving
@@ -98,9 +102,11 @@ class TestSteppers:
     def test_subnormal_rk4_step_stops_at_max_steps(self):
         # (b - a) / step overflows to inf; the substep count must not crash
         # its conversion to int
+        _, _, field, _ = make_free_case()
+        state0 = canonical_state([1.0, 0.0], [0.0, 0.6, 0.8])
+        cfg = IntegratorConfig(method="rk4", step=5e-324, max_steps=10)
         with pytest.raises(IntegrationError, match="max_steps") as err:
-            solve_fixed_rk4(lambda t, y: -y, np.array([1.0]), [0.0, 0.1],
-                            5e-324, max_steps=10)
+            integrate(field, state0, (0.0, 0.1), cfg, output_dt=0.1)
         assert err.value.attempts == 11
 
     def test_max_steps_exceeded(self):
@@ -115,8 +121,8 @@ class TestSteppers:
     def test_step_underflow_reports_last_valid_time(self):
         # a field turning non-finite forces endless rejections; the stepper
         # must shrink to underflow and report where it stopped
-        def f(t, y):
-            if t > 0.5:
+        def f(y):
+            if y[0] > 0.5:  # y = t along y' = 1
                 return np.array([math.nan])
             return np.array([1.0])
 
@@ -131,7 +137,6 @@ class TestSteppers:
 
 # Dormand-Prince 5(4), one stage at a time, as a reference for the
 # stage-matrix stepper
-_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _REF_A = [
     [],
     [1 / 5],
@@ -146,14 +151,21 @@ _REF_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
            187 / 2100, 1 / 40]
 
 
-def reference_dp5_step(f, t, y, h):
-    k = [f(t, y)]
+def reference_dp5_step(f, y, h):
+    k = [f(y)]
     for s in range(1, 7):
         ys = y + h * sum(a * ks for a, ks in zip(_REF_A[s], k))
-        k.append(f(t + _REF_C[s] * h, ys))
+        k.append(f(ys))
     y5 = y + h * sum(b * ks for b, ks in zip(_REF_B5, k))
     y4 = y + h * sum(b * ks for b, ks in zip(_REF_B4, k))
     return y5, y5 - y4
+
+
+def dp5_step(f, y, h):
+    """One Dormand-Prince 5(4) step of the stage-matrix stepper: ``K``, the
+    5th-order solution and its error estimate."""
+    K, y5 = _stages(_DP5, f, y, h, f(y))
+    return K, y5, h * (_DP_E @ K)
 
 
 class TestRk45Step:
@@ -162,13 +174,13 @@ class TestRk45Step:
         self.mat = rng.normal(size=(6, 6)) / np.sqrt(6.0)
         self.y0 = rng.normal(size=6)
 
-    def f(self, t, y):
-        return self.mat @ y + np.sin(t)
+    def f(self, y):
+        return self.mat @ y + np.sin(y)
 
     def test_matches_per_stage_reference(self):
         for h in (0.3, 0.05, 1e-3):
-            y5, err = rk45_step(self.f, 0.7, self.y0, h)
-            y5_ref, err_ref = reference_dp5_step(self.f, 0.7, self.y0, h)
+            _, y5, err = dp5_step(self.f, self.y0, h)
+            y5_ref, err_ref = reference_dp5_step(self.f, self.y0, h)
             assert np.max(np.abs(y5 - y5_ref)) <= 1e-15 * np.max(np.abs(y5_ref))
             assert np.max(np.abs(err - err_ref)) <= 1e-15 * np.max(np.abs(y5_ref))
 
@@ -177,13 +189,13 @@ class TestRk45Step:
 
         mat = self.mat
 
-        def f(t, y):
+        def f(y):
             return mat @ y
 
         hs = [0.2, 0.1, 0.05]
         est, local = [], []
         for h in hs:
-            y5, err = rk45_step(f, 0.0, self.y0, h)
+            _, y5, err = dp5_step(f, self.y0, h)
             est.append(np.linalg.norm(err))
             local.append(np.linalg.norm(y5 - expm(h * mat) @ self.y0))
         for i in range(len(hs) - 1):
@@ -196,12 +208,12 @@ class TestDenseOutput:
     lam = np.array([-0.8, 1.3])
     y0 = np.array([1.0, 0.5])
 
-    def f(self, t, y):
+    def f(self, y):
         return self.lam * y
 
     def test_interpolant_matches_step_endpoints(self):
         for h in (0.4, 0.05):
-            K, y5 = _dp5_stages(self.f, 0.0, self.y0, h, self.f(0.0, self.y0))
+            K, y5, _ = dp5_step(self.f, self.y0, h)
             ends = _dp5_dense(self.y0, h, K, np.array([0.0, 1.0]))
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y5)) <= 1e-15 * np.max(np.abs(y5))
@@ -210,17 +222,17 @@ class TestDenseOutput:
         errs = []
         hs = [0.1, 0.05, 0.025]
         for h in hs:
-            K, _ = _dp5_stages(self.f, 0.0, self.y0, h, self.f(0.0, self.y0))
+            K, _, _ = dp5_step(self.f, self.y0, h)
             mid = _dp5_dense(self.y0, h, K, np.array([0.5]))[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
 
 
-def dop853_step(f, t, y, h):
+def dop853_step(f, y, h):
     """All 16 stages of one DOP853 step and its 8th-order solution."""
-    K, y_new = _stages(_DOP853, f, t, y, h, f(t, y))
-    _fill_stages(_DOP853, f, t, y, h, K, 13, 16)
+    K, y_new = _stages(_DOP853, f, y, h, f(y))
+    _fill_stages(_DOP853, f, y, h, K, 13, 16)
     return K, y_new
 
 
@@ -234,12 +246,13 @@ class TestDop853:
             assert ours.shape == theirs.shape
             assert np.array_equal(bits(ours), bits(theirs)), name
             assert not ours.flags.writeable
-        # the stepper uses that data: B is row 12 of A, evaluated at c = 1
+        # the stepper uses that data: B is row 12 of A, the stage at the new
+        # point (c = 1)
         assert len(_DOP853.rows) == 16 and _DOP853.stages == 12
         for row, ref_row in zip(_DOP853.rows, _dop853.A):
             assert np.array_equal(bits(row), bits(ref_row[: row.size]))
         assert np.array_equal(bits(_DOP853.rows[12]), bits(_dop853.B))
-        assert _DOP853.c == tuple(_dop853.C) and _DOP853.c[12] == 1.0
+        assert _dop853.C[12] == 1.0
 
     def test_local_error_is_ninth_order(self):
         from scipy.linalg import expm
@@ -248,13 +261,13 @@ class TestDop853:
         mat = rng.normal(size=(6, 6)) / np.sqrt(6.0)
         y0 = rng.normal(size=6)
 
-        def f(t, y):
+        def f(y):
             return mat @ y
 
         hs = [1.0, 0.5, 0.25]
         local = []
         for h in hs:
-            _, y_new = dop853_step(f, 0.0, y0, h)
+            _, y_new = dop853_step(f, y0, h)
             local.append(np.linalg.norm(y_new - expm(h * mat) @ y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(local[i] / local[i + 1]) - 9.0) <= 0.3
@@ -262,12 +275,12 @@ class TestDop853:
     lam = np.array([-0.8, 1.3])
     y0 = np.array([1.0, 0.5])
 
-    def f(self, t, y):
+    def f(self, y):
         return self.lam * y
 
     def test_interpolant_matches_step_endpoints(self):
         for h in (1.0, 0.4, 0.05):
-            K, y_new = dop853_step(self.f, 0.0, self.y0, h)
+            K, y_new = dop853_step(self.f, self.y0, h)
             ends = _DOP853.dense(self.y0, h, K, np.array([0.0, 1.0]))
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y_new)) <= 1e-15 * np.max(np.abs(y_new))
@@ -276,7 +289,7 @@ class TestDop853:
         errs = []
         hs = [1.0, 0.5, 0.25]
         for h in hs:
-            K, _ = dop853_step(self.f, 0.0, self.y0, h)
+            K, _ = dop853_step(self.f, self.y0, h)
             mid = _DOP853.dense(self.y0, h, K, np.array([0.5]))[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
@@ -347,7 +360,7 @@ class TestFreeRunningSteps:
     @pytest.mark.parametrize("npts", [3, 2001])
     def test_every_grid_time_sampled(self, npts):
         # harmonic oscillator: grids coarser and finer than the ~0.1 steps
-        def f(t, y):
+        def f(y):
             return np.array([y[1], -y[0]])
 
         t_grid = np.linspace(0.0, 20.0, npts)
@@ -404,9 +417,9 @@ class TestTrajectory:
     def test_invariants(self):
         s = canonical_state([1.0, 0.0], [0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="increasing"):
-            Trajectory(times=[0.0, 0.0], states=[s, s])
+            states_trajectory([0.0, 0.0], [s, s])
         with pytest.raises(ValueError, match="lengths"):
-            Trajectory(times=[0.0, 1.0], states=[s])
+            states_trajectory([0.0, 1.0], [s])
 
 
 class TestConstraintPreservation:
@@ -437,7 +450,7 @@ class TestReparametrize:
             canonical_state([v, 0.0], [0.0, 0.0, 1.0]) for v in phi_vals
         ]
         times = dt * np.arange(len(phi_vals))
-        return Trajectory(times=times, states=states, aux={})
+        return states_trajectory(times, states, aux={})
 
     @staticmethod
     def _phi(state):
@@ -483,7 +496,7 @@ class TestDetectPeriod:
             canonical_state([math.sin(omega * t + phase), 0.0], [0.0, 0.0, 1.0])
             for t in times
         ]
-        return Trajectory(times=times, states=states, aux={})
+        return states_trajectory(times, states, aux={})
 
     def test_sine_period(self):
         omega = 1.3
@@ -591,6 +604,6 @@ class TestCsv:
 
     def test_missing_diagnostics_rejected(self, tmp_path):
         s = canonical_state([1.0, 0.0], [0.0, 0.0, 1.0])
-        traj = Trajectory(times=[0.0, 1.0], states=[s, s], aux={})
+        traj = states_trajectory([0.0, 1.0], [s, s], aux={})
         with pytest.raises(ValueError, match="diagnostics"):
             write_csv(traj, tmp_path / "x.csv")

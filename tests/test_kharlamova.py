@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_canonical_state
+from conftest import canonical_state, random_canonical_state, states_trajectory
 from suslov.integrate import (
     IntegratorConfig,
     detect_period,
@@ -40,7 +40,7 @@ def integrate_coords(coords0, inertia, b, t_grid, rtol=1e-12, atol=1e-14):
     """Propagate the transformed system directly (low-level packing)."""
     m = coords0.omega.size
 
-    def f(t, y):
+    def f(y):
         d = reduced_field(KharlamovaCoords(y[:m], y[m:]), inertia, b)
         return np.concatenate([d.omega, d.gamma])
 
@@ -457,8 +457,6 @@ class TestPeriod:
         assert period(poly, interval) == math.inf
 
         # and the trajectory never returns: no period over a long horizon
-        from suslov.integrate import Trajectory, detect_period
-
         t_typical = 6.0  # scale of nearby periodic orbits for these params
         t_grid = np.linspace(0.0, 10.0 * t_typical, 4001)
         # the orbit runs into a saddle, so errors grow along its unstable
@@ -471,5 +469,8 @@ class TestPeriod:
         assert np.all(w1 <= interval[1] + 1e-6)
         # it collapses onto the limiting value instead of oscillating
         assert np.max(w1[len(w1) // 2 :]) < 1e-4
-        traj = Trajectory(times=t_grid, states=list(w1), aux={})
-        assert detect_period(traj, lambda w: w) is None
+        # w_1 as the Omega_1_3 entry of body states, the observable that
+        # detect_period reads on a trajectory
+        states = [canonical_state([w, 0.0], [0.0, 0.0, 1.0]) for w in w1]
+        traj = states_trajectory(t_grid, states)
+        assert detect_period(traj, lambda s: s.omega.mat[0, 2]) is None

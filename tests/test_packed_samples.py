@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, canonical_state, state_with_sizable_integrals
+from conftest import bits, state_with_sizable_integrals
 from suslov.algebra import layout, pack, unpack
 from suslov.cases import build_field, first_integrals
 from suslov.clebsch import angle_coords, integrals_f, packed_integrals_f
@@ -33,7 +33,6 @@ from suslov.model import (
     ZeroPotential,
     energies,
     energy,
-    pack_state,
 )
 from test_cases import catalog_instances
 
@@ -81,26 +80,9 @@ def test_states_rebuilt_from_ys_match_it_exactly(spec):
     assert not ys.flags.writeable
 
 
-def test_ys_derived_from_states_packs_them():
-    states = [canonical_state([0.1 * i, -0.2], [0.0, 0.6, 0.8]) for i in range(5)]
-    traj = Trajectory(times=np.arange(5.0), states=states)
-    assert traj.n == 3
-    assert np.array_equal(
-        traj.ys, np.array([pack_state(s.omega, s.gamma) for s in states])
-    )
-    assert len(traj.states) == 5
-    assert all(a is b for a, b in zip(traj.states, states))
-    assert not traj.ys.flags.writeable
-
-
-def test_trajectory_needs_exactly_one_sample_form():
-    s = canonical_state([1.0, 0.0], [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="exactly one"):
-        Trajectory(times=[0.0], states=[s], ys=pack_state(s.omega, s.gamma)[None])
-    with pytest.raises(ValueError, match="exactly one"):
-        Trajectory(times=[0.0])
+def test_trajectory_lengths_must_agree():
     with pytest.raises(ValueError, match="lengths"):
-        Trajectory(times=[0.0, 1.0], ys=np.zeros((3, 6)))
+        Trajectory([0.0, 1.0], np.zeros((3, 6)))
 
 
 def test_reversed_reparametrize_keeps_ys_and_states_aligned():
@@ -200,18 +182,6 @@ def test_csv_rows_format_like_str_format(rows):
     expect = "".join(",".join("{:.17g}".format(v) for v in row) + "\n"
                      for row in block)
     assert _csv_rows(block) == expect
-
-
-def test_csv_same_bytes_from_ys_and_from_states(tmp_path):
-    spec = [s for s in catalog_instances() if s.kind.value == "KharlamovaND"][0]
-    traj = case_trajectory(spec, 3)
-    rebuilt = Trajectory(times=traj.times, states=list(traj.states),
-                         aux=traj.aux)
-    write_csv(traj, tmp_path / "ys.csv")
-    write_csv(rebuilt, tmp_path / "states.csv")
-    data = (tmp_path / "ys.csv").read_bytes()
-    assert data == (tmp_path / "states.csv").read_bytes()
-    assert data.count(b"\n") == len(traj) + 1
 
 
 def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
