@@ -313,11 +313,14 @@ def build_field(spec: CaseSpec):
     if axis is not None:
         j, pot, eps = spec.j_diag, spec.potential, spec.gyro_eps
 
-        # packed_to_vector is its own inverse, so it also packs w_dot
+        # packed (X_12, X_13, X_23) <-> vector (-X_23, X_13, -X_12), as in
+        # packed_to_vector, written out on floats both ways
         def field(y, j=j, pot=pot, eps=eps, axis=axis):
-            w = packed_to_vector(y[:3])
-            w_dot, g_dot = vector_field_3d(w, y[3:], j, pot, eps, axis)
-            return np.concatenate((packed_to_vector(w_dot), g_dot))
+            x12, x13, x23 = y[:3].tolist()
+            w_dot, g_dot = vector_field_3d([-x23, x13, -x12], y[3:], j, pot, eps,
+                                           axis)
+            w1, w2, w3 = w_dot.tolist()
+            return np.array([-w3, w2, -w1, *g_dot.tolist()])
 
         return field, ConstraintSet.single_3d(axis)
 

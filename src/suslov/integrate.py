@@ -129,7 +129,8 @@ class Trajectory:
 
     def __init__(self, times, ys, aux=None, stats=None):
         self.times = np.asarray(times, dtype=float)
-        self._ys = np.asarray(ys, dtype=float)
+        # a read-only view: the caller's own float64 array stays writable
+        self._ys = np.asarray(ys, dtype=float).view()
         self._ys.flags.writeable = False
         self.aux = {} if aux is None else aux
         self.stats = stats

@@ -20,6 +20,7 @@ separately and doubles as a cross-check of the general one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +254,7 @@ class DGJPotential(Potential):
         return self.v1(g1, g2 * g2 + g3 * g3) + self.v2(g2, g1 * g1 + g3 * g3)
 
     def gradient(self, gamma):
-        g1, g2, g3 = gamma
+        g1, g2, g3 = np.asarray(gamma, dtype=float).tolist()
         d1x, d1y = self.v1_grad(g1, g2 * g2 + g3 * g3)
         d2x, d2y = self.v2_grad(g2, g1 * g1 + g3 * g3)
         return np.array(
@@ -442,21 +443,55 @@ def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float 
         J w' = Jw x w + G x dV/dG + eps (G x w) + lambda a,   G' = G x w
 
     with lambda chosen so <a, w> stays constant.  ``j_diag`` holds the three
-    principal moments; ``axis`` defaults to e3.
+    principal moments, which must be positive and finite; ``axis`` defaults
+    to e3.  Returns ``(omega_dot, gamma_dot)`` as two arrays.
+
+    The inputs and the potential's gradient are read once as Python floats
+    and the formula is written out per component: at this size numpy's
+    per-call dispatch costs far more than the arithmetic.  Each product and
+    difference is the one ``np.cross`` forms.  The two pairings with ``a``
+    in ``lambda = -<a, J^-1 k> / <a, J^-1 a>`` are summed left to right, in
+    the order of BLAS ``ddot``.  With e3 the zeros make every sum exact, so
+    the result has the bits of the ``np.cross``/``np.dot`` form.  For a
+    custom axis it may differ from that form in the last bit, because
+    ``ddot`` fuses each product into the running sum.
     """
     omega = np.asarray(omega, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     j = np.asarray(j_diag, dtype=float)
-    if omega.shape != (3,) or gamma.shape != (3,) or j.shape != (3,):
-        raise ValueError("vector_field_3d expects 3-vectors")
     a = _E3 if axis is None else np.asarray(axis, dtype=float)
-    gamma_dot = _cross(gamma, omega)
-    k = _cross(j * omega, omega) + _cross(gamma, potential.gradient(gamma))
+    if (omega.shape, gamma.shape, j.shape, a.shape) != ((3,),) * 4:
+        raise ValueError("vector_field_3d expects 3-vectors")
+    j1, j2, j3 = j.tolist()
+    if not (0.0 < j1 < math.inf and 0.0 < j2 < math.inf and 0.0 < j3 < math.inf):
+        raise ValueError(
+            f"principal moments must be positive and finite: {j1!r}, {j2!r}, {j3!r}"
+        )
+    grad = np.asarray(potential.gradient(gamma), dtype=float)
+    if grad.shape != (3,):
+        raise ValueError("vector_field_3d expects 3-vectors")
+    w1, w2, w3 = omega.tolist()
+    g1, g2, g3 = gamma.tolist()
+    d1, d2, d3 = grad.tolist()
+    a1, a2, a3 = a.tolist()
+    gd1 = g2 * w3 - g3 * w2  # G x w
+    gd2 = g3 * w1 - g1 * w3
+    gd3 = g1 * w2 - g2 * w1
+    p1, p2, p3 = j1 * w1, j2 * w2, j3 * w3  # Jw
+    k1 = (p2 * w3 - p3 * w2) + (g2 * d3 - g3 * d2)
+    k2 = (p3 * w1 - p1 * w3) + (g3 * d1 - g1 * d3)
+    k3 = (p1 * w2 - p2 * w1) + (g1 * d2 - g2 * d1)
     if gyro_eps != 0.0:
-        k = k + gyro_eps * gamma_dot
-    lam = -np.dot(a, k / j) / np.dot(a, a / j)
-    omega_dot = (k + lam * a) / j
-    return omega_dot, gamma_dot
+        eps = float(gyro_eps)
+        k1, k2, k3 = k1 + eps * gd1, k2 + eps * gd2, k3 + eps * gd3
+    den = a1 * (a1 / j1) + a2 * (a2 / j2) + a3 * (a3 / j3)
+    if den == 0.0:
+        raise ValueError("vector_field_3d needs a nonzero constraint axis")
+    lam = -(a1 * (k1 / j1) + a2 * (k2 / j2) + a3 * (k3 / j3)) / den
+    omega_dot = np.array(
+        [(k1 + lam * a1) / j1, (k2 + lam * a2) / j2, (k3 + lam * a3) / j3]
+    )
+    return omega_dot, np.array([gd1, gd2, gd3])
 
 
 def lagrange_full_field(state: BodyState, inertia: MassTensor, b_n: float):

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
@@ -510,17 +510,26 @@ _NUMBER_TEXT = st.one_of(
 )
 
 
-def run_with_values(values, t_end=None, step=None):
+def run_with_values(values, t_end=None, step=None, output_tail=""):
     """``suslov simulate`` on a short Kharlamova run (``max_steps`` 2000,
     no measure check) with ``values`` set by ``with_values`` and the given
     ``--t-end``/``--step`` flags; returns the exit status.
+
+    ``run.output_dir`` is ``output_tail`` appended to a directory five
+    levels below a temporary root, which holds a regular file ``f``.  Each
+    ``..`` and its separator take three of a fuzzed tail's at most 12
+    characters, so no tail reaches above the root, and the run writes
+    nowhere else.
 
     Examples whose output grid would exceed 10^4 intervals are skipped:
     ``integrate`` allocates every output row up front."""
     flags = [f"--{name}={value!r}" for name, value
              in (("t-end", t_end), ("step", step)) if value is not None]
     with tempfile.TemporaryDirectory() as tmp:
-        text = kharlamova_cfg(os.path.join(tmp, "out"), t_end=0.5)
+        root = os.path.join(tmp, "out", "1", "2", "3", "4")
+        os.makedirs(root)
+        open(os.path.join(root, "f"), "w").close()
+        text = kharlamova_cfg(root + "/" + output_tail, t_end=0.5)
         text = with_values(text, {"integrator.max_steps": "2000",
                                   "run.analyses": "verify_integrals", **values})
         path = os.path.join(tmp, "fuzz.cfg")
@@ -532,6 +541,8 @@ def run_with_values(values, t_end=None, step=None):
             pass
         else:
             assume(cfg.t_end / cfg.output_dt <= 1e4)
+            resolved = os.path.normpath(cfg.output_dir)
+            assert os.path.commonpath([tmp, resolved]) == tmp
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             status = main(["simulate", path, *flags])
@@ -553,7 +564,7 @@ def run_with_settings(method, rel_tol, abs_tol, step):
 
 
 # every case.*, initial.* and run.* key of the Kharlamova scenario except
-# run.output_dir, which names where the run writes
+# run.output_dir, which names where the run writes (fuzzed on its own)
 _KEYS = st.sampled_from([
     "case.kind", "case.inertia", "case.b", "initial.omega_1_3",
     "initial.omega_2_3", "initial.gamma", "run.t_end", "run.output_dt",
@@ -599,3 +610,12 @@ class TestFuzz:
     def test_any_key_text_and_flags_exit_cleanly(self, key, value, t_end,
                                                  step):
         run_with_values({key: value}, t_end=t_end, step=step)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tail=st.one_of(_LINE, st.text(st.sampled_from("./#~ \\f"),
+                                         max_size=12)))
+    @example(tail="f")  # a file where the directory goes: exit 2
+    @example(tail="f/a")
+    @example(tail="../../../..")
+    def test_any_output_dir_text_exits_cleanly(self, tail):
+        run_with_values({}, output_tail=tail)

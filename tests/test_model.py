@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import canonical_state, random_canonical_state, random_skew, random_unit, state_from_vec3
 from suslov.algebra import ConstraintSet, SkewMatrix, skew_to_vector, vector_to_skew
+from suslov.cli import DGJ_FUNCTIONS
 from suslov.model import (
+    _E3,
     BodyState,
+    Potential,
     _cross,
     CustomPotential,
     DGJPotential,
@@ -296,6 +299,110 @@ class TestCross:
         x, y = np.array(x), np.array(y)
         with np.errstate(all="ignore"):
             assert same_bits(_cross(x, y), np.cross(x, y))
+
+
+def numpy_field_3d(omega, gamma, j, potential, gyro_eps=0.0, axis=None):
+    """Oracle: ``vector_field_3d`` as numpy operations on 3-vectors, with
+    ``np.cross`` and ``np.dot`` (BLAS ``ddot``, which fuses each product into
+    its running sum)."""
+    a = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
+    gamma_dot = np.cross(gamma, omega)
+    k = np.cross(j * omega, omega) + np.cross(gamma, potential.gradient(gamma))
+    if gyro_eps != 0.0:
+        k = k + gyro_eps * gamma_dot
+    lam = -np.dot(a, k / j) / np.dot(a, a / j)
+    return (k + lam * a) / j, gamma_dot
+
+
+def dgj_gradient_on_numpy_scalars(pot, gamma):
+    """Oracle: ``DGJPotential.gradient`` on the numpy scalars of ``gamma``."""
+    g1, g2, g3 = np.asarray(gamma, dtype=float)
+    d1x, d1y = pot.v1_grad(g1, g2 * g2 + g3 * g3)
+    d2x, d2y = pot.v2_grad(g2, g1 * g1 + g3 * g3)
+    return np.array(
+        [d1x + 2.0 * g1 * d2y, 2.0 * g2 * d1y + d2x, 2.0 * g3 * (d1y + d2y)]
+    )
+
+
+# the DGJ3D scenario's potential: the CLI's sin and quadratic fixtures
+_DGJ = DGJPotential(*DGJ_FUNCTIONS["sin"], *DGJ_FUNCTIONS["quadratic"])
+_VEC3 = arrays(np.float64, 3, elements=st.floats(-10.0, 10.0))
+_UNIT3 = arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+).map(lambda v: v / np.linalg.norm(v))
+_MOMENTS = arrays(np.float64, 3, elements=st.floats(0.1, 10.0))
+_COEFFS = arrays(np.float64, 3, elements=st.floats(-5.0, 5.0))
+_POTENTIALS = {
+    "zero": st.just(ZeroPotential()),
+    "linear": _COEFFS.map(LinearPotential),
+    "quadratic": _COEFFS.map(QuadraticPotential),
+    "dgj": st.just(_DGJ),
+}
+
+
+class TestFloatField3d:
+    """``vector_field_3d`` on Python floats against the numpy form.
+
+    With e3 the zeros make both pairings with the axis exact, so every bit
+    agrees.  A custom axis sums three products left to right where ``ddot``
+    fuses them, so ``<a, J^-1 k>`` and ``<a, J^-1 a>`` may each move by about
+    3 eps of the sum of their terms' magnitudes; with ``S = sum |a_m k_m /
+    j_m|`` that moves lambda by at most ``6 eps S / den``, and component i
+    of ``w'`` by at most ``8 eps (|k_i| + |a_i| S / den) / j_i`` once its
+    last two roundings are counted.  ``G'`` never involves the axis.
+    """
+
+    @pytest.mark.parametrize("gyro", [False, True], ids=["eps0", "eps"])
+    @pytest.mark.parametrize("kind", list(_POTENTIALS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_numpy_form(self, kind, gyro, data):
+        w, gamma, j = data.draw(_VEC3), data.draw(_VEC3), data.draw(_MOMENTS)
+        pot = data.draw(_POTENTIALS[kind])
+        eps = data.draw(st.floats(-2.0, 2.0).filter(bool)) if gyro else 0.0
+        for axis in (None, _E3):
+            wd, gd = vector_field_3d(w, gamma, j, pot, eps, axis)
+            wd_o, gd_o = numpy_field_3d(w, gamma, j, pot, eps, axis)
+            assert same_bits(wd, wd_o) and same_bits(gd, gd_o)
+        a = data.draw(_UNIT3)
+        wd, gd = vector_field_3d(w, gamma, j, pot, eps, a)
+        wd_o, gd_o = numpy_field_3d(w, gamma, j, pot, eps, a)
+        assert same_bits(gd, gd_o)
+        k = np.cross(j * w, w) + np.cross(gamma, pot.gradient(gamma)) + eps * gd_o
+        den = np.dot(a, a / j)
+        terms = np.sum(np.abs(a * k / j))
+        bound = 8.0 * np.finfo(float).eps * (np.abs(k) + np.abs(a) * terms / den) / j
+        assert np.all(np.abs(wd - wd_o) <= bound)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gamma=_VEC3)
+    def test_dgj_gradient_keeps_its_bits(self, gamma):
+        old = dgj_gradient_on_numpy_scalars(_DGJ, gamma)
+        assert same_bits(_DGJ.gradient(gamma), old)
+
+    @pytest.mark.parametrize(
+        "j", [[0.0, 2.0, 3.0], [1.0, -2.0, 3.0], [1.0, 2.0, np.nan],
+              [np.inf, 2.0, 3.0]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_invalid_moments_rejected(self, j):
+        with pytest.raises(ValueError, match="positive and finite"):
+            vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], j, ZeroPotential())
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_gradient_of_wrong_length_rejected(self, size):
+        class Flat(Potential):
+            def gradient(self, gamma):
+                return np.zeros(size)
+
+        with pytest.raises(ValueError, match="expects 3-vectors"):
+            vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], [1.0, 2.0, 3.0],
+                            Flat())
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="nonzero constraint axis"):
+            vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], [1.0, 2.0, 3.0],
+                            ZeroPotential(), axis=[0.0, 0.0, 0.0])
 
 
 class TestBodyState:

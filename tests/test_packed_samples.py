@@ -80,6 +80,15 @@ def test_states_rebuilt_from_ys_match_it_exactly(spec):
     assert not ys.flags.writeable
 
 
+def test_trajectory_leaves_the_callers_array_writable():
+    ys = np.zeros((2, 6))
+    traj = Trajectory([0.0, 1.0], ys)
+    ys[0, 0] = 1.0
+    assert traj.ys[0, 0] == 1.0  # a view of the caller's samples, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        traj.ys[0, 0] = 2.0
+
+
 def test_trajectory_lengths_must_agree():
     with pytest.raises(ValueError, match="lengths"):
         Trajectory([0.0, 1.0], np.zeros((3, 6)))
