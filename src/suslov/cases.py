@@ -51,10 +51,13 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
+    _checked_3d,
+    _field_3d,
+    _gradient_3d,
     _reduced_rates,
     energies,
     pack_state,
-    vector_field_3d,
+    vector_field_3d,  # noqa: F401  kept as a public name of this module
     vector_field_reduced,  # noqa: F401  kept as a public name of this module
 )
 
@@ -307,20 +310,24 @@ def build_field(spec: CaseSpec):
     """The equations of motion for a case; returns ``(field, constraints)``
     with ``field(y) -> ydot`` on the packed coordinates of ``integrate``
     (upper triangle of Omega, then Gamma).  Canonical cases leave exact
-    zeros in the so(n-1) block; 3D cases go through the vector form."""
+    zeros in the so(n-1) block; 3D cases go through the vector form, with
+    the checks of :func:`vector_field_3d` made here, once."""
     spec.validate()
     axis = spec.vector_axis
     if axis is not None:
-        j, pot, eps = spec.j_diag, spec.potential, spec.gyro_eps
+        pot, eps = spec.potential, float(spec.gyro_eps)
+        j, a, den = _checked_3d(spec.j_diag, axis)
+        _gradient_3d(pot, _E3)
 
         # packed (X_12, X_13, X_23) <-> vector (-X_23, X_13, -X_12), as in
         # packed_to_vector, written out on floats both ways
-        def field(y, j=j, pot=pot, eps=eps, axis=axis):
-            x12, x13, x23 = y[:3].tolist()
-            w_dot, g_dot = vector_field_3d([-x23, x13, -x12], y[3:], j, pot, eps,
-                                           axis)
-            w1, w2, w3 = w_dot.tolist()
-            return np.array([-w3, w2, -w1, *g_dot.tolist()])
+        def field(y):
+            x12, x13, x23, g1, g2, g3 = y.tolist()
+            (w1, w2, w3), g_dot = _field_3d(
+                (-x23, x13, -x12), (g1, g2, g3), pot.gradient(y[3:]).tolist(),
+                j, a, den, eps,
+            )
+            return np.array([-w3, w2, -w1, *g_dot])
 
         return field, ConstraintSet.single_3d(axis)
 

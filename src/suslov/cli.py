@@ -468,12 +468,10 @@ def _analysis_measure_check(report, config, traj):
         )
     else:
         f, dim = packed_reduced_field(spec.inertia, spec.potential)
-    divs = []
-    for _ in range(100):
-        x = rng.normal(size=dim)
+    xs = rng.normal(size=(100, dim))  # the draws of 100 points in turn
+    for x in xs:
         x[dim - spec.n :] /= np.linalg.norm(x[dim - spec.n :])
-        divs.append(divergence_fd(f, x, 1e-5))
-    max_div = float(np.max(np.abs(divs)))
+    max_div = float(np.max(np.abs(divergence_fd(f, xs, 1e-5))))
     report.section("measure")
     report.put("samples", 100)
     report.put("max_abs_divergence", max_div)

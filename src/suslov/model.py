@@ -190,8 +190,9 @@ class BodyState:
 class Potential:
     """Interface: a potential on the sphere with value and gradient.
 
-    ``value`` also takes a block ``(..., n)`` of Poisson vectors and returns
-    the values over its leading axes, each with the bits of the row alone.
+    ``value`` and ``gradient`` also take a block ``(..., n)`` of Poisson
+    vectors and return the values over its leading axes, and the gradients
+    as a block of the same shape, each row with the bits of the row alone.
     """
 
     def value(self, gamma) -> float:
@@ -206,7 +207,7 @@ class ZeroPotential(Potential):
         return 0.0
 
     def gradient(self, gamma):
-        return np.zeros(len(gamma))
+        return np.zeros(np.shape(gamma))
 
 
 class LinearPotential(Potential):
@@ -219,6 +220,8 @@ class LinearPotential(Potential):
         return np.vecdot(self.b, gamma)
 
     def gradient(self, gamma):
+        if np.ndim(gamma) > 1:
+            return np.broadcast_to(self.b, np.shape(gamma)).copy()
         return self.b.copy()
 
 
@@ -254,16 +257,15 @@ class DGJPotential(Potential):
         return self.v1(g1, g2 * g2 + g3 * g3) + self.v2(g2, g1 * g1 + g3 * g3)
 
     def gradient(self, gamma):
-        g1, g2, g3 = np.asarray(gamma, dtype=float).tolist()
+        gamma = np.asarray(gamma, dtype=float)
+        block = gamma.ndim > 1
+        # a block's columns, or a point's Python floats, which cost no numpy
+        # dispatch per operation; the same formula on either
+        g1, g2, g3 = np.moveaxis(gamma, -1, 0) if block else gamma.tolist()
         d1x, d1y = self.v1_grad(g1, g2 * g2 + g3 * g3)
         d2x, d2y = self.v2_grad(g2, g1 * g1 + g3 * g3)
-        return np.array(
-            [
-                d1x + 2.0 * g1 * d2y,
-                2.0 * g2 * d1y + d2x,
-                2.0 * g3 * (d1y + d2y),
-            ]
-        )
+        grad = (d1x + 2.0 * g1 * d2y, 2.0 * g2 * d1y + d2x, 2.0 * g3 * (d1y + d2y))
+        return np.stack(grad, axis=-1) if block else np.array(grad)
 
 
 class CustomPotential(Potential):
@@ -283,7 +285,11 @@ class CustomPotential(Potential):
         return float(self.fn(gamma)[0])
 
     def gradient(self, gamma):
-        return np.asarray(self.fn(np.asarray(gamma, dtype=float))[1], dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.ndim > 1:  # the callable takes one vector: loop over rows
+            rows = gamma.reshape(-1, gamma.shape[-1])
+            return np.array([self.gradient(g) for g in rows]).reshape(gamma.shape)
+        return np.asarray(self.fn(gamma)[1], dtype=float)
 
 
 def check_gradient(potential: Potential, n: int):
@@ -435,6 +441,64 @@ def _plane_basis(a):
     return u, _cross(a, u)
 
 
+def _checked_3d(j_diag, axis):
+    """The principal moments and the constraint axis of the 3D form as float
+    lists, with ``<a, J^-1 a>``: the checks that do not depend on the state,
+    shared by every caller of :func:`_field_3d`."""
+    j = np.asarray(j_diag, dtype=float)
+    a = np.asarray(axis, dtype=float)
+    if j.shape != (3,) or a.shape != (3,):
+        raise ValueError("vector_field_3d expects 3-vectors")
+    j1, j2, j3 = j = j.tolist()
+    if not (0.0 < j1 < math.inf and 0.0 < j2 < math.inf and 0.0 < j3 < math.inf):
+        raise ValueError(
+            f"principal moments must be positive and finite: {j1!r}, {j2!r}, {j3!r}"
+        )
+    a1, a2, a3 = a = a.tolist()
+    den = a1 * (a1 / j1) + a2 * (a2 / j2) + a3 * (a3 / j3)
+    if den == 0.0:
+        raise ValueError("vector_field_3d needs a nonzero constraint axis")
+    return j, a, den
+
+
+def _gradient_3d(potential: Potential, gamma):
+    """The potential's gradient at one Poisson vector as a list of three
+    floats."""
+    grad = np.asarray(potential.gradient(gamma), dtype=float)
+    if grad.shape != (3,):
+        raise ValueError("vector_field_3d expects 3-vectors")
+    return grad.tolist()
+
+
+def _field_3d(w, g, d, j, a, den, eps):
+    """The one copy of the 3D formula: ``(w', G')`` as two triples from the
+    components of ``w``, ``G`` and ``dV/dG`` (``d``), the moments ``j``, the
+    axis ``a``, ``den = <a, J^-1 a>`` and the gyroscopic ``eps``.
+
+    It is elementwise: the components of ``w``, ``g`` and ``d`` may be Python
+    floats or arrays of one shape, and an array entry gets the bits of the
+    same floats alone.  Each product and difference is the one ``np.cross``
+    forms; the two pairings with ``a`` sum left to right.
+    """
+    w1, w2, w3 = w
+    g1, g2, g3 = g
+    d1, d2, d3 = d
+    j1, j2, j3 = j
+    a1, a2, a3 = a
+    gd1 = g2 * w3 - g3 * w2  # G x w
+    gd2 = g3 * w1 - g1 * w3
+    gd3 = g1 * w2 - g2 * w1
+    p1, p2, p3 = j1 * w1, j2 * w2, j3 * w3  # Jw
+    k1 = (p2 * w3 - p3 * w2) + (g2 * d3 - g3 * d2)
+    k2 = (p3 * w1 - p1 * w3) + (g3 * d1 - g1 * d3)
+    k3 = (p1 * w2 - p2 * w1) + (g1 * d2 - g2 * d1)
+    if eps != 0.0:
+        k1, k2, k3 = k1 + eps * gd1, k2 + eps * gd2, k3 + eps * gd3
+    lam = -(a1 * (k1 / j1) + a2 * (k2 / j2) + a3 * (k3 / j3)) / den
+    w_dot = ((k1 + lam * a1) / j1, (k2 + lam * a2) / j2, (k3 + lam * a3) / j3)
+    return w_dot, (gd1, gd2, gd3)
+
+
 def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float = 0.0,
                     axis=None):
     """Classical 3D form in vector variables (independent of the matrix
@@ -447,51 +511,26 @@ def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float 
     to e3.  Returns ``(omega_dot, gamma_dot)`` as two arrays.
 
     The inputs and the potential's gradient are read once as Python floats
-    and the formula is written out per component: at this size numpy's
-    per-call dispatch costs far more than the arithmetic.  Each product and
-    difference is the one ``np.cross`` forms.  The two pairings with ``a``
-    in ``lambda = -<a, J^-1 k> / <a, J^-1 a>`` are summed left to right, in
-    the order of BLAS ``ddot``.  With e3 the zeros make every sum exact, so
-    the result has the bits of the ``np.cross``/``np.dot`` form.  For a
-    custom axis it may differ from that form in the last bit, because
-    ``ddot`` fuses each product into the running sum.
+    and go through :func:`_field_3d`, which is elementwise, so the packed
+    fields that run it on arrays of points get these bits for each point:
+    at this size numpy's per-call dispatch costs far more than the
+    arithmetic.  Each product and difference is the one ``np.cross`` forms.
+    The two pairings with ``a`` in ``lambda = -<a, J^-1 k> / <a, J^-1 a>``
+    are summed left to right, in the order of BLAS ``ddot``.  With e3 the
+    zeros make every sum exact, so the result has the bits of the
+    ``np.cross``/``np.dot`` form.  For a custom axis it may differ from that
+    form in the last bit, because ``ddot`` fuses each product into the
+    running sum.
     """
     omega = np.asarray(omega, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    j = np.asarray(j_diag, dtype=float)
-    a = _E3 if axis is None else np.asarray(axis, dtype=float)
-    if (omega.shape, gamma.shape, j.shape, a.shape) != ((3,),) * 4:
+    if omega.shape != (3,) or gamma.shape != (3,):
         raise ValueError("vector_field_3d expects 3-vectors")
-    j1, j2, j3 = j.tolist()
-    if not (0.0 < j1 < math.inf and 0.0 < j2 < math.inf and 0.0 < j3 < math.inf):
-        raise ValueError(
-            f"principal moments must be positive and finite: {j1!r}, {j2!r}, {j3!r}"
-        )
-    grad = np.asarray(potential.gradient(gamma), dtype=float)
-    if grad.shape != (3,):
-        raise ValueError("vector_field_3d expects 3-vectors")
-    w1, w2, w3 = omega.tolist()
-    g1, g2, g3 = gamma.tolist()
-    d1, d2, d3 = grad.tolist()
-    a1, a2, a3 = a.tolist()
-    gd1 = g2 * w3 - g3 * w2  # G x w
-    gd2 = g3 * w1 - g1 * w3
-    gd3 = g1 * w2 - g2 * w1
-    p1, p2, p3 = j1 * w1, j2 * w2, j3 * w3  # Jw
-    k1 = (p2 * w3 - p3 * w2) + (g2 * d3 - g3 * d2)
-    k2 = (p3 * w1 - p1 * w3) + (g3 * d1 - g1 * d3)
-    k3 = (p1 * w2 - p2 * w1) + (g1 * d2 - g2 * d1)
-    if gyro_eps != 0.0:
-        eps = float(gyro_eps)
-        k1, k2, k3 = k1 + eps * gd1, k2 + eps * gd2, k3 + eps * gd3
-    den = a1 * (a1 / j1) + a2 * (a2 / j2) + a3 * (a3 / j3)
-    if den == 0.0:
-        raise ValueError("vector_field_3d needs a nonzero constraint axis")
-    lam = -(a1 * (k1 / j1) + a2 * (k2 / j2) + a3 * (k3 / j3)) / den
-    omega_dot = np.array(
-        [(k1 + lam * a1) / j1, (k2 + lam * a2) / j2, (k3 + lam * a3) / j3]
-    )
-    return omega_dot, np.array([gd1, gd2, gd3])
+    j, a, den = _checked_3d(j_diag, _E3 if axis is None else axis)
+    w_dot, g_dot = _field_3d(omega.tolist(), gamma.tolist(),
+                             _gradient_3d(potential, gamma), j, a, den,
+                             float(gyro_eps))
+    return np.array(w_dot), np.array(g_dot)
 
 
 def lagrange_full_field(state: BodyState, inertia: MassTensor, b_n: float):
@@ -541,54 +580,87 @@ def pack_state(omega: SkewMatrix, gamma) -> np.ndarray:
     return np.concatenate((pack(omega), gamma))
 
 
-def divergence_fd(f, x, h_fd: float) -> float:
-    """Central-difference divergence of a packed vector field at x."""
+def divergence_fd(f, x, h_fd: float):
+    """Central-difference divergence of a packed vector field at a point
+    ``x`` of shape ``(dim,)``, or at each row of a block ``(m, dim)``.
+
+    ``f`` takes a block ``(k, dim)`` and is called once, on the ``2 dim``
+    perturbed points of every row.  Each point sums its ``dim`` terms in
+    order from 0.0, so a row of a block gets the bits of the point alone.
+    Returns a float for a point and an array of ``m`` values for a block.
+    """
+    if not 0.0 < h_fd < math.inf:
+        raise ValueError(f"h_fd must be positive and finite: {h_fd!r}")
     x = np.asarray(x, dtype=float)
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must have shape (dim,) or (m, dim), not {x.shape}")
+    dim = x.shape[-1]
+    step = h_fd * np.eye(dim)
+    rows = x[..., None, :]
+    ends = np.concatenate((rows + step, rows - step), axis=-2)  # (..., 2 dim, dim)
+    out = f(ends.reshape(-1, dim)).reshape(ends.shape)
     total = 0.0
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h_fd
-        total += (f(x + e)[i] - f(x - e)[i]) / (2.0 * h_fd)
-    return float(total)
+    for i in range(dim):
+        total = total + (out[..., i, i] - out[..., dim + i, i]) / (2.0 * h_fd)
+    return float(total) if x.ndim == 1 else total
 
 
 def packed_reduced_field(inertia: MassTensor, potential: Potential):
     """Reduced field as a function of the flat coordinates
     ``(Omega_1n..Omega_{n-1,n}, Gamma_1..Gamma_n)`` of the reduced phase
     space; this is the chart in which the standard measure is dOmega dGamma.
+
+    The field takes a point or a block ``(..., 2n - 1)``; a block goes row by
+    row, so that :func:`_reduced_rates`, the integration's hot path, stays a
+    one-point function.
     """
     if inertia.diag is None:
         raise ValueError("reduced chart needs a diagonal mass tensor")
     n = inertia.n
+    dim = 2 * n - 1
     pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
 
     def f(x):
-        out = np.empty(2 * n - 1)
+        if x.ndim > 1:
+            rows = x.reshape(-1, dim)
+            return np.array([f(row) for row in rows]).reshape(x.shape)
+        out = np.empty(dim)
         out[: n - 1] = _reduced_rates(x[: n - 1], x[n - 1 :], pair, potential,
                                       out[n - 1 :])
         return out
 
-    return f, 2 * n - 1
+    return f, dim
 
 
 def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
                           gyro_eps: float = 0.0):
     """3D constrained field in intrinsic coordinates: two coefficients on an
-    orthonormal basis of the admissible plane plus the ambient Gamma."""
-    j = np.asarray(j_diag, dtype=float)
+    orthonormal basis of the admissible plane plus the ambient Gamma.
+
+    The field takes a point or a block ``(..., 5)`` and runs
+    :func:`_field_3d` on its columns, so each row gets the bits of the point
+    alone; the moments, the axis and the gradient are checked here, once.
+    """
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
     u, v = _plane_basis(a)
     pot = potential if potential is not None else ZeroPotential()
+    j, a_list, den = _checked_3d(j_diag, a)
+    _gradient_3d(pot, _E3)
+    eps = float(gyro_eps)
+    u1, u2, u3 = u.tolist()
+    v1, v2, v3 = v.tolist()
 
     def f(x):
-        omega = x[0] * u + x[1] * v
-        gamma = x[2:]
-        omega_dot, gamma_dot = vector_field_3d(omega, gamma, j, pot, gyro_eps, a)
-        return np.concatenate(
-            [[np.dot(omega_dot, u), np.dot(omega_dot, v)], gamma_dot]
+        x = np.asarray(x, dtype=float)
+        x0, x1, gamma = x[..., 0], x[..., 1], x[..., 2:]
+        omega = (x0 * u1 + x1 * v1, x0 * u2 + x1 * v2, x0 * u3 + x1 * v3)
+        grad = pot.gradient(gamma)
+        w_dot, g_dot = _field_3d(
+            omega, (gamma[..., 0], gamma[..., 1], gamma[..., 2]),
+            (grad[..., 0], grad[..., 1], grad[..., 2]), j, a_list, den, eps,
         )
+        w_dot = np.stack(w_dot, axis=-1)
+        return np.stack((np.vecdot(w_dot, u), np.vecdot(w_dot, v), *g_dot), axis=-1)
 
     return f, 5, (u, v)

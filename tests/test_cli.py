@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from suslov import cli
 from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
 
 GAMMA3 = f"0.3 0.2 {float(np.sqrt(1.0 - 0.13))!r}"
@@ -434,6 +435,31 @@ class TestAnalyses:
         assert rep["measure.invariant_measure"] == "no"
         assert float(rep["measure.max_abs_divergence"]) > 1e-3
         assert "no invariant measure" in rep["measure.note"]
+
+    def test_measure_check_evaluates_one_block(self, tmp_path, monkeypatch):
+        # the 100 samples' central differences go to the field as one block;
+        # the divergence is the one the per-point loop gave
+        calls = []
+        packed = cli.packed_suslov3d_field
+
+        def counted(*args, **kwargs):
+            f, dim, basis = packed(*args, **kwargs)
+
+            def field(x):
+                calls.append(np.shape(x))
+                return f(x)
+
+            return field, dim, basis
+
+        monkeypatch.setattr("suslov.cli.packed_suslov3d_field", counted)
+        out = tmp_path / "out"
+        text = with_values(asymptotic_cfg(out, t_end=1.0),
+                           {"run.analyses": "measure_check"})
+        path = write(tmp_path, "a.cfg", text)
+        assert main(["simulate", path]) == 0
+        assert len(calls) <= 2
+        rep = report_dict(out / "report.txt")
+        assert rep["measure.max_abs_divergence"] == "0.59173273676688121"
 
     @pytest.mark.parametrize(
         "cfg, command, analyses, message",

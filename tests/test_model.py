@@ -314,6 +314,27 @@ def numpy_field_3d(omega, gamma, j, potential, gyro_eps=0.0, axis=None):
     return (k + lam * a) / j, gamma_dot
 
 
+def parent_packed_field_3d(x, j, axis, potential, gyro_eps, u, v):
+    """Oracle: ``packed_suslov3d_field``'s field at one point as it was
+    before it took blocks, with ``np.dot`` projections onto ``u`` and ``v``."""
+    omega = x[0] * u + x[1] * v
+    omega_dot, gamma_dot = vector_field_3d(omega, x[2:], j, potential, gyro_eps,
+                                           axis)
+    return np.concatenate([[np.dot(omega_dot, u), np.dot(omega_dot, v)],
+                           gamma_dot])
+
+
+def loop_divergence(f, x, h_fd):
+    """Oracle: ``divergence_fd`` at one point as it was before it took
+    blocks, one pair of field calls per coordinate."""
+    total = 0.0
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h_fd
+        total += (f(x + e)[i] - f(x - e)[i]) / (2.0 * h_fd)
+    return float(total)
+
+
 def dgj_gradient_on_numpy_scalars(pot, gamma):
     """Oracle: ``DGJPotential.gradient`` on the numpy scalars of ``gamma``."""
     g1, g2, g3 = np.asarray(gamma, dtype=float)
@@ -403,6 +424,50 @@ class TestFloatField3d:
         with pytest.raises(ValueError, match="nonzero constraint axis"):
             vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], [1.0, 2.0, 3.0],
                             ZeroPotential(), axis=[0.0, 0.0, 0.0])
+
+
+_CUSTOM = CustomPotential(lambda g: (float(g[0] * g[1] + g[2] ** 3),
+                                     np.array([g[1], g[0], 3.0 * g[2] ** 2])), 3)
+_BLOCK_POTENTIALS = dict(_POTENTIALS, custom=st.just(_CUSTOM))
+
+
+class TestBlocks:
+    """Potentials' gradients and the packed 3D field on blocks of points:
+    each row has the bits of the point alone."""
+
+    @pytest.mark.parametrize("kind", list(_BLOCK_POTENTIALS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_gradient_rows_equal_point_gradients(self, kind, data):
+        pot = data.draw(_BLOCK_POTENTIALS[kind])
+        lead = data.draw(st.sampled_from([(1,), (4,), (2, 3)]))
+        block = data.draw(arrays(np.float64, lead + (3,),
+                                 elements=st.floats(-10.0, 10.0)))
+        grads = pot.gradient(block)
+        assert grads.shape == block.shape
+        for idx in np.ndindex(lead):
+            assert same_bits(grads[idx], pot.gradient(block[idx]))
+
+    @pytest.mark.parametrize("gyro", [False, True], ids=["eps0", "eps"])
+    @pytest.mark.parametrize("axis", ["e3", "custom"])
+    @pytest.mark.parametrize("kind", list(_POTENTIALS))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_packed_3d_block_equals_points(self, kind, axis, gyro, data):
+        pot = data.draw(_POTENTIALS[kind])
+        j = data.draw(_MOMENTS)
+        a = _E3 if axis == "e3" else data.draw(_UNIT3)
+        eps = data.draw(st.floats(-2.0, 2.0).filter(bool)) if gyro else 0.0
+        xs = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), 5),
+                              elements=st.floats(-10.0, 10.0)))
+        f, dim, (u, v) = packed_suslov3d_field(j, a, pot, eps)
+        block = f(xs)
+        assert block.shape == xs.shape
+        for x, row in zip(xs, block):
+            point = f(x)
+            assert same_bits(row, point)
+            assert same_bits(point, parent_packed_field_3d(x, j, a / np.linalg.norm(a),
+                                                           pot, eps, u, v))
 
 
 class TestBodyState:
@@ -513,7 +578,7 @@ class TestDivergence:
         mat = np.array([[0.5, 1.0, 0.0], [0.0, -1.2, 2.0], [3.0, 0.0, 0.7]])
 
         def f(x):
-            return mat @ x
+            return x @ mat.T
 
         d = divergence_fd(f, np.array([0.3, -0.5, 0.9]), 1e-5)
         assert d == pytest.approx(np.trace(mat), abs=1e-8)
@@ -543,3 +608,38 @@ class TestDivergence:
             if abs(divergence_fd(f, x, 1e-5)) > 1e-3:
                 hits += 1
         assert hits >= 18  # generic states show a clearly nonzero divergence
+
+    @pytest.mark.parametrize("chart", ["reduced", "suslov3d", "cubic"])
+    def test_block_equals_points(self, chart):
+        # the chart fields' diagonal terms are mostly exact zeros; the cubic
+        # field's are not, so it pins the order of the sum
+        rng = np.random.default_rng(21)
+        if chart == "reduced":
+            f, dim = packed_reduced_field(MassTensor(diag=[1.0, 2.0, 1.5, 0.7]),
+                                          QuadraticPotential([0.3, -1.0, 2.0, 0.5]))
+        elif chart == "suslov3d":
+            f, dim, _ = packed_suslov3d_field([3.4, 2.4, 3.0], [1.0, 2.0, -0.5],
+                                              _DGJ, 0.7)
+        else:
+            dim, c = 6, rng.normal(size=6)
+
+            def f(x):
+                return c * x * x * x
+        xs = rng.normal(size=(25, dim))
+        divs = divergence_fd(f, xs, 1e-5)
+        assert divs.shape == (25,)
+        for x, d in zip(xs, divs):
+            point = divergence_fd(f, x, 1e-5)
+            assert isinstance(point, float)
+            assert same_bits(d, point) and same_bits(point, loop_divergence(f, x, 1e-5))
+
+    @pytest.mark.parametrize("h_fd", [np.nan, np.inf, -np.inf, 0.0, -1e-5],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_invalid_step_rejected(self, h_fd):
+        with pytest.raises(ValueError, match="h_fd must be positive and finite"):
+            divergence_fd(lambda x: x, np.zeros(3), h_fd)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 3)], ids=["0d", "3d"])
+    def test_point_or_block_only(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(dim,\) or \(m, dim\)"):
+            divergence_fd(lambda x: x, np.zeros(shape), 1e-5)
