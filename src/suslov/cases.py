@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -311,7 +312,10 @@ def build_field(spec: CaseSpec):
     with ``field(y) -> ydot`` on the packed coordinates of ``integrate``
     (upper triangle of Omega, then Gamma).  Canonical cases leave exact
     zeros in the so(n-1) block; 3D cases go through the vector form, with
-    the checks of :func:`vector_field_3d` made here, once."""
+    the checks of :func:`vector_field_3d` made here, once.  Each field runs
+    its model kernel (``_reduced_rates`` or ``_field_3d``) on the point's
+    Python floats: on vectors this short, numpy's per-call dispatch costs
+    more than the arithmetic."""
     spec.validate()
     axis = spec.vector_axis
     if axis is not None:
@@ -332,13 +336,23 @@ def build_field(spec: CaseSpec):
         return field, ConstraintSet.single_3d(axis)
 
     lay, pot = layout(spec.n), spec.potential
-    size, k, slots = lay.k + spec.n, lay.k, lay.column
-    pair = spec.inertia.diag[:-1] + spec.inertia.diag[-1]
+    k, slots = lay.k, lay.column
+    cols = slots.tolist()
+    column = itemgetter(*cols)  # Omega_in from the floats of a packed point
+    # the packed Omega rates from [*col_dot, 0.0]: a column slot takes its
+    # rate, every other slot the trailing zero
+    scatter = itemgetter(*(cols.index(p) if p in cols else spec.n - 1
+                           for p in range(k)))
+    pair = (spec.inertia.diag[:-1] + spec.inertia.diag[-1]).tolist()
 
     def field(y):
-        ydot = np.zeros(size)
-        ydot[slots] = _reduced_rates(y[slots], y[k:], pair, pot, ydot[k:])
-        return ydot
+        vals = y.tolist()
+        col_dot, head_dot = _reduced_rates(
+            column(vals), vals[k:], pot.gradient(y[k:]).tolist(), pair
+        )
+        col_dot.append(0.0)
+        # d/dt G_n stays the BLAS dot of contiguous vectors, as in every field
+        return np.array([*scatter(col_dot), *head_dot, np.dot(y[k:-1], y[slots])])
 
     return field, ConstraintSet.canonical_suslov(spec.n)
 

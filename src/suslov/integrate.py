@@ -33,9 +33,12 @@ the flat vector.
 
 ``|Gamma|`` is analytically conserved by every field in this package, so the
 optional renormalization only removes truncation roundoff; it rescales, it
-never projects, and it is applied to step endpoints and to each step's
-block of interpolated samples alike.  The constraint residual is recorded
-rather than repaired.
+never projects.  The steppers apply it to each step endpoint, in place, so
+the next step starts from the unit sphere; :func:`integrate` applies it to
+all the interpolated samples at once, after the loop.  That pass is
+row-wise, so each sample gets the bits of its own renormalization, and the
+step loop does no numpy work per sample beyond the interpolant.  The
+constraint residual is recorded rather than repaired.
 """
 
 from __future__ import annotations
@@ -203,6 +206,7 @@ _DP_P = np.array(
     ]
 )
 _POWERS = np.arange(1, 5)
+_EPS = np.finfo(float).eps
 
 
 def _rk4_step(f, y, h):
@@ -239,8 +243,10 @@ def _stages(pair, f, y, h, k0):
 
 
 def _dp5_error_norm(K, h, scale):
-    """RMS norm of the scaled 5(4) error estimate ``h (B5 - B4) @ K``."""
-    return float(np.sqrt(np.mean((h * (_DP_E @ K) / scale) ** 2)))
+    """RMS norm of the scaled 5(4) error estimate ``h (B5 - B4) @ K``; the
+    sum is ``np.mean``'s own reduction, so the norm has its bits."""
+    e = h * (_DP_E @ K) / scale
+    return math.sqrt(float(np.add.reduce(e * e)) / e.size)
 
 
 def _dp5_dense(y, h, K, x):
@@ -341,28 +347,34 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
 
 def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
                     max_steps):
+    """Step ``pair`` over ``t_grid``; returns the samples at the grid times
+    and the counters.  ``post_step`` maps each accepted endpoint, in place;
+    the samples are left as the interpolant gives them.  The grid is walked
+    as Python floats, one time at a time."""
     t_grid = np.asarray(t_grid, dtype=float)
+    size = t_grid.size
     y = np.asarray(y0, dtype=float)
-    ys = np.empty((t_grid.size, y.size))
+    ys = np.empty((size, y.size))
     ys[0] = y
-    t, t_end = t_grid[0], t_grid[-1]
+    t, t_end = t_grid.item(0), t_grid.item(-1)
     if h0 is None:
         h0 = (t_end - t) / 100.0
-        if t_grid.size > 1:
-            h0 = min(h0, t_grid[1] - t)
+        if size > 1:
+            h0 = min(h0, t_grid.item(1) - t)
     h = h0
     land = 1e-14 * max(1.0, abs(t_end))
     S = pair.stages
     extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
     k0 = f(y)
     nxt = 1  # first grid index not yet sampled
+    t_next = t_grid.item(1) if size > 1 else math.inf
     accepted = attempts = 0
     h_min, h_max, h_last = math.inf, 0.0, 0.0
     while t < t_end:
         last = t + h >= t_end - land
         if last:
             h = t_end - t
-        if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
+        if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, h, attempts, y)
         K, y_new = _stages(pair, f, y, h, k0)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -374,14 +386,13 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             if extra:
                 _fill_stages(pair, f, y, h, K, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
-            if t_grid[nxt] <= t_new:
-                stop = t_grid.size if last else int(
-                    np.searchsorted(t_grid, t_new, side="right")
-                )
+            if t_next <= t_new:
+                stop = size if last else nxt + 1
+                while stop < size and t_grid.item(stop) <= t_new:
+                    stop += 1
                 ys[nxt:stop] = pair.dense(y, h, K, (t_grid[nxt:stop] - t) / h)
-                if post_step is not None:
-                    ys[nxt:stop] = post_step(ys[nxt:stop])
                 nxt = stop
+                t_next = t_grid.item(stop) if stop < size else math.inf
             accepted += 1
             h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
             t = t_new
@@ -403,7 +414,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
-                        post_step=None, max_steps=10**8):
+                        max_steps=10**8):
     """Dormand-Prince 5(4) with proportional control for an autonomous
     ``y' = f(y)``; returns the points at ``t_grid`` as a ``(len(t_grid),
     d)`` array.  ``y`` is any flat vector, not only a packed body state.
@@ -411,13 +422,9 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
     The tolerance alone sets the steps: only the last one is shortened, to
     end exactly at ``t_grid[-1]``.  Samples inside an accepted step come
     from the pair's free 4th-order interpolant, so a finer grid costs no
-    extra field calls.  ``post_step`` maps each accepted endpoint and each
-    block of samples (an array of rows).  The last stage ``f(y5)`` is
-    reused as the next step's first stage, and after a rejection the
-    first stage is kept, so every attempt costs six calls plus one for the
-    start; with ``post_step`` set, the reused stage is ``f`` at ``y5``
-    before ``post_step``, which for the gamma renormalization differs from
-    it only by roundoff.
+    extra field calls.  The last stage ``f(y5)`` is reused as the next
+    step's first stage, and after a rejection the first stage is kept, so
+    every attempt costs six calls plus one for the start.
 
     ``h0`` is the first trial step; by default the smaller of a hundredth
     of the span and the first grid interval.  ``max_steps`` bounds the
@@ -425,7 +432,7 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
     with the last accepted time, the failing step size and the attempts.
     """
     return _adaptive_solve(
-        _DP5, f, y0, t_grid, rel_tol, abs_tol, h0, post_step, max_steps
+        _DP5, f, y0, t_grid, rel_tol, abs_tol, h0, None, max_steps
     )[0]
 
 
@@ -472,10 +479,12 @@ def integrate(
     if cfg.renormalize_gamma:
 
         def post(y):
-            # one point or a block of rows; zero norms are left alone
-            nrm = _gamma_norm(y, k)[..., None]
-            y = y.copy()
-            y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
+            # a fresh step endpoint, in place; a zero norm is left alone.
+            # np.dot and the vecdot of _gamma_norm run the same BLAS ddot
+            g = y[k:]
+            nrm = math.sqrt(np.dot(g, g))
+            if nrm > 0.0:
+                g /= nrm
             return y
 
     y0 = pack_state(state0.omega, state0.gamma)
@@ -487,6 +496,11 @@ def integrate(
             _PAIRS[cfg.method], field, y0, t_grid, cfg.rel_tol, cfg.abs_tol,
             cfg.step, post, cfg.max_steps,
         )
+        if post is not None:
+            # the interpolated samples, in one row-wise pass: each row gets
+            # the bits of its own renormalization
+            nrm = _gamma_norm(ys[1:], k)[:, None]
+            ys[1:, k:] /= np.where(nrm > 0.0, nrm, 1.0)
 
     aux = {"gamma_norm_err": np.abs(_gamma_norm(ys, k) - 1.0)}
     if inertia is not None and potential is not None:

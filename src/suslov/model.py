@@ -378,13 +378,24 @@ def general_field(inertia: MassTensor, potential: Potential, constraints: Constr
     return field
 
 
-def _reduced_rates(col, gamma, pair, potential, gamma_dot):
-    """The one copy of the reduced equations: returns ``d/dt Omega_in`` from
-    ``col = Omega_in`` and writes ``d/dt Gamma`` into ``gamma_dot``."""
-    grad = potential.gradient(gamma)
-    gamma_dot[:-1] = -gamma[-1] * col
-    gamma_dot[-1] = np.dot(gamma[:-1], col)
-    return (grad[:-1] * gamma[-1] - gamma[:-1] * grad[-1]) / pair
+def _reduced_rates(col, g, d, pair):
+    """The one copy of the reduced equations: ``(d/dt Omega_in, d/dt
+    Gamma_i)`` for ``i < n`` as two lists, from the column ``col =
+    Omega_in``, ``g = Gamma`` and ``d = dV/dGamma``, and ``pair = I_i +
+    I_n``.  ``d/dt Gamma_n = <Gamma_head, col>`` is left to the caller, as
+    a BLAS dot.
+
+    It is elementwise: the entries of ``col``, ``g``, ``d`` may be Python
+    floats or arrays of one shape (a block's columns), and an array entry
+    gets the bits of the same floats alone.  The products, differences and
+    quotients are the ones the array formula forms.  The dot stays BLAS
+    (``np.dot`` on a point, ``np.vecdot`` on a block, which agree): ``ddot``
+    fuses each product into its running sum, so a sum written out here
+    would change the last bit of ``d/dt Gamma_n``.
+    """
+    gn, dn = g[-1], d[-1]
+    col_dot = [(di * gn - gi * dn) / p for di, gi, p in zip(d, g, pair)]
+    return col_dot, [-gn * c for c in col]
 
 
 def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Potential):
@@ -401,14 +412,16 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         raise ValueError("reduced field needs a diagonal mass tensor; "
                          "use vector_field_general instead")
     n = state.n
-    gamma_dot = np.empty(n)
+    gamma = state.gamma
     # a contiguous column, so that the dot product for d/dt G_n sums in the
     # same order as in the packed fields (BLAS splits strided sums)
-    col_dot = _reduced_rates(
-        np.ascontiguousarray(state.omega.mat[: n - 1, n - 1]), state.gamma,
-        inertia.diag[: n - 1] + inertia.diag[n - 1], potential, gamma_dot,
+    col = np.ascontiguousarray(state.omega.mat[: n - 1, n - 1])
+    col_dot, head_dot = _reduced_rates(
+        col.tolist(), gamma.tolist(), potential.gradient(gamma).tolist(),
+        (inertia.diag[: n - 1] + inertia.diag[n - 1]).tolist(),
     )
-    return from_column(col_dot), gamma_dot
+    head_dot.append(np.dot(gamma[:-1], col))
+    return from_column(col_dot), np.array(head_dot)
 
 
 _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis
@@ -456,8 +469,8 @@ def _checked_3d(j_diag, axis):
         )
     a1, a2, a3 = a = a.tolist()
     den = a1 * (a1 / j1) + a2 * (a2 / j2) + a3 * (a3 / j3)
-    if den == 0.0:
-        raise ValueError("vector_field_3d needs a nonzero constraint axis")
+    if not 0.0 < den < math.inf:  # a zero, NaN or infinite axis
+        raise ValueError("vector_field_3d needs a finite, nonzero constraint axis")
     return j, a, den
 
 
@@ -610,26 +623,29 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
     ``(Omega_1n..Omega_{n-1,n}, Gamma_1..Gamma_n)`` of the reduced phase
     space; this is the chart in which the standard measure is dOmega dGamma.
 
-    The field takes a point or a block ``(..., 2n - 1)``; a block goes row by
-    row, so that :func:`_reduced_rates`, the integration's hot path, stays a
-    one-point function.
+    The field takes a point or a block ``(..., 2n - 1)`` and runs
+    :func:`_reduced_rates` on its columns, so each row gets the bits of the
+    point alone.
     """
     if inertia.diag is None:
         raise ValueError("reduced chart needs a diagonal mass tensor")
     n = inertia.n
-    dim = 2 * n - 1
-    pair = inertia.diag[: n - 1] + inertia.diag[n - 1]
+    pair = (inertia.diag[: n - 1] + inertia.diag[n - 1]).tolist()
 
     def f(x):
-        if x.ndim > 1:
-            rows = x.reshape(-1, dim)
-            return np.array([f(row) for row in rows]).reshape(x.shape)
-        out = np.empty(dim)
-        out[: n - 1] = _reduced_rates(x[: n - 1], x[n - 1 :], pair, potential,
-                                      out[n - 1 :])
-        return out
+        x = np.asarray(x, dtype=float)
+        col, gamma = x[..., : n - 1], x[..., n - 1 :]
+        grad = potential.gradient(gamma)
+        col_dot, head_dot = _reduced_rates(
+            [col[..., i] for i in range(n - 1)],
+            [gamma[..., i] for i in range(n)],
+            [grad[..., i] for i in range(n)], pair,
+        )
+        return np.stack(
+            (*col_dot, *head_dot, np.vecdot(gamma[..., :-1], col)), axis=-1
+        )
 
-    return f, dim
+    return f, 2 * n - 1
 
 
 def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
@@ -642,10 +658,13 @@ def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
     alone; the moments, the axis and the gradient are checked here, once.
     """
     a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    u, v = _plane_basis(a)
+    norm = np.linalg.norm(a)
+    if not 0.0 < norm < math.inf:  # checked before it divides
+        raise ValueError("vector_field_3d needs a finite, nonzero constraint axis")
+    a = a / norm
     pot = potential if potential is not None else ZeroPotential()
     j, a_list, den = _checked_3d(j_diag, a)
+    u, v = _plane_basis(a)
     _gradient_3d(pot, _E3)
     eps = float(gyro_eps)
     u1, u2, u3 = u.tolist()

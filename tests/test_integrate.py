@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from conftest import (
 from suslov import _dop853
 from suslov.algebra import ConstraintSet, layout
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
+from suslov.cli import load_config
 from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
+    IntegratorStats,
     _DOP853,
     _DP5,
     _DP_E,
+    _PAIRS,
     _dp5_dense,
     _fill_stages,
     _rk4_solve,
@@ -35,7 +40,11 @@ from suslov.model import (
     LinearPotential,
     MassTensor,
     ZeroPotential,
+    energies,
+    pack_state,
 )
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_free_case(n=3):
@@ -369,6 +378,96 @@ class TestFreeRunningSteps:
         assert np.all(np.isfinite(ys))
         exact = np.stack([np.cos(t_grid), -np.sin(t_grid)], axis=1)
         assert np.max(np.abs(ys - exact)) <= 1e-8
+
+
+def reference_adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, k):
+    """Oracle: the adaptive loop with the gamma renormalization as it was
+    written per step: the grid searched with ``np.searchsorted`` on numpy
+    scalars, each step's block of samples renormalized on a copy as soon as
+    it is interpolated, and the DP5 norm through ``np.mean``."""
+
+    def post(y):
+        nrm = np.sqrt(np.vecdot(y[..., k:], y[..., k:]))[..., None]
+        y = y.copy()
+        y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
+        return y
+
+    def error_norm(K, h, scale):
+        if pair is _DP5:
+            return float(np.sqrt(np.mean((h * (_DP_E @ K) / scale) ** 2)))
+        return pair.error_norm(K, h, scale)
+
+    ys = np.empty((t_grid.size, y0.size))
+    ys[0] = y = y0
+    t, t_end = t_grid[0], t_grid[-1]
+    h = h0
+    land = 1e-14 * max(1.0, abs(t_end))
+    S = pair.stages
+    extra = len(pair.rows) - S - 1
+    k0 = f(y)
+    nxt = 1
+    accepted = attempts = 0
+    h_min, h_max, h_last = math.inf, 0.0, 0.0
+    while t < t_end:
+        last = t + h >= t_end - land
+        if last:
+            h = t_end - t
+        K, y_new = _stages(pair, f, y, h, k0)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = error_norm(K, h, scale)
+        attempts += 1
+        if err_norm <= 1.0:
+            if extra:
+                _fill_stages(pair, f, y, h, K, S + 1, S + 1 + extra)
+            t_new = t_end if last else t + h
+            if t_grid[nxt] <= t_new:
+                stop = t_grid.size if last else int(
+                    np.searchsorted(t_grid, t_new, side="right"))
+                ys[nxt:stop] = post(pair.dense(y, h, K, (t_grid[nxt:stop] - t) / h))
+                nxt = stop
+            accepted += 1
+            h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
+            t, y, k0 = t_new, post(y_new), K[S]
+        factor = 5.0 if err_norm == 0.0 else min(
+            5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
+        h = h * factor
+    stats = IntegratorStats(accepted, attempts - accepted,
+                            S * attempts + extra * accepted + 1,
+                            float(h_min), float(h_max), float(h_last))
+    return ys, stats
+
+
+class TestStepLoopBits:
+    """``integrate`` renormalizes each step endpoint in place and all the
+    interpolated samples in one pass after the loop, and walks the grid on
+    Python floats; every sample, diagnostic and counter keeps the bits of
+    the per-step reference loop."""
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    @pytest.mark.parametrize("scenario", ["kharlamova_verify_n4", "suslov_asymptotic_3d"])
+    def test_matches_per_step_reference(self, scenario, method):
+        config = load_config(SCENARIO_DIR / f"{scenario}.cfg", {"t_end": 20.0})
+        cfg = dataclasses.replace(config.integrator, method=method)
+        spec, state0 = config.case_spec, config.initial_state
+        field, constraints = build_field(spec)
+        traj = integrate(field, state0, (0.0, config.t_end), cfg,
+                         output_dt=config.output_dt, inertia=spec.inertia,
+                         potential=spec.potential, constraints=constraints)
+        k = layout(spec.n).k
+        ys, stats = reference_adaptive_solve(
+            _PAIRS[method], field, pack_state(state0.omega, state0.gamma),
+            traj.times, cfg.rel_tol, cfg.abs_tol, cfg.step, k,
+        )
+        assert stats == traj.stats
+        assert stats.accepted > 50 and len(traj) > 50
+        assert np.array_equal(bits(traj.ys), bits(ys))
+        aux = traj.aux
+        gamma_norm = np.sqrt(np.vecdot(ys[:, k:], ys[:, k:]))
+        assert np.array_equal(bits(aux["gamma_norm_err"]), bits(np.abs(gamma_norm - 1.0)))
+        assert np.array_equal(bits(aux["energy"]),
+                              bits(energies(ys, spec.inertia, spec.potential)))
+        residual = np.max(np.abs(ys[:, :k] @ constraints.rows.T), axis=1)
+        assert np.array_equal(bits(aux["constraint_residual"]), bits(residual))
 
 
 class TestIntegratorConfig:

@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import canonical_state, random_canonical_state, random_skew, random_unit, state_from_vec3
-from suslov.algebra import ConstraintSet, SkewMatrix, skew_to_vector, vector_to_skew
+from suslov.algebra import ConstraintSet, SkewMatrix, layout, skew_to_vector, vector_to_skew
+from suslov.cases import CaseKind, CaseSpec, build_field
 from suslov.cli import DGJ_FUNCTIONS
 from suslov.model import (
     _E3,
     BodyState,
     Potential,
     _cross,
+    _reduced_rates,
     CustomPotential,
     DGJPotential,
     LinearPotential,
@@ -425,6 +427,19 @@ class TestFloatField3d:
             vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], [1.0, 2.0, 3.0],
                             ZeroPotential(), axis=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "axis", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0],
+                 [0.0, -np.inf, 1.0]],
+        ids=["zero", "nan", "inf", "-inf"],
+    )
+    def test_invalid_axis_rejected_before_use(self, axis):
+        with pytest.raises(ValueError, match="finite, nonzero constraint axis"):
+            vector_field_3d([0.1, 0.2, 0.0], [0.0, 0.6, 0.8], [1.0, 2.0, 3.0],
+                            ZeroPotential(), axis=axis)
+        with np.errstate(all="raise"):  # rejected before it divides
+            with pytest.raises(ValueError, match="finite, nonzero constraint axis"):
+                packed_suslov3d_field([1.0, 2.0, 3.0], axis)
+
 
 _CUSTOM = CustomPotential(lambda g: (float(g[0] * g[1] + g[2] ** 3),
                                      np.array([g[1], g[0], 3.0 * g[2] ** 2])), 3)
@@ -468,6 +483,86 @@ class TestBlocks:
             assert same_bits(row, point)
             assert same_bits(point, parent_packed_field_3d(x, j, a / np.linalg.norm(a),
                                                            pot, eps, u, v))
+
+
+def numpy_reduced_rates(col, gamma, pair, potential):
+    """Oracle: the reduced equations as array operations on one point,
+    ``(d/dt Omega_in, d/dt Gamma)``, with ``d/dt Gamma_n`` the ``np.dot`` of
+    two contiguous vectors."""
+    grad = potential.gradient(gamma)
+    gamma_dot = np.empty(gamma.size)
+    gamma_dot[:-1] = -gamma[-1] * col
+    gamma_dot[-1] = np.dot(gamma[:-1], col)
+    return (grad[:-1] * gamma[-1] - gamma[:-1] * grad[-1]) / pair, gamma_dot
+
+
+def cubic_potential(n):
+    """A custom potential coupling the first and last Gamma entries:
+    ``V = sum_i c_i G_i^3 + G_1 G_n``."""
+    c = np.linspace(0.5, -1.0, n)
+
+    def fn(g):
+        grad = 3.0 * c * g * g
+        grad[0] += g[-1]
+        grad[-1] += g[0]
+        return float(np.sum(c * g ** 3) + g[0] * g[-1]), grad
+
+    return CustomPotential(fn, n)
+
+
+# potential -> (its draw, the canonical case kind that admits it, if any)
+_REDUCED_POTENTIALS = {
+    "linear": (lambda rng, n: LinearPotential(np.append(rng.normal(size=n - 1), 0.0)),
+               CaseKind.KHARLAMOVA_ND),
+    "quadratic": (lambda rng, n: QuadraticPotential(rng.normal(size=n)),
+                  CaseKind.CLEBSCH_TISSERAND_ND),
+    "zero": (lambda rng, n: ZeroPotential(), CaseKind.SUSLOV_FREE),
+    "custom": (lambda rng, n: cubic_potential(n), None),
+}
+
+
+class TestReducedKernel:
+    """``_reduced_rates`` on Python floats, the integration's canonical
+    field, ``vector_field_reduced`` and the chart field on a block all give
+    the bits of the array formula, at random canonical points."""
+
+    @pytest.mark.parametrize("kind", list(_REDUCED_POTENTIALS))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_caller_has_the_bits_of_the_array_formula(self, n, kind):
+        rng = np.random.default_rng(100 * n + len(kind))
+        inertia = MassTensor(diag=0.5 + 2.0 * rng.random(n))
+        draw, case = _REDUCED_POTENTIALS[kind]
+        pot = draw(rng, n)
+        pair = inertia.diag[:-1] + inertia.diag[-1]
+        # no canonical case takes a custom potential: its integration field
+        # is never built, and the kernel and chart field are checked alone
+        field = None if case is None else build_field(CaseSpec(case, n, inertia, pot))[0]
+        chart, dim = packed_reduced_field(inertia, pot)
+        lay = layout(n)
+        xs = np.empty((1000, dim))
+        xs[:, : n - 1] = rng.normal(size=(1000, n - 1))
+        xs[:, n - 1 :] = [random_unit(rng, n) for _ in range(1000)]
+        block = chart(xs)
+        assert block.shape == xs.shape
+        for x, row in zip(xs, block):
+            col, gamma = x[: n - 1], x[n - 1 :]
+            col_dot, gamma_dot = numpy_reduced_rates(col, gamma, pair, pot)
+            expected = np.concatenate((col_dot, gamma_dot))
+            rates, head = _reduced_rates(col.tolist(), gamma.tolist(),
+                                         pot.gradient(gamma).tolist(), pair.tolist())
+            assert same_bits(rates, col_dot) and same_bits(head, gamma_dot[:-1])
+            assert same_bits(row, expected) and same_bits(chart(x), expected)
+            if field is not None:
+                y = np.zeros(lay.k + n)
+                y[lay.column], y[lay.k :] = col, gamma
+                ydot = field(y)
+                assert same_bits(ydot[lay.column], col_dot)
+                assert same_bits(ydot[lay.k :], gamma_dot)
+                assert not np.any(np.delete(ydot[: lay.k], lay.column))
+            state = canonical_state(col, gamma)
+            om_dot, g_dot = vector_field_reduced(state, inertia, pot)
+            assert same_bits(om_dot.mat[: n - 1, n - 1], col_dot)
+            assert same_bits(g_dot, gamma_dot)
 
 
 class TestBodyState:
