@@ -78,6 +78,21 @@ class SkewMatrix:
         return obj
 
     @classmethod
+    def _wrap_block(cls, mats) -> list:
+        """:meth:`_wrap` of each matrix of a skew block ``(m, n, n)``, as
+        views of it.  The block is made read-only once, and its views
+        inherit that, so no matrix pays a flag write of its own."""
+        mats.flags.writeable = False
+        new, put, n = object.__new__, object.__setattr__, mats.shape[-1]
+        out = []
+        for mat in mats:
+            obj = new(cls)
+            put(obj, "mat", mat)
+            put(obj, "n", n)
+            out.append(obj)
+        return out
+
+    @classmethod
     def zeros(cls, n: int) -> "SkewMatrix":
         return cls._wrap(np.zeros((n, n)))
 

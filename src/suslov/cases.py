@@ -312,30 +312,36 @@ def build_field(spec: CaseSpec):
     with ``field(y) -> ydot`` on the packed coordinates of ``integrate``
     (upper triangle of Omega, then Gamma).  Canonical cases leave exact
     zeros in the so(n-1) block; 3D cases go through the vector form, with
-    the checks of :func:`vector_field_3d` made here, once.  Each field runs
-    its model kernel (``_reduced_rates`` or ``_field_3d``) on the point's
-    Python floats: on vectors this short, numpy's per-call dispatch costs
-    more than the arithmetic."""
+    the checks of :func:`vector_field_3d` made here, once.
+
+    ``integrate``'s adaptive loop hands the field each point as a list of
+    Python floats and gets a list back; an ndarray in gives an ndarray out,
+    with the same bits.  Each field runs its model kernel
+    (``_reduced_rates`` or ``_field_3d``) on the point's floats, with the
+    potential's gradient as floats: on vectors this short, numpy's per-call
+    dispatch costs more than the arithmetic."""
     spec.validate()
     axis = spec.vector_axis
     if axis is not None:
-        pot, eps = spec.potential, float(spec.gyro_eps)
+        gradient, eps = spec.potential._point_gradient, float(spec.gyro_eps)
         j, a, den = _checked_3d(spec.j_diag, axis)
-        _gradient_3d(pot, _E3)
+        _gradient_3d(spec.potential, _E3)
 
         # packed (X_12, X_13, X_23) <-> vector (-X_23, X_13, -X_12), as in
         # packed_to_vector, written out on floats both ways
         def field(y):
-            x12, x13, x23, g1, g2, g3 = y.tolist()
-            (w1, w2, w3), g_dot = _field_3d(
-                (-x23, x13, -x12), (g1, g2, g3), pot.gradient(y[3:]).tolist(),
+            is_list = isinstance(y, list)
+            x12, x13, x23, g1, g2, g3 = y if is_list else y.tolist()
+            (w1, w2, w3), (gd1, gd2, gd3) = _field_3d(
+                (-x23, x13, -x12), (g1, g2, g3), gradient((g1, g2, g3)),
                 j, a, den, eps,
             )
-            return np.array([-w3, w2, -w1, *g_dot])
+            ydot = [-w3, w2, -w1, gd1, gd2, gd3]
+            return ydot if is_list else np.array(ydot)
 
         return field, ConstraintSet.single_3d(axis)
 
-    lay, pot = layout(spec.n), spec.potential
+    lay, gradient = layout(spec.n), spec.potential._point_gradient
     k, slots = lay.k, lay.column
     cols = slots.tolist()
     column = itemgetter(*cols)  # Omega_in from the floats of a packed point
@@ -346,13 +352,14 @@ def build_field(spec: CaseSpec):
     pair = (spec.inertia.diag[:-1] + spec.inertia.diag[-1]).tolist()
 
     def field(y):
-        vals = y.tolist()
-        col_dot, head_dot = _reduced_rates(
-            column(vals), vals[k:], pot.gradient(y[k:]).tolist(), pair
-        )
+        is_list = isinstance(y, list)
+        vals = y if is_list else y.tolist()
+        col, g = column(vals), vals[k:]
+        col_dot, head_dot = _reduced_rates(col, g, gradient(g), pair)
         col_dot.append(0.0)
         # d/dt G_n stays the BLAS dot of contiguous vectors, as in every field
-        return np.array([*scatter(col_dot), *head_dot, np.dot(y[k:-1], y[slots])])
+        ydot = [*scatter(col_dot), *head_dot, np.dot(g[:-1], col)]
+        return ydot if is_list else np.array(ydot)
 
     return field, ConstraintSet.canonical_suslov(spec.n)
 

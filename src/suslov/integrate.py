@@ -5,16 +5,22 @@ pairs with proportional step control, Dormand-Prince 8(5,3) (``dop853``,
 the default) and Dormand-Prince 5(4) (``rk45``).  States are flattened to
 ``(pack(Omega), Gamma)`` in the layout of :mod:`suslov.algebra`.  Every
 system here is autonomous, so a field is ``field(y) -> ydot`` on this flat
-vector, with no time argument, and the steppers carry no stage nodes.
+vector, with no time argument, and the steppers carry no stage nodes.  The
+adaptive loop hands the field ``y`` as a list of Python floats and takes a
+list or an array back; the fields of :func:`suslov.cases.build_field`
+return a list for a list and an array for an array, with the same bits.
+RK4 passes arrays.
 
 Both pairs run through one adaptive loop; a pair supplies only its tableau,
 its error norm, its step-size exponent and its interpolant.  A step stores
-its stage derivatives as the rows of one array ``K``: stage ``s`` is
-evaluated at ``y + h A[s, :s] @ K[:s]`` with the strictly lower-triangular
-tableau ``A``.  The solution weights are a row of ``A``, so the last stage
-is ``f`` at the new point and is reused as the first stage of the next
-step (first same as last): an attempt costs six field calls with DP5 and
-twelve with DOP853.  The error is the RMS norm of the scaled 5(4)
+its stage derivatives as the rows of one array ``K``, refilled by every
+attempt: stage ``s`` is evaluated at ``y + h A[s, :s] @ K[:s]`` with the
+strictly lower-triangular tableau ``A``.  The stage sum is one BLAS
+product, which sets the bits, and ``y + h dv`` is formed on its floats,
+with the bits of the array expression; so is the error scale.  The
+solution weights are a row of ``A``, so the last stage is ``f`` at the new
+point and is reused as the first stage of the next step (first same as
+last): an attempt costs six field calls with DP5 and twelve with DOP853.  The error is the RMS norm of the scaled 5(4)
 estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend of
 its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner (section
 II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
@@ -127,7 +133,8 @@ class Trajectory:
     ``ys`` has shape ``(N, k + n)``: the upper triangle of each Omega, then
     Gamma, as :func:`integrate` returns it; it is read-only.  ``states``
     unpacks the whole block at once, on first access, into a tuple of
-    ``BodyState`` views of it.
+    read-only ``BodyState`` views: each ``omega.mat`` of one unpacked
+    matrix block, each ``gamma`` of ``ys``.
     """
 
     def __init__(self, times, ys, aux=None, stats=None):
@@ -160,10 +167,8 @@ class Trajectory:
         if self._states is None:
             n, ys = self.n, self.ys
             k = layout(n).k
-            mats = unpack_mats(ys[:, :k], n)
-            self._states = tuple(
-                BodyState._wrap(SkewMatrix._wrap(m), g)
-                for m, g in zip(mats, ys[:, k:])
+            self._states = BodyState._wrap_block(
+                SkewMatrix._wrap_block(unpack_mats(ys[:, :k], n)), ys[:, k:]
             )
         return self._states
 
@@ -217,29 +222,46 @@ def _rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _fill_stages(pair, f, y, h, K, start, stop):
-    """Evaluate stages ``start..stop-1`` of ``pair`` into the rows of ``K``;
-    stage ``s`` is ``f`` at ``y + h A[s, :s] @ K[:s]``.  Returns the last
-    stage input."""
-    rows = pair.rows
+def _stage_array(pair, d):
+    """The array ``K`` whose rows hold one step's stage derivatives, for a
+    state of size ``d``, with the terms of each stage sum: ``(A[s, :s],
+    K[:s])`` for stage ``s``, the views made once."""
+    K = np.empty((len(pair.rows), d))
+    return K, tuple((row, K[:s]) for s, row in enumerate(pair.rows))
+
+
+def _fill_stages(f, y, h, K, terms, start, stop):
+    """Evaluate stages ``start..stop-1`` into the rows of ``K``: stage ``s``
+    is ``f`` at ``y + h A[s, :s] @ K[:s]``, with ``y`` the step's start as a
+    list of Python floats and ``terms`` from :func:`_stage_array`.  The
+    stage sum ``dv`` stays one BLAS product, which sets the bits; the
+    update ``y + h dv`` is formed on its floats, with the bits of the array
+    expression, and ``f`` gets it as a list.  Returns the last stage's sum
+    and its input.
+
+    Row ``pair.stages`` of the tableau holds the solution weights, so that
+    stage's input is the new point and its derivative is the next step's
+    first stage; any later rows are the dense-output stages."""
+    dot = np.dot
     for s in range(start, stop):
-        ys = y + h * np.dot(rows[s], K[:s])
+        row, head = terms[s]
+        dv = dot(row, head)
+        ys = []
+        for a, b in zip(y, dv.tolist()):
+            ys.append(a + h * b)
         K[s] = f(ys)
-    return ys
+    return dv, ys
 
 
-def _stages(pair, f, y, h, k0):
-    """Stage derivatives ``K`` of one step of ``pair`` and its solution
-    ``y_new``, given ``k0 = f(y)``.
-
-    Row ``pair.stages`` of the tableau holds the solution weights, so the
-    last stage input is ``y_new`` and ``K[pair.stages] = f(y_new)`` is the
-    next step's first stage.  The rows of ``K`` after it are left for the
-    dense-output stages.
-    """
-    K = np.empty((len(pair.rows), y.size))
-    K[0] = k0
-    return K, _fill_stages(pair, f, y, h, K, 1, pair.stages + 1)
+def _error_scale(y, y_new, abs_tol, rel_tol):
+    """``atol + rtol max(|y|, |y_new|)`` from two lists of floats, as an
+    array with the bits of the ``np.maximum`` expression; a NaN in either
+    operand gives NaN, as ``np.maximum`` does and ``max`` does not."""
+    scale = []
+    for a, b in zip(y, y_new):
+        a, b = abs(a), abs(b)
+        scale.append(abs_tol + rel_tol * (a if a >= b or a != a else b))
+    return np.array(scale)
 
 
 def _dp5_error_norm(K, h, scale):
@@ -249,41 +271,54 @@ def _dp5_error_norm(K, h, scale):
     return math.sqrt(float(np.add.reduce(e * e)) / e.size)
 
 
-def _dp5_dense(y, h, K, x):
-    """States at the step fractions ``x`` of ``[t, t + h]``, from ``y`` at
-    ``t`` and the step's stages ``K``: the free 4th-order interpolant,
-    exact at ``x = 0`` and equal to ``y5`` at ``x = 1`` up to roundoff."""
-    return y + h * ((x[:, None] ** _POWERS) @ (_DP_P.T @ K))
+def _dp5_dense(y, h, K, x, dv):
+    """States at the step fractions ``x`` (a list of floats) of ``[t, t +
+    h]``, from ``y`` at ``t`` and the step's stages ``K``: the free
+    4th-order interpolant, exact at ``x = 0`` and equal to ``y5`` at
+    ``x = 1`` up to roundoff.  The solution's stage sum ``dv`` is not
+    used."""
+    return y + h * ((np.array(x)[:, None] ** _POWERS) @ (_DP_P.T @ K))
 
 
 def _dop853_error_norm(K, h, scale):
     """Blended norm of the 5th- and 3rd-order error estimates,
     ``|h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) d)`` on ``e / scale``; both
-    weight the 12 stages and ``f(t + h, y_new)``, the rows ``K[:13]``."""
-    e5 = (_dop853.E5 @ K[:13]) / scale
-    e3 = (_dop853.E3 @ K[:13]) / scale
-    n5, n3 = float(e5 @ e5), float(e3 @ e3)
+    weight the 12 stages and ``f(t + h, y_new)``, the rows ``K[:13]``.
+    ``np.dot`` runs the BLAS kernels of ``@`` here, with its bits, at less
+    dispatch cost."""
+    K13 = K[:13]
+    e5 = np.dot(_dop853.E5, K13) / scale
+    e3 = np.dot(_dop853.E3, K13) / scale
+    n5, n3 = float(np.dot(e5, e5)), float(np.dot(e3, e3))
     if n5 == 0.0 and n3 == 0.0:
         return 0.0
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
-def _dop853_dense(y, h, K, x):
-    """States at the step fractions ``x``: the 7th-order interpolant of
-    DOP853 from the 16 stages of an accepted step, the nested form
-    ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))`` evaluated as one
-    product with its weights ``x, x (1 - x), x^2 (1 - x), ...``.  ``F0`` is
-    the step's increment ``h B @ K``, so ``x = 1`` gives ``y_new`` exactly."""
-    dy = h * (_dop853.B @ K[:12])
+def _dop853_dense(y, h, K, x, dv):
+    """States at the step fractions ``x`` (a list of floats): the 7th-order
+    interpolant of DOP853 from the 16 stages of an accepted step, the
+    nested form ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))``
+    evaluated as one product with its weights ``x, x (1 - x), x^2 (1 - x),
+    ...``, each the product of the one before with ``x`` or ``1 - x``, on
+    floats (the running products of ``np.cumprod``).  ``F0`` is the step's
+    increment ``h dv``, from the stage sum ``dv = B @ K[:12]`` that formed
+    ``y_new``, so ``x = 1`` gives ``y_new`` exactly."""
     F = np.empty((7, y.size))
-    F[0] = dy
-    F[1] = h * K[0] - dy
-    F[2] = 2.0 * dy - h * (K[12] + K[0])
-    F[3:] = h * (_dop853.D @ K)
-    w = np.empty((x.size, 7))
-    w[:, 0::2] = x[:, None]
-    w[:, 1::2] = 1.0 - x[:, None]
-    return y + np.cumprod(w, axis=1) @ F
+    dy = np.multiply(h, dv, out=F[0])
+    np.subtract(h * K[0], dy, out=F[1])
+    np.subtract(2.0 * dy, h * (K[12] + K[0]), out=F[2])
+    np.multiply(h, np.dot(_dop853.D, K), out=F[3:])
+    w = []
+    for xi in x:
+        u = 1.0 - xi
+        c1 = xi * u
+        c2 = c1 * xi
+        c3 = c2 * u
+        c4 = c3 * xi
+        c5 = c4 * u
+        w.append((xi, c1, c2, c3, c4, c5, c5 * xi))
+    return y + np.dot(w, F)
 
 
 class _Pair(NamedTuple):
@@ -295,8 +330,8 @@ class _Pair(NamedTuple):
     once per accepted step.  So a step costs ``stages`` field calls per
     attempt plus ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
     scale)`` is the scaled error, and the step factor is
-    ``0.9 err ** exponent``; ``dense(y, h, K, x)`` gives the states at the
-    step fractions ``x``.
+    ``0.9 err ** exponent``; ``dense(y, h, K, x, dv)`` gives the states at
+    the step fractions ``x``, given the solution's stage sum ``dv``.
     """
 
     rows: tuple
@@ -350,10 +385,16 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     """Step ``pair`` over ``t_grid``; returns the samples at the grid times
     and the counters.  ``post_step`` maps each accepted endpoint, in place;
     the samples are left as the interpolant gives them.  The grid is walked
-    as Python floats, one time at a time."""
+    as Python floats, one time at a time.
+
+    ``f`` gets each point as a list of Python floats and may return a list
+    or an array.  The step's start is held both ways: ``y``, an array, for
+    the interpolant and ``post_step``, and ``yl``, its floats, for the
+    stages and the error scale."""
     t_grid = np.asarray(t_grid, dtype=float)
     size = t_grid.size
     y = np.asarray(y0, dtype=float)
+    yl = y.tolist()
     ys = np.empty((size, y.size))
     ys[0] = y
     t, t_end = t_grid.item(0), t_grid.item(-1)
@@ -365,7 +406,8 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     land = 1e-14 * max(1.0, abs(t_end))
     S = pair.stages
     extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
-    k0 = f(y)
+    K, terms = _stage_array(pair, y.size)  # one array, refilled per attempt
+    K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
     nxt = 1  # first grid index not yet sampled
     t_next = t_grid.item(1) if size > 1 else math.inf
     accepted = attempts = 0
@@ -376,28 +418,33 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             h = t_end - t
         if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, h, attempts, y)
-        K, y_new = _stages(pair, f, y, h, k0)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = pair.error_norm(K, h, scale)
+        dv, y_new = _fill_stages(f, yl, h, K, terms, 1, S + 1)
+        err_norm = pair.error_norm(K, h, _error_scale(yl, y_new, abs_tol, rel_tol))
         if not math.isfinite(err_norm):
             err_norm = math.inf  # reject and shrink hard
         attempts += 1
         if err_norm <= 1.0:
             if extra:
-                _fill_stages(pair, f, y, h, K, S + 1, S + 1 + extra)
+                _fill_stages(f, yl, h, K, terms, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
             if t_next <= t_new:
                 stop = size if last else nxt + 1
                 while stop < size and t_grid.item(stop) <= t_new:
                     stop += 1
-                ys[nxt:stop] = pair.dense(y, h, K, (t_grid[nxt:stop] - t) / h)
+                x = [(t_grid.item(i) - t) / h for i in range(nxt, stop)]
+                ys[nxt:stop] = pair.dense(y, h, K, x, dv)
                 nxt = stop
                 t_next = t_grid.item(stop) if stop < size else math.inf
             accepted += 1
             h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
             t = t_new
-            y = y_new if post_step is None else post_step(y_new)
-            k0 = K[S]
+            y = np.array(y_new)
+            if post_step is None:
+                yl = y_new
+            else:
+                y = post_step(y)
+                yl = y.tolist()
+            K[0] = K[S]  # first same as last, once the interpolant is built
         if attempts > max_steps:
             raise IntegrationError("max_steps exceeded", t, h, attempts, y)
         if err_norm == 0.0:
@@ -417,7 +464,9 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
                         max_steps=10**8):
     """Dormand-Prince 5(4) with proportional control for an autonomous
     ``y' = f(y)``; returns the points at ``t_grid`` as a ``(len(t_grid),
-    d)`` array.  ``y`` is any flat vector, not only a packed body state.
+    d)`` array.  ``y`` is any flat vector, not only a packed body state;
+    ``f`` takes and returns arrays (the shared adaptive loop works on lists
+    of floats, and an adapter converts each point for ``f``).
 
     The tolerance alone sets the steps: only the last one is shortened, to
     end exactly at ``t_grid[-1]``.  Samples inside an accepted step come
@@ -432,7 +481,8 @@ def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
     with the last accepted time, the failing step size and the attempts.
     """
     return _adaptive_solve(
-        _DP5, f, y0, t_grid, rel_tol, abs_tol, h0, None, max_steps
+        _DP5, lambda y: f(np.array(y)), y0, t_grid, rel_tol, abs_tol, h0, None,
+        max_steps,
     )[0]
 
 
@@ -457,7 +507,9 @@ def integrate(
 ) -> Trajectory:
     """Propagate ``field(y) -> ydot`` from ``state0`` over ``t_span``; ``y``
     is the flat vector of :func:`suslov.cases.build_field` (wrap a field on
-    states in :func:`state_field`).
+    states in :func:`state_field`).  The adaptive methods pass ``y`` as a
+    list of Python floats and take a list or an array back; ``rk4`` passes
+    arrays.  A field of ``build_field`` returns the type it is given.
 
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``.  When the model
     context (inertia/potential/constraints) is supplied, the per-sample
@@ -514,10 +566,13 @@ def integrate(
 
 def state_field(fn, n):
     """Packed field ``field(y) -> ydot`` in dimension ``n`` from a field on
-    states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`."""
+    states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`.
+    ``y`` may be a list of floats, as the adaptive loop passes it, or an
+    array; ``ydot`` is an array."""
     k = layout(n).k
 
     def field(y):
+        y = np.asarray(y, dtype=float)
         return pack_state(*fn(BodyState._wrap(unpack(y[:k], n), y[k:])))
 
     return field

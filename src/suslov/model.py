@@ -182,6 +182,21 @@ class BodyState:
         object.__setattr__(obj, "gamma", gamma)
         return obj
 
+    @classmethod
+    def _wrap_block(cls, omegas, gammas) -> tuple:
+        """:meth:`_wrap` of each pair of ``omegas`` and the rows of the
+        float block ``gammas``, as views of it; the block is made read-only
+        once, and its views inherit that."""
+        gammas.flags.writeable = False
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for omega, gamma in zip(omegas, gammas):
+            obj = new(cls)
+            put(obj, "omega", omega)
+            put(obj, "gamma", gamma)
+            out.append(obj)
+        return tuple(out)
+
     @property
     def n(self) -> int:
         return self.omega.n
@@ -201,6 +216,14 @@ class Potential:
     def gradient(self, gamma) -> np.ndarray:
         raise NotImplementedError
 
+    def _point_gradient(self, g):
+        """The gradient at one point, from and as a sequence of Python
+        floats, with the bits of ``gradient(np.array(g)).tolist()``; the
+        fields of :func:`suslov.cases.build_field` call it once per
+        evaluation.  The result may be shared between calls: read it, do
+        not change it."""
+        return self.gradient(np.array(g)).tolist()
+
 
 class ZeroPotential(Potential):
     def value(self, gamma):
@@ -209,12 +232,24 @@ class ZeroPotential(Potential):
     def gradient(self, gamma):
         return np.zeros(np.shape(gamma))
 
+    def _point_gradient(self, g):
+        return (0.0,) * len(g)
+
+
+def _frozen(b):
+    """A read-only float copy of coefficients, so that the floats a potential
+    keeps of them cannot go stale."""
+    b = np.array(b, dtype=float)
+    b.flags.writeable = False
+    return b
+
 
 class LinearPotential(Potential):
-    """V = <B, Gamma>."""
+    """V = <B, Gamma>; ``b`` is a read-only copy of ``B``."""
 
     def __init__(self, b):
-        self.b = np.asarray(b, dtype=float)
+        self.b = _frozen(b)
+        self._grad = tuple(self.b.tolist())  # the constant gradient, as floats
 
     def value(self, gamma):
         return np.vecdot(self.b, gamma)
@@ -224,18 +259,25 @@ class LinearPotential(Potential):
             return np.broadcast_to(self.b, np.shape(gamma)).copy()
         return self.b.copy()
 
+    def _point_gradient(self, g):
+        return self._grad
+
 
 class QuadraticPotential(Potential):
-    """V = 1/2 sum_i B_i Gamma_i^2."""
+    """V = 1/2 sum_i B_i Gamma_i^2; ``b`` is a read-only copy of ``B``."""
 
     def __init__(self, b):
-        self.b = np.asarray(b, dtype=float)
+        self.b = _frozen(b)
+        self._b = self.b.tolist()
 
     def value(self, gamma):
         return 0.5 * np.vecdot(self.b, np.asarray(gamma) ** 2)
 
     def gradient(self, gamma):
         return self.b * np.asarray(gamma)
+
+    def _point_gradient(self, g):
+        return [bi * gi for bi, gi in zip(self._b, g)]
 
 
 class DGJPotential(Potential):
@@ -258,14 +300,19 @@ class DGJPotential(Potential):
 
     def gradient(self, gamma):
         gamma = np.asarray(gamma, dtype=float)
-        block = gamma.ndim > 1
-        # a block's columns, or a point's Python floats, which cost no numpy
-        # dispatch per operation; the same formula on either
-        g1, g2, g3 = np.moveaxis(gamma, -1, 0) if block else gamma.tolist()
+        if gamma.ndim > 1:  # a block: the same formula on its columns
+            return np.stack(self._formula(*np.moveaxis(gamma, -1, 0)), axis=-1)
+        return np.array(self._point_gradient(gamma.tolist()))
+
+    def _point_gradient(self, g):
+        # Python floats cost no numpy dispatch per operation; the partials
+        # may come back as numpy scalars (np.sin), and float() is exact
+        return [float(d) for d in self._formula(*g)]
+
+    def _formula(self, g1, g2, g3):
         d1x, d1y = self.v1_grad(g1, g2 * g2 + g3 * g3)
         d2x, d2y = self.v2_grad(g2, g1 * g1 + g3 * g3)
-        grad = (d1x + 2.0 * g1 * d2y, 2.0 * g2 * d1y + d2x, 2.0 * g3 * (d1y + d2y))
-        return np.stack(grad, axis=-1) if block else np.array(grad)
+        return (d1x + 2.0 * g1 * d2y, 2.0 * g2 * d1y + d2x, 2.0 * g3 * (d1y + d2y))
 
 
 class CustomPotential(Potential):

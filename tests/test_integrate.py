@@ -12,21 +12,21 @@ from conftest import (
     states_trajectory,
 )
 from suslov import _dop853
-from suslov.algebra import ConstraintSet, layout
+from suslov.algebra import ConstraintSet, layout, unpack
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.cli import load_config
 from suslov.integrate import (
     IntegrationError,
     IntegratorConfig,
     IntegratorStats,
+    Trajectory,
     _DOP853,
     _DP5,
     _DP_E,
-    _PAIRS,
+    _DP_P,
     _dp5_dense,
     _fill_stages,
     _rk4_solve,
-    _stages,
     detect_period,
     drift_report,
     integrate,
@@ -170,11 +170,21 @@ def reference_dp5_step(f, y, h):
     return y5, y5 - y4
 
 
+def stage_array(pair, d):
+    # imported here, so that this module, with its reference-loop tests,
+    # also loads against an integrate module without the helper
+    from suslov.integrate import _stage_array
+
+    return _stage_array(pair, d)
+
+
 def dp5_step(f, y, h):
     """One Dormand-Prince 5(4) step of the stage-matrix stepper: ``K``, the
     5th-order solution and its error estimate."""
-    K, y5 = _stages(_DP5, f, y, h, f(y))
-    return K, y5, h * (_DP_E @ K)
+    K, terms = stage_array(_DP5, y.size)
+    K[0] = f(y)
+    _, y5 = _fill_stages(f, y.tolist(), h, K, terms, 1, 7)
+    return K, np.array(y5), h * (_DP_E @ K)
 
 
 class TestRk45Step:
@@ -223,7 +233,7 @@ class TestDenseOutput:
     def test_interpolant_matches_step_endpoints(self):
         for h in (0.4, 0.05):
             K, y5, _ = dp5_step(self.f, self.y0, h)
-            ends = _dp5_dense(self.y0, h, K, np.array([0.0, 1.0]))
+            ends = _dp5_dense(self.y0, h, K, [0.0, 1.0], None)
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y5)) <= 1e-15 * np.max(np.abs(y5))
 
@@ -232,17 +242,20 @@ class TestDenseOutput:
         hs = [0.1, 0.05, 0.025]
         for h in hs:
             K, _, _ = dp5_step(self.f, self.y0, h)
-            mid = _dp5_dense(self.y0, h, K, np.array([0.5]))[0]
+            mid = _dp5_dense(self.y0, h, K, [0.5], None)[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
 
 
 def dop853_step(f, y, h):
-    """All 16 stages of one DOP853 step and its 8th-order solution."""
-    K, y_new = _stages(_DOP853, f, y, h, f(y))
-    _fill_stages(_DOP853, f, y, h, K, 13, 16)
-    return K, y_new
+    """All 16 stages of one DOP853 step, the solution's stage sum ``dv``
+    and the 8th-order solution."""
+    K, terms = stage_array(_DOP853, y.size)
+    K[0] = f(y)
+    dv, y_new = _fill_stages(f, y.tolist(), h, K, terms, 1, 13)
+    _fill_stages(f, y.tolist(), h, K, terms, 13, 16)
+    return K, dv, np.array(y_new)
 
 
 class TestDop853:
@@ -276,7 +289,7 @@ class TestDop853:
         hs = [1.0, 0.5, 0.25]
         local = []
         for h in hs:
-            _, y_new = dop853_step(f, y0, h)
+            _, _, y_new = dop853_step(f, y0, h)
             local.append(np.linalg.norm(y_new - expm(h * mat) @ y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(local[i] / local[i + 1]) - 9.0) <= 0.3
@@ -289,8 +302,8 @@ class TestDop853:
 
     def test_interpolant_matches_step_endpoints(self):
         for h in (1.0, 0.4, 0.05):
-            K, y_new = dop853_step(self.f, self.y0, h)
-            ends = _DOP853.dense(self.y0, h, K, np.array([0.0, 1.0]))
+            K, dv, y_new = dop853_step(self.f, self.y0, h)
+            ends = _DOP853.dense(self.y0, h, K, [0.0, 1.0], dv)
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y_new)) <= 1e-15 * np.max(np.abs(y_new))
 
@@ -298,8 +311,8 @@ class TestDop853:
         errs = []
         hs = [1.0, 0.5, 0.25]
         for h in hs:
-            K, _ = dop853_step(self.f, self.y0, h)
-            mid = _DOP853.dense(self.y0, h, K, np.array([0.5]))[0]
+            K, dv, _ = dop853_step(self.f, self.y0, h)
+            mid = _DOP853.dense(self.y0, h, K, [0.5], dv)[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 8.0) <= 0.3
@@ -380,30 +393,81 @@ class TestFreeRunningSteps:
         assert np.max(np.abs(ys - exact)) <= 1e-8
 
 
-def reference_adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, k):
-    """Oracle: the adaptive loop with the gamma renormalization as it was
-    written per step: the grid searched with ``np.searchsorted`` on numpy
-    scalars, each step's block of samples renormalized on a copy as soon as
-    it is interpolated, and the DP5 norm through ``np.mean``."""
+def _ref_dp5_dense(y, h, K, x):
+    """DP5's free 4th-order interpolant on an array of step fractions."""
+    return y + h * ((x[:, None] ** np.arange(1, 5)) @ (_DP_P.T @ K))
+
+
+def _ref_dop853_norm(K, h, scale):
+    """The blended DOP853 error norm, with ``@`` for every product."""
+    e5 = (_dop853.E5 @ K[:13]) / scale
+    e3 = (_dop853.E3 @ K[:13]) / scale
+    n5, n3 = float(e5 @ e5), float(e3 @ e3)
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
+
+
+def _ref_dop853_dense(y, h, K, x):
+    """The DOP853 interpolant on an array of step fractions, with its
+    increment recomputed and its weights from ``np.cumprod``."""
+    dy = h * (_dop853.B @ K[:12])
+    F = np.empty((7, y.size))
+    F[0] = dy
+    F[1] = h * K[0] - dy
+    F[2] = 2.0 * dy - h * (K[12] + K[0])
+    F[3:] = h * (_dop853.D @ K)
+    w = np.empty((x.size, 7))
+    w[:, 0::2] = x[:, None]
+    w[:, 1::2] = 1.0 - x[:, None]
+    return y + np.cumprod(w, axis=1) @ F
+
+
+# each method's tableau (its own copy for DP5, the coefficient data for
+# DOP853), stage count, step exponent, error norm and interpolant
+_REF_PAIRS = {
+    "rk45": ([np.array(row) for row in _REF_A], 6, -1.0 / 5.0,
+             lambda K, h, scale: float(np.sqrt(np.mean((h * (_DP_E @ K) / scale) ** 2))),
+             _ref_dp5_dense),
+    "dop853": ([_dop853.A[s, :s] for s in range(16)], 12, -1.0 / 8.0,
+               _ref_dop853_norm, _ref_dop853_dense),
+}
+
+
+def reference_adaptive_solve(method, f, y0, t_grid, rel_tol, abs_tol, h0, k,
+                             max_steps=IntegratorConfig().max_steps):
+    """Oracle: the adaptive loop on arrays, sharing no step code with the
+    library.  ``f`` gets every point as an array; each stage
+    input is ``y + h * np.dot(A[s, :s], K[:s])`` on arrays; the grid is
+    searched with ``np.searchsorted`` on numpy scalars; each step's block
+    of samples is renormalized on a copy as soon as it is interpolated (no
+    renormalization when ``k`` is None); the DP5 norm goes through
+    ``np.mean``.  Failures raise ``IntegrationError`` as the library
+    does."""
+    rows, S, exponent, error_norm, dense = _REF_PAIRS[method]
 
     def post(y):
+        if k is None:
+            return y
         nrm = np.sqrt(np.vecdot(y[..., k:], y[..., k:]))[..., None]
         y = y.copy()
         y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
         return y
 
-    def error_norm(K, h, scale):
-        if pair is _DP5:
-            return float(np.sqrt(np.mean((h * (_DP_E @ K) / scale) ** 2)))
-        return pair.error_norm(K, h, scale)
+    def stages(y, h, K, start, stop):
+        for s in range(start, stop):
+            ys = y + h * np.dot(rows[s], K[:s])
+            K[s] = f(ys)
+        return ys
 
     ys = np.empty((t_grid.size, y0.size))
     ys[0] = y = y0
     t, t_end = t_grid[0], t_grid[-1]
+    if h0 is None:
+        h0 = min((t_end - t) / 100.0, t_grid[1] - t)
     h = h0
     land = 1e-14 * max(1.0, abs(t_end))
-    S = pair.stages
-    extra = len(pair.rows) - S - 1
+    extra = len(rows) - S - 1
     k0 = f(y)
     nxt = 1
     accepted = attempts = 0
@@ -412,24 +476,32 @@ def reference_adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, k):
         last = t + h >= t_end - land
         if last:
             h = t_end - t
-        K, y_new = _stages(pair, f, y, h, k0)
+        if h < 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
+            raise IntegrationError("step size underflow", t, h, attempts, y)
+        K = np.empty((len(rows), y.size))
+        K[0] = k0
+        y_new = stages(y, h, K, 1, S + 1)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = error_norm(K, h, scale)
+        if not math.isfinite(err_norm):
+            err_norm = math.inf
         attempts += 1
         if err_norm <= 1.0:
             if extra:
-                _fill_stages(pair, f, y, h, K, S + 1, S + 1 + extra)
+                stages(y, h, K, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
             if t_grid[nxt] <= t_new:
                 stop = t_grid.size if last else int(
                     np.searchsorted(t_grid, t_new, side="right"))
-                ys[nxt:stop] = post(pair.dense(y, h, K, (t_grid[nxt:stop] - t) / h))
+                ys[nxt:stop] = post(dense(y, h, K, (t_grid[nxt:stop] - t) / h))
                 nxt = stop
             accepted += 1
             h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
             t, y, k0 = t_new, post(y_new), K[S]
+        if attempts > max_steps:
+            raise IntegrationError("max_steps exceeded", t, h, attempts, y)
         factor = 5.0 if err_norm == 0.0 else min(
-            5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
+            5.0, max(0.2, 0.9 * err_norm ** exponent))
         h = h * factor
     stats = IntegratorStats(accepted, attempts - accepted,
                             S * attempts + extra * accepted + 1,
@@ -437,25 +509,62 @@ def reference_adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, k):
     return ys, stats
 
 
+def scenario_run(scenario, method):
+    """A scenario's case, start, config and constraints, cut to t = 20."""
+    config = load_config(SCENARIO_DIR / f"{scenario}.cfg", {"t_end": 20.0})
+    cfg = dataclasses.replace(config.integrator, method=method)
+    spec = config.case_spec
+    return spec, config, cfg, build_field(spec)
+
+
+def failing_after(field, kth, value):
+    """``field`` until its ``kth`` call, then a point of ``value``s, an
+    array or a list as it was given."""
+    calls = [0]
+
+    def f(y):
+        calls[0] += 1
+        if calls[0] < kth:
+            return field(y)
+        out = [value] * len(y)
+        return np.array(out) if isinstance(y, np.ndarray) else out
+
+    return f
+
+
+def assert_same_failure(run, reference):
+    with pytest.raises(IntegrationError) as got:
+        run()
+    with pytest.raises(IntegrationError) as ref:
+        reference()
+    got, ref = got.value, ref.value
+    assert str(got) == str(ref)
+    assert (got.t_last, got.h, got.attempts) == (ref.t_last, ref.h, ref.attempts)
+    assert np.array_equal(bits(got.y_last), bits(ref.y_last))
+
+
+SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.cfg"))
+
+
 class TestStepLoopBits:
-    """``integrate`` renormalizes each step endpoint in place and all the
+    """The adaptive loop hands fields Python floats, forms stage inputs and
+    the error scale on floats, reuses the step's increment in the DOP853
+    interpolant, renormalizes each step endpoint in place and all the
     interpolated samples in one pass after the loop, and walks the grid on
-    Python floats; every sample, diagnostic and counter keeps the bits of
-    the per-step reference loop."""
+    Python floats; every sample, diagnostic, counter and failure keeps the
+    bits of the array loop of ``reference_adaptive_solve``."""
 
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
-    @pytest.mark.parametrize("scenario", ["kharlamova_verify_n4", "suslov_asymptotic_3d"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_matches_per_step_reference(self, scenario, method):
-        config = load_config(SCENARIO_DIR / f"{scenario}.cfg", {"t_end": 20.0})
-        cfg = dataclasses.replace(config.integrator, method=method)
-        spec, state0 = config.case_spec, config.initial_state
-        field, constraints = build_field(spec)
+        spec, config, cfg, (field, constraints) = scenario_run(scenario, method)
+        state0 = config.initial_state
         traj = integrate(field, state0, (0.0, config.t_end), cfg,
                          output_dt=config.output_dt, inertia=spec.inertia,
                          potential=spec.potential, constraints=constraints)
         k = layout(spec.n).k
         ys, stats = reference_adaptive_solve(
-            _PAIRS[method], field, pack_state(state0.omega, state0.gamma),
+            method, field, pack_state(state0.omega, state0.gamma),
             traj.times, cfg.rel_tol, cfg.abs_tol, cfg.step, k,
         )
         assert stats == traj.stats
@@ -468,6 +577,94 @@ class TestStepLoopBits:
                               bits(energies(ys, spec.inertia, spec.potential)))
         residual = np.max(np.abs(ys[:, :k] @ constraints.rows.T), axis=1)
         assert np.array_equal(bits(aux["constraint_residual"]), bits(residual))
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_state_field_matches_reference(self, method):
+        from suslov.model import QuadraticPotential, general_field
+
+        n = 4
+        rng = np.random.default_rng(41)
+        inertia = MassTensor(diag=1.0 + 2.0 * rng.random(n))
+        pot = QuadraticPotential(rng.normal(size=n))
+        field = state_field(
+            general_field(inertia, pot, ConstraintSet.canonical_suslov(n)), n)
+        state0 = random_canonical_state(rng, n, speed=0.6)
+        cfg = IntegratorConfig(method=method, rel_tol=1e-10, abs_tol=1e-12)
+        traj = integrate(field, state0, (0.0, 10.0), cfg, output_dt=0.1)
+        ys, stats = reference_adaptive_solve(
+            method, field, pack_state(state0.omega, state0.gamma), traj.times,
+            cfg.rel_tol, cfg.abs_tol, cfg.step, layout(n).k,
+        )
+        assert stats == traj.stats and stats.accepted > 20
+        assert np.array_equal(bits(traj.ys), bits(ys))
+
+    def test_solve_adaptive_rk45_matches_reference(self):
+        # a damped nonlinear system on a plain vector, not a body state
+        rng = np.random.default_rng(12)
+        mat = rng.normal(size=(5, 5)) / np.sqrt(5.0) - 0.1 * np.eye(5)
+        seen = []
+
+        def f(y):
+            seen.append(type(y))
+            return mat @ y + 0.3 * np.sin(y)
+
+        y0 = rng.normal(size=5)
+        t_grid = np.linspace(0.0, 15.0, 301)
+        got = solve_adaptive_rk45(f, y0, t_grid, 1e-10, 1e-12)
+        assert set(seen) == {np.ndarray}
+        ref, stats = reference_adaptive_solve(
+            "rk45", f, y0, t_grid, 1e-10, 1e-12, None, None)
+        assert stats.accepted > 50
+        assert np.array_equal(bits(got), bits(ref))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_non_finite_field_fails_as_reference(self, method, value):
+        spec, config, cfg, (field, _) = scenario_run("gyroscopic_3d", method)
+        state0 = config.initial_state
+        kth = 500  # well into the run, on a stage of some step
+        assert_same_failure(
+            lambda: integrate(failing_after(field, kth, value), state0,
+                              (0.0, config.t_end), cfg,
+                              output_dt=config.output_dt),
+            lambda: reference_adaptive_solve(
+                method, failing_after(field, kth, value),
+                pack_state(state0.omega, state0.gamma),
+                integrate(field, state0, (0.0, config.t_end), cfg,
+                          output_dt=config.output_dt).times,
+                cfg.rel_tol, cfg.abs_tol, cfg.step, layout(spec.n).k),
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_solve_adaptive_rk45_non_finite_fails_as_reference(self, value):
+        def f(y):
+            return np.array([y[1], -y[0]])
+
+        y0, t_grid = np.array([1.0, 0.0]), np.linspace(0.0, 10.0, 11)
+        assert_same_failure(
+            lambda: solve_adaptive_rk45(failing_after(f, 40, value), y0,
+                                        t_grid, 1e-10, 1e-12),
+            lambda: reference_adaptive_solve(
+                "rk45", failing_after(f, 40, value), y0, t_grid, 1e-10,
+                1e-12, None, None),
+        )
+
+
+class TestErrorScale:
+    def test_error_scale_has_the_bits_of_np_maximum(self):
+        from suslov.integrate import _error_scale
+
+        rng = np.random.default_rng(5)
+        special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
+        y = np.concatenate([rng.normal(size=200), np.repeat(special, 8)])
+        y_new = np.concatenate([rng.normal(size=200), np.tile(special, 8)])
+        got = _error_scale(y.tolist(), y_new.tolist(), 1e-12, 1e-10)
+        ref = 1e-12 + 1e-10 * np.maximum(np.abs(y), np.abs(y_new))
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        keep = ~np.isnan(ref)
+        assert np.array_equal(bits(got[keep]), bits(ref[keep]))
 
 
 class TestIntegratorConfig:
@@ -519,6 +716,27 @@ class TestTrajectory:
             states_trajectory([0.0, 0.0], [s, s])
         with pytest.raises(ValueError, match="lengths"):
             states_trajectory([0.0, 1.0], [s])
+
+    def test_states_are_read_only_views_of_one_block(self):
+        n, k = 4, 6
+        rng = np.random.default_rng(8)
+        samples = rng.normal(size=(40, k + n))
+        traj = Trajectory(np.arange(40.0), samples)
+        states = traj.states
+        assert states is traj.states and len(states) == 40
+        block = states[0].omega.mat.base
+        for s, row in zip(states, traj.ys):
+            assert s.n == s.omega.n == n
+            assert np.array_equal(s.omega.mat, unpack(row[:k], n).mat)
+            assert np.array_equal(s.gamma, row[k:])
+            assert s.omega.mat.base is block
+            assert np.shares_memory(s.gamma, traj.ys)
+            for arr in (s.omega.mat, s.gamma):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        assert block.shape == (40, n * n)
+        assert samples.flags.writeable  # the caller's array is left alone
 
 
 class TestConstraintPreservation:

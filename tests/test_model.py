@@ -144,6 +144,50 @@ class TestPotentials:
             CustomPotential(lambda g: (float(np.sum(g**2)), np.ones(4)), 4)
 
 
+def _point_gradient_cases(n, rng):
+    """Every potential class in dimension ``n``; DGJ exists for n = 3 only
+    (with the CLI's fixtures, whose partials are numpy scalars)."""
+    pots = {
+        "zero": ZeroPotential(),
+        "linear": LinearPotential(rng.normal(size=n)),
+        "quadratic": QuadraticPotential(rng.normal(size=n)),
+        "custom": cubic_potential(n),
+    }
+    if n == 3:
+        for a, b in (("sin", "quadratic"), ("cos", "sin")):
+            pots[f"dgj_{a}_{b}"] = DGJPotential(*DGJ_FUNCTIONS[a], *DGJ_FUNCTIONS[b])
+    return pots
+
+
+class TestPointGradient:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_floats_have_the_bits_of_the_array_gradient(self, n):
+        rng = np.random.default_rng(70 + n)
+        points = rng.normal(size=(1000, n))
+        points[::7] /= np.linalg.norm(points[::7], axis=1)[:, None]
+        for name, pot in _point_gradient_cases(n, rng).items():
+            for g in points.tolist():
+                got = pot._point_gradient(g)
+                assert all(type(v) is float for v in got), name
+                assert same_bits(got, pot.gradient(np.array(g)).tolist()), name
+
+    def test_constant_gradients_are_built_once(self):
+        lin = LinearPotential([0.4, -0.7, 0.2])
+        assert lin._point_gradient([0.1, 0.2, 0.3]) is lin._point_gradient([0.0] * 3)
+        assert isinstance(lin._point_gradient([0.0] * 3), tuple)
+        assert ZeroPotential()._point_gradient([0.5] * 4) == (0.0,) * 4
+
+    @pytest.mark.parametrize("cls", [LinearPotential, QuadraticPotential])
+    def test_coefficients_cannot_go_stale(self, cls):
+        # the float gradient is built from the coefficients once, so they
+        # are a read-only copy; the caller's array stays writable
+        b = np.array([0.4, -0.7, 0.2])
+        pot = cls(b)
+        assert not np.shares_memory(pot.b, b) and b.flags.writeable
+        with pytest.raises(ValueError):
+            pot.b[0] = 1.0
+
+
 class TestMultipliers:
     def test_lagrange_multiplier_vanishes(self):
         # eigenvector constraint, symmetric moments, vertical potential

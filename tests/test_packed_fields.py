@@ -130,6 +130,18 @@ class TestPackedField:
         assert got.shape == (size,)
         assert np.array_equal(bits(got), bits(expected))
 
+    @pytest.mark.parametrize("kind, n", CASES, ids=lambda v: getattr(v, "value", v))
+    def test_list_in_list_out_with_the_bits_of_the_array_call(self, kind, n):
+        # integrate's adaptive loop passes lists of floats; an array in
+        # still gives an array out
+        rng = np.random.default_rng(17 * n)
+        field, _ = build_field(make_spec(kind, n, rng))
+        for y in rng.normal(size=(200, n * (n - 1) // 2 + n)):
+            from_list, from_array = field(y.tolist()), field(y)
+            assert isinstance(from_list, list)
+            assert isinstance(from_array, np.ndarray)
+            assert np.array_equal(bits(np.array(from_list)), bits(from_array))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_reduced_field_leaves_block_exactly_zero(self, n):
         rng = np.random.default_rng(n)
