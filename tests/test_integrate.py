@@ -27,6 +27,7 @@ from suslov.integrate import (
     _dp5_dense,
     _fill_stages,
     _rk4_solve,
+    _stage_array,
     detect_period,
     drift_report,
     integrate,
@@ -170,18 +171,10 @@ def reference_dp5_step(f, y, h):
     return y5, y5 - y4
 
 
-def stage_array(pair, d):
-    # imported here, so that this module, with its reference-loop tests,
-    # also loads against an integrate module without the helper
-    from suslov.integrate import _stage_array
-
-    return _stage_array(pair, d)
-
-
 def dp5_step(f, y, h):
     """One Dormand-Prince 5(4) step of the stage-matrix stepper: ``K``, the
     5th-order solution and its error estimate."""
-    K, terms = stage_array(_DP5, y.size)
+    K, terms = _stage_array(_DP5, y.size)
     K[0] = f(y)
     _, y5 = _fill_stages(f, y.tolist(), h, K, terms, 1, 7)
     return K, np.array(y5), h * (_DP_E @ K)
@@ -251,7 +244,7 @@ class TestDenseOutput:
 def dop853_step(f, y, h):
     """All 16 stages of one DOP853 step, the solution's stage sum ``dv``
     and the 8th-order solution."""
-    K, terms = stage_array(_DOP853, y.size)
+    K, terms = _stage_array(_DOP853, y.size)
     K[0] = f(y)
     dv, y_new = _fill_stages(f, y.tolist(), h, K, terms, 1, 13)
     _fill_stages(f, y.tolist(), h, K, terms, 13, 16)

@@ -4,7 +4,6 @@ both packages in one process.
 Usage::
 
     python3 tools/ab_integrate.py PARENT_CHECKOUT [--rounds N]
-        [--methods dop853 rk45] [--scenarios NAME ...]
 
 ``PARENT_CHECKOUT`` is the root of another suslov checkout (``src/suslov``
 and ``scenarios/`` beside each other), typically the parent commit exported
@@ -13,8 +12,8 @@ with ``git archive``.  Its ``src/suslov`` is imported as the package
 the same interpreter, the same numpy and the same host phase.  For each of
 this checkout's ``scenarios/*.cfg``, each round times, on both sides:
 
-- ``integrate`` alone, as ``suslov simulate`` calls it, once per method in
-  ``--methods`` (the field is built outside the timed call);
+- ``integrate`` alone, as ``suslov simulate`` calls it, once under each
+  of ``dop853`` and ``rk45`` (the field is built outside the timed call);
 - ``suslov simulate`` on the scenario, writing into a temporary directory.
 
 The two sides run one after the other, and the side that goes first
@@ -43,6 +42,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+METHODS = ("dop853", "rk45")
 
 
 def load_package(name: str, root: Path):
@@ -113,8 +113,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the checkout to compare against")
     parser.add_argument("--rounds", type=int, default=9)
-    parser.add_argument("--methods", nargs="+", default=["dop853", "rk45"])
-    parser.add_argument("--scenarios", nargs="+", default=None)
     args = parser.parse_args(argv)
     parent_root = Path(args.parent).resolve()
     if not (parent_root / "src" / "suslov").is_dir():
@@ -126,16 +124,12 @@ def main(argv=None) -> int:
         "change": load_package("suslov_change", HERE),
     }
     paths = sorted((HERE / "scenarios").glob("*.cfg"))
-    if args.scenarios is not None:
-        paths = [p for p in paths if p.stem in args.scenarios]
-    if not paths:
-        parser.error("no scenario selected")
 
     with tempfile.TemporaryDirectory(prefix="ab_integrate_") as tmp:
         # (kind, scenario) -> side -> call; kind is a method or "simulate"
         calls = {}
         for path in paths:
-            for method in args.methods:
+            for method in METHODS:
                 calls[method, path.stem] = {
                     side: integrate_call(lib, path, method)
                     for side, lib in libs.items()
@@ -155,7 +149,7 @@ def main(argv=None) -> int:
 
     print(f"parent {parent_root}, change {HERE}, {args.rounds} rounds, "
           "CPU time, ratio = change / parent")
-    for kind in (*args.methods, "simulate"):
+    for kind in (*METHODS, "simulate"):
         label = "integrate " + kind if kind != "simulate" else "suslov simulate"
         keys = [key for key in times if key[0] == kind]
         for key in keys:
