@@ -354,11 +354,10 @@ def build_field(spec: CaseSpec):
     def field(y):
         is_list = isinstance(y, list)
         vals = y if is_list else y.tolist()
-        col, g = column(vals), vals[k:]
-        col_dot, head_dot = _reduced_rates(col, g, gradient(g), pair)
+        g = vals[k:]
+        col_dot, g_dot = _reduced_rates(column(vals), g, gradient(g), pair)
         col_dot.append(0.0)
-        # d/dt G_n stays the BLAS dot of contiguous vectors, as in every field
-        ydot = [*scatter(col_dot), *head_dot, np.dot(g[:-1], col)]
+        ydot = [*scatter(col_dot), *g_dot]
         return ydot if is_list else np.array(ydot)
 
     return field, ConstraintSet.canonical_suslov(spec.n)

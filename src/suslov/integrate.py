@@ -578,15 +578,13 @@ def state_field(fn, n):
     return field
 
 
-def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajectory:
-    """Re-index a trajectory by the accumulated time ``tau``.
+def reparametrize(traj: Trajectory, observable) -> Trajectory:
+    """Re-index a trajectory by the accumulated time ``tau``, with ``dtau =
+    Phi dt`` (the torus-analysis convention with ``Phi = Gamma_n``).
 
-    ``inverse=False`` implements ``dtau = Phi dt`` (the torus-analysis
-    convention with ``Phi = Gamma_n``); ``inverse=True`` implements
-    ``dtau = dt / Phi``.  ``Phi`` must keep one strict sign along the
-    samples.  Increments accumulate through the geometric mean of adjacent
-    samples, which makes the two conventions exact inverses of each other;
-    accuracy is second order in the sampling step, like the trapezoid rule.
+    ``Phi`` must keep one strict sign along the samples.  Increments
+    accumulate through the geometric mean of adjacent samples; accuracy is
+    second order in the sampling step, like the trapezoid rule.
 
     If ``Phi < 0`` the raw ``tau`` decreases, so the returned samples are
     reversed to keep times increasing.  New times always start at 0.
@@ -606,8 +604,7 @@ def reparametrize(traj: Trajectory, observable, inverse: bool = False) -> Trajec
             f"observable changes sign near t = {t_cross:.6g}; "
             "reparametrization needs a single-signed observable"
         )
-    w = 1.0 / vals if inverse else vals
-    dtau = np.diff(traj.times) * sign * np.sqrt(w[:-1] * w[1:])
+    dtau = np.diff(traj.times) * sign * np.sqrt(vals[:-1] * vals[1:])
     tau = np.concatenate([[0.0], np.cumsum(dtau)])
     ys = traj.ys
     aux = {key: np.asarray(val) for key, val in traj.aux.items()}

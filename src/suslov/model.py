@@ -427,22 +427,24 @@ def general_field(inertia: MassTensor, potential: Potential, constraints: Constr
 
 def _reduced_rates(col, g, d, pair):
     """The one copy of the reduced equations: ``(d/dt Omega_in, d/dt
-    Gamma_i)`` for ``i < n`` as two lists, from the column ``col =
-    Omega_in``, ``g = Gamma`` and ``d = dV/dGamma``, and ``pair = I_i +
-    I_n``.  ``d/dt Gamma_n = <Gamma_head, col>`` is left to the caller, as
-    a BLAS dot.
+    Gamma)`` as two lists, of ``n - 1`` and ``n`` entries, from the column
+    ``col = Omega_in``, ``g = Gamma`` and ``d = dV/dGamma``, and ``pair =
+    I_i + I_n``.
 
     It is elementwise: the entries of ``col``, ``g``, ``d`` may be Python
     floats or arrays of one shape (a block's columns), and an array entry
     gets the bits of the same floats alone.  The products, differences and
-    quotients are the ones the array formula forms.  The dot stays BLAS
-    (``np.dot`` on a point, ``np.vecdot`` on a block, which agree): ``ddot``
-    fuses each product into its running sum, so a sum written out here
-    would change the last bit of ``d/dt Gamma_n``.
+    quotients are the ones the array formula forms, and ``d/dt Gamma_n =
+    sum_i Gamma_i Omega_in`` is summed left to right from 0.0.
     """
     gn, dn = g[-1], d[-1]
     col_dot = [(di * gn - gi * dn) / p for di, gi, p in zip(d, g, pair)]
-    return col_dot, [-gn * c for c in col]
+    g_dot = [-gn * c for c in col]
+    gn_dot = 0.0
+    for gi, c in zip(g, col):
+        gn_dot = gn_dot + gi * c
+    g_dot.append(gn_dot)
+    return col_dot, g_dot
 
 
 def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Potential):
@@ -453,42 +455,21 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         d/dt G_i = -G_n Omega_in          (i < n)
         d/dt G_n = sum_i G_i Omega_in
 
-    The so(n-1) block of ``Omega`` is ignored (it is constrained to zero).
+    The so(n-1) block of ``Omega`` is ignored (it is constrained to zero):
+    this is :func:`packed_reduced_field` at the chart point ``(Omega_in,
+    Gamma)``.
     """
     if inertia.diag is None:
         raise ValueError("reduced field needs a diagonal mass tensor; "
                          "use vector_field_general instead")
     n = state.n
-    gamma = state.gamma
-    # a contiguous column, so that the dot product for d/dt G_n sums in the
-    # same order as in the packed fields (BLAS splits strided sums)
-    col = np.ascontiguousarray(state.omega.mat[: n - 1, n - 1])
-    col_dot, head_dot = _reduced_rates(
-        col.tolist(), gamma.tolist(), potential.gradient(gamma).tolist(),
-        (inertia.diag[: n - 1] + inertia.diag[n - 1]).tolist(),
-    )
-    head_dot.append(np.dot(gamma[:-1], col))
-    return from_column(col_dot), np.array(head_dot)
+    f, _ = packed_reduced_field(inertia, potential)
+    rates = f(np.concatenate((state.omega.mat[: n - 1, n - 1], state.gamma)))
+    return from_column(rates[: n - 1]), rates[n - 1 :]
 
 
 _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis
 _E3.flags.writeable = False
-
-
-def _cross(x, y) -> np.ndarray:
-    """Cross product of two 3-vectors from explicit components.
-
-    Same products and differences as ``np.cross``, so the result is
-    bit-identical, without its per-call dispatch cost, which dominates the
-    arithmetic at this size.
-    """
-    return np.array(
-        [
-            x[1] * y[2] - x[2] * y[1],
-            x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0],
-        ]
-    )
 
 
 def _plane_basis(a):
@@ -496,9 +477,9 @@ def _plane_basis(a):
     vector ``a``, with ``(u, v, a)`` right-handed."""
     pick = np.zeros(3)
     pick[int(np.argmin(np.abs(a)))] = 1.0
-    u = _cross(a, pick)
+    u = np.cross(a, pick)
     u /= np.linalg.norm(u)
-    return u, _cross(a, u)
+    return u, np.cross(a, u)
 
 
 def _checked_3d(j_diag, axis):
@@ -681,16 +662,13 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        col, gamma = x[..., : n - 1], x[..., n - 1 :]
-        grad = potential.gradient(gamma)
-        col_dot, head_dot = _reduced_rates(
-            [col[..., i] for i in range(n - 1)],
-            [gamma[..., i] for i in range(n)],
+        grad = potential.gradient(x[..., n - 1 :])
+        col_dot, g_dot = _reduced_rates(
+            [x[..., i] for i in range(n - 1)],
+            [x[..., i] for i in range(n - 1, 2 * n - 1)],
             [grad[..., i] for i in range(n)], pair,
         )
-        return np.stack(
-            (*col_dot, *head_dot, np.vecdot(gamma[..., :-1], col)), axis=-1
-        )
+        return np.stack((*col_dot, *g_dot), axis=-1)
 
     return f, 2 * n - 1
 

@@ -90,8 +90,8 @@ def state_level_field(spec):
 
 # (kind, n): every reduced kind, every 3D kind and the free case with a
 # custom axis (drawn for n = 3).  The n = 5-7 entries cover d/dt Gamma_n as
-# a dot product of four or more terms, which BLAS may sum in another order
-# when one operand is strided.
+# a left-to-right sum of four or more terms, whose order the state field and
+# the packed field must share.
 CASES = [
     (CaseKind.SUSLOV_FREE, 4),
     (CaseKind.LAGRANGE_ND, 4),

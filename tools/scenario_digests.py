@@ -12,9 +12,13 @@ that imports the checkout's own ``src``, writing into a temporary
 directory.  Each run prints one line::
 
     <scenario> <method> exit=<code> trajectory.csv=<sha256> report.txt=<sha256>
+    accepted=<n> rejected=<n> rhs_evals=<n>
 
-so two checkouts' outputs compare with ``diff`` of the two listings.  A file
-a run did not write reads ``-``.
+(one line, wrapped here), so two checkouts' outputs compare with ``diff``
+of the two listings.  The step counters come from the ``[integrator]``
+section of ``report.txt``, so a listing tells outputs that moved in their
+last bits (same counters) from a changed step sequence.  A file a run did
+not write, or a counter its report does not hold, reads ``-``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from pathlib import Path
 
 METHODS = ("dop853", "rk45")
 OUTPUTS = ("trajectory.csv", "report.txt")
+COUNTERS = ("accepted", "rejected", "rhs_evals")
 _METHOD_LINE = re.compile(r"^integrator\.method\s*=.*$", re.MULTILINE)
 
 
@@ -37,6 +42,20 @@ def _digest(path: Path) -> str:
     if not path.is_file():
         return "-"
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _counters(report: Path) -> str:
+    """The step counters of a report's ``[integrator]`` section."""
+    found = {}
+    if report.is_file():
+        section = None
+        for line in report.read_text().splitlines():
+            if line.startswith("["):
+                section = line.strip()
+            elif section == "[integrator]" and "=" in line:
+                key, _, value = line.partition("=")
+                found[key.strip()] = value.strip()
+    return " ".join(f"{key}={found.get(key, '-')}" for key in COUNTERS)
 
 
 def _with_method(text: str, method: str) -> str:
@@ -62,7 +81,8 @@ def digest_run(root: Path, cfg: Path, method: str, work: Path) -> str:
         stderr=subprocess.DEVNULL, check=False,
     )
     files = " ".join(f"{name}={_digest(out / name)}" for name in OUTPUTS)
-    return f"{cfg.stem} {method} exit={proc.returncode} {files}"
+    counters = _counters(out / "report.txt")
+    return f"{cfg.stem} {method} exit={proc.returncode} {files} {counters}"
 
 
 def main(argv=None) -> int:
