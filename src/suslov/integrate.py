@@ -30,6 +30,9 @@ comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
 4th-order one of DP5, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]``, or the
 7th-order one of DOP853, whose three extra stages are evaluated on every
 accepted step, so that the counters depend only on the step sequence.
+The ``Trajectory`` keeps each accepted step's start time, size and start
+point, from which :func:`detect_period` evaluates the stages of a step
+again to locate a crossing on its interpolant.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -49,7 +52,9 @@ constraint residual is recorded rather than repaired.
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -135,6 +140,12 @@ class Trajectory:
     unpacks the whole block at once, on first access, into a tuple of
     read-only ``BodyState`` views: each ``omega.mat`` of one unpacked
     matrix block, each ``gamma`` of ``ys``.
+
+    From :func:`integrate`'s adaptive methods it also holds, for
+    :func:`detect_period`, each accepted step's start time, size and start
+    point: O(accepted steps x d) memory, with d = ``k + n``, or d + 2 floats
+    a step (64 bytes at d = 6), and the field, to evaluate a step's stages
+    again.  Other trajectories hold none.
     """
 
     def __init__(self, times, ys, aux=None, stats=None):
@@ -145,6 +156,7 @@ class Trajectory:
         self.aux = {} if aux is None else aux
         self.stats = stats
         self._states = None
+        self._steps = None  # integrate's (pair, field, rows (t, h, *y))
         if len(self._ys) != self.times.size:
             raise ValueError("times and samples lengths differ")
         if np.any(np.diff(self.times) <= 0):
@@ -212,6 +224,7 @@ _DP_P = np.array(
 )
 _POWERS = np.arange(1, 5)
 _EPS = np.finfo(float).eps
+_STEP_HEAD = struct.Struct("dd")  # (t, h) before y in an accepted step's row
 
 
 def _rk4_step(f, y, h):
@@ -382,10 +395,11 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
 
 def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
                     max_steps):
-    """Step ``pair`` over ``t_grid``; returns the samples at the grid times
-    and the counters.  ``post_step`` maps each accepted endpoint, in place;
-    the samples are left as the interpolant gives them.  The grid is walked
-    as Python floats, one time at a time.
+    """Step ``pair`` over ``t_grid``; returns the samples at the grid times,
+    the counters and the accepted steps, one row ``(t, h, *y)`` each: its
+    start time, size and start point.  ``post_step`` maps each accepted
+    endpoint, in place; the samples are left as the interpolant gives them.
+    The grid is walked as Python floats, one time at a time.
 
     ``f`` gets each point as a list of Python floats and may return a list
     or an array.  The step's start is held both ways: ``y``, an array, for
@@ -410,8 +424,8 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
     nxt = 1  # first grid index not yet sampled
     t_next = t_grid.item(1) if size > 1 else math.inf
-    accepted = attempts = 0
-    h_min, h_max, h_last = math.inf, 0.0, 0.0
+    attempts = 0
+    steps = bytearray()  # the rows of the accepted steps, end to end
     while t < t_end:
         last = t + h >= t_end - land
         if last:
@@ -435,8 +449,8 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
                 ys[nxt:stop] = pair.dense(y, h, K, x, dv)
                 nxt = stop
                 t_next = t_grid.item(stop) if stop < size else math.inf
-            accepted += 1
-            h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
+            steps += _STEP_HEAD.pack(t, h)
+            steps += y.tobytes()
             t = t_new
             y = np.array(y_new)
             if post_step is None:
@@ -452,12 +466,13 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
         else:
             factor = min(5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
         h = h * factor
+    steps = np.frombuffer(steps).reshape(-1, y.size + 2)
+    accepted, hs = len(steps), steps[:, 1]
     stats = IntegratorStats(
-        accepted, attempts - accepted,
-        S * attempts + extra * accepted + 1,
-        float(h_min), float(h_max), float(h_last),
+        accepted, attempts - accepted, S * attempts + extra * accepted + 1,
+        float(hs.min()), float(hs.max()), float(hs[-1]),
     )
-    return ys, stats
+    return ys, stats, steps
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
@@ -540,14 +555,17 @@ def integrate(
             return y
 
     y0 = pack_state(state0.omega, state0.gamma)
+    steps = None
     if cfg.method == "rk4":
         ys, stats = _rk4_solve(field, y0, t_grid, cfg.step, post,
                                cfg.max_steps)
     else:
-        ys, stats = _adaptive_solve(
-            _PAIRS[cfg.method], field, y0, t_grid, cfg.rel_tol, cfg.abs_tol,
-            cfg.step, post, cfg.max_steps,
+        pair = _PAIRS[cfg.method]
+        ys, stats, records = _adaptive_solve(
+            pair, field, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post,
+            cfg.max_steps,
         )
+        steps = (pair, field, records)
         if post is not None:
             # the interpolated samples, in one row-wise pass: each row gets
             # the bits of its own renormalization
@@ -561,7 +579,9 @@ def integrate(
         aux["constraint_residual"] = np.max(
             np.abs(ys[:, :k] @ constraints.rows.T), axis=1
         )
-    return Trajectory(times=t_grid, ys=ys, aux=aux, stats=stats)
+    traj = Trajectory(times=t_grid, ys=ys, aux=aux, stats=stats)
+    traj._steps = steps
+    return traj
 
 
 def state_field(fn, n):
@@ -617,42 +637,57 @@ def reparametrize(traj: Trajectory, observable) -> Trajectory:
 
 
 def detect_period(traj: Trajectory, observable):
-    """Period estimate from returns of an observable, or None.
+    """Period estimate from returns of ``observable(state) -> float``, or
+    None: the mean gap between upward crossings of the midpoint of its range
+    over the knots, once three consecutive gaps agree to a relative 1e-6.
 
-    Uses increasing crossings of the observable through the midpoint of its
-    sampled range, refined by a local cubic fit; reports the mean gap once
-    three consecutive gaps agree to a relative spread of 1e-6.
+    The knots are the samples or, from :func:`integrate`'s adaptive methods
+    when there are fewer, the accepted steps' starts and the last point.
+    Each crossing between two knots is located by Illinois regula falsi,
+    run until the bracket stops shrinking, on the interpolant of the step
+    it falls in, whose stages are evaluated again (event location: Hairer,
+    Norsett and Wanner, section II.6), or, for a trajectory without steps,
+    on the cubic through the four nearest samples.
     """
-    from scipy.optimize import brentq
-
+    steps = traj._steps
+    if steps is not None and len(steps[2]) < len(traj) - 1:
+        traj = Trajectory(np.append(steps[2][:, 0], traj.times[-1]),
+                          np.vstack((steps[2][:, 2:], traj.ys[-1])))
+    n, times = traj.n, traj.times
     vals = np.array([observable(s) for s in traj.states])
     if vals.size < 4:
         return None
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if hi - lo < 1e-300:
         return None
-    g = vals - 0.5 * (lo + hi)
-    times = traj.times
+    level = 0.5 * (lo + hi)
+    g = vals - level
+    if steps is not None:
+        pair, field, rows = steps
+        starts, k, restepped = rows[:, 0].tolist(), layout(n).k, {}
+
+        def local(t):
+            j = bisect.bisect_right(starts, t) - 1
+            if j not in restepped:
+                restepped[j] = _restep(pair, field, rows[j])
+            y, h, K, dv = restepped[j]
+            p = pair.dense(y, h, K, [(t - starts[j]) / h], dv)[0]
+            return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
+
     crossings = []
-    for i in range(1, g.size):
-        if g[i - 1] < 0.0 <= g[i]:
+    for i in (np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)) + 1).tolist():
+        if steps is None:
+            # abscissa (t - t0) / scale across the four samples
             i0 = min(max(0, i - 2), g.size - 4)
-            ts = times[i0 : i0 + 4]
-            # normalize abscissa for conditioning
-            t_mid, t_scale = ts[0], ts[-1] - ts[0]
+            t0, scale = times[i0], times[i0 + 3] - times[i0]
             coef = np.polynomial.polynomial.polyfit(
-                (ts - t_mid) / t_scale, g[i0 : i0 + 4], 3
+                (times[i0 : i0 + 4] - t0) / scale, g[i0 : i0 + 4], 3
             )
 
-            def cubic(t):
-                return np.polynomial.polynomial.polyval((t - t_mid) / t_scale, coef)
+            def local(t):
+                return np.polynomial.polynomial.polyval((t - t0) / scale, coef)
 
-            try:
-                crossings.append(brentq(cubic, times[i - 1], times[i], xtol=1e-15))
-            except ValueError:
-                # interpolant lost the sign change; fall back to linear
-                frac = g[i - 1] / (g[i - 1] - g[i])
-                crossings.append(times[i - 1] + frac * (times[i] - times[i - 1]))
+        crossings.append(_illinois(local, times[i - 1], times[i], g[i - 1], g[i]))
     if len(crossings) < 4:
         return None
     gaps = np.diff(crossings)
@@ -662,6 +697,39 @@ def detect_period(traj: Trajectory, observable):
         if mean > 0 and (np.max(window) - np.min(window)) / mean < 1e-6:
             return mean
     return None
+
+
+def _restep(pair, f, row):
+    """``(y, h, K, dv)``, as ``pair.dense`` takes them, of the accepted step
+    ``row = (t, h, *y)``, whose stages are evaluated again (``len(pair.rows)``
+    field calls).  ``K[0]`` is ``f`` at ``y``; the stepper reused ``f`` at
+    the previous step's end, before its renormalization, so the two agree to
+    roundoff."""
+    _, h, *yl = row.tolist()
+    K, terms = _stage_array(pair, len(yl))
+    K[0] = f(yl)
+    _fill_stages(f, yl, h, K, terms, 1, len(pair.rows))
+    return row[2:], h, K, np.dot(*terms[pair.stages])
+
+
+def _illinois(f, a, b, fa, fb):
+    """A root of ``f`` in ``[a, b]`` from ``fa = f(a) < 0 <= fb = f(b)``:
+    regula falsi that halves the value kept at an end twice running,
+    iterated until the next point is not strictly inside the bracket."""
+    side = 0
+    while True:
+        x = a - fa * ((b - a) / (fb - fa))
+        if not a < x < b:
+            return min(max(x, a), b)
+        fx = f(x)
+        if fx < 0.0:
+            a, fa = x, fx
+            fb *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            b, fb = x, fx
+            fa *= 0.5 if side > 0 else 1.0
+            side = 1
 
 
 def drift_report(traj: Trajectory, integrals) -> dict:

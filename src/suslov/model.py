@@ -456,16 +456,18 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         d/dt G_n = sum_i G_i Omega_in
 
     The so(n-1) block of ``Omega`` is ignored (it is constrained to zero):
-    this is :func:`packed_reduced_field` at the chart point ``(Omega_in,
-    Gamma)``.
+    this is :func:`_reduced_rates` on the floats of ``(Omega_in, Gamma)``
+    and the potential's gradient, as the fields of
+    :func:`suslov.cases.build_field` run it.
     """
-    if inertia.diag is None:
+    diag, n, g = inertia.diag, state.n, state.gamma.tolist()
+    if diag is None:
         raise ValueError("reduced field needs a diagonal mass tensor; "
                          "use vector_field_general instead")
-    n = state.n
-    f, _ = packed_reduced_field(inertia, potential)
-    rates = f(np.concatenate((state.omega.mat[: n - 1, n - 1], state.gamma)))
-    return from_column(rates[: n - 1]), rates[n - 1 :]
+    col_dot, g_dot = _reduced_rates(state.omega.mat[: n - 1, n - 1].tolist(), g,
+                                    potential._point_gradient(g),
+                                    (diag[:-1] + diag[-1]).tolist())
+    return from_column(col_dot), np.array(g_dot)
 
 
 _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis

@@ -517,8 +517,8 @@ class TestAsymptoticPoints:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize alone takes most of a second to import; only
-    # integrate.detect_period needs it, and imports it on first call
+    # scipy.optimize alone takes most of a second to import, and no part
+    # of the package uses it
     import os
     import subprocess
     import sys

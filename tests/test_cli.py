@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from suslov import cli
 from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
+from suslov.integrate import integrate
 
 GAMMA3 = f"0.3 0.2 {float(np.sqrt(1.0 - 0.13))!r}"
 
@@ -396,6 +397,38 @@ class TestAnalyses:
         t_quad = float(rep["kharlamova.T_quadrature"])
         t_meas = float(rep["kharlamova.T_measured"])
         assert abs(t_meas - t_quad) <= 1e-6 * t_quad
+
+    @pytest.mark.parametrize("t_end, runs", [(None, 1), ("20", 2)])
+    def test_kharlamova_period_integrates_again_only_when_short(
+        self, tmp_path, monkeypatch, t_end, runs
+    ):
+        # T = 8.67 here: t_end = 60 spans 5.4 T, so the period is read from
+        # the main run; at 20 the analysis integrates over 5.4 T and
+        # reports that run's counters in its own section
+        trajs = []
+
+        def counted(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(cli, "integrate", counted)
+        out = tmp_path / "out"
+        path = write(tmp_path, "k.cfg", kharlamova_cfg(out))
+        extra = [] if t_end is None else ["--t-end", t_end]
+        assert main(["kharlamova-period", path, *extra]) == 0
+        assert len(trajs) == runs
+        rep = report_dict(out / "report.txt")
+        t_quad = float(rep["kharlamova.T_quadrature"])
+        assert abs(float(rep["kharlamova.T_measured"]) - t_quad) <= 1e-6 * t_quad
+        counters = {key: rep.get(f"kharlamova.{key}")
+                    for key in ("accepted", "rejected", "rhs_evals")}
+        if runs == 1:
+            assert counters == dict.fromkeys(counters)
+        else:
+            stats = trajs[1].stats
+            assert counters == {"accepted": str(stats.accepted),
+                                "rejected": str(stats.rejected),
+                                "rhs_evals": str(stats.rhs_evals)}
 
     def test_clebsch_tori_end_to_end(self, tmp_path):
         out = tmp_path / "out"

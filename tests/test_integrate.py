@@ -11,7 +11,7 @@ from conftest import (
     random_canonical_state,
     states_trajectory,
 )
-from suslov import _dop853
+from suslov import _dop853, kharlamova
 from suslov.algebra import ConstraintSet, layout, unpack
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.cli import load_config
@@ -26,6 +26,7 @@ from suslov.integrate import (
     _DP_P,
     _dp5_dense,
     _fill_stages,
+    _restep,
     _rk4_solve,
     _stage_array,
     detect_period,
@@ -845,6 +846,55 @@ class TestDetectPeriod:
         traj = integrate(state_field(field, 3), state0, (0.0, 120.0), cfg,
                          output_dt=0.1)
         assert detect_period(traj, lambda s: s.omega.mat[0, 2]) is None
+
+    @pytest.mark.parametrize("method, bound", [("dop853", 1e-10), ("rk45", 1e-9)])
+    def test_main_run_of_kharlamova_period_n3(self, method, bound):
+        # the scenario's own run (output_dt 0.1, t_end 60 = 5.5 T): each
+        # crossing is located on the stepper's interpolant, so the period
+        # is as close as the integration allows; a cubic fit through the
+        # samples reads 1.6e-9 under dop853
+        config = load_config(SCENARIO_DIR / "kharlamova_period_n3.cfg")
+        spec = config.case_spec
+        cfg = dataclasses.replace(config.integrator, method=method)
+        traj = integrate(build_field(spec)[0], config.initial_state,
+                         (0.0, config.t_end), cfg, output_dt=config.output_dt)
+        inertia, b = spec.inertia, spec.potential.b
+        coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
+        poly = kharlamova.trajectory_polynomial(coords, inertia, b)
+        t_quad = kharlamova.period(poly, kharlamova.orbit_interval(poly, coords.omega[0]))
+        t = detect_period(traj, lambda s: s.omega.mat[0, 2])
+        assert abs(t - t_quad) <= bound * t_quad
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_a_step_evaluated_again_gives_its_samples_bit_for_bit(self, method):
+        # without renormalization the stepper's first stage is f at the
+        # recorded start, so each step's stages come back with their bits
+        spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", method)
+        cfg = dataclasses.replace(cfg, renormalize_gamma=False)
+        traj = integrate(field, config.initial_state, (0.0, config.t_end), cfg,
+                         output_dt=config.output_dt)
+        pair, f, rows = traj._steps
+        assert len(rows) == traj.stats.accepted
+        assert rows[:, 1].max() == traj.stats.h_max
+        ends = np.append(rows[1:, 0], traj.times[-1])
+        checked = 0
+        for row, end in zip(rows, ends):
+            inside = (traj.times > row[0]) & (traj.times <= end)
+            if inside.any():
+                y, h, K, dv = _restep(pair, f, row)
+                x = ((traj.times[inside] - row[0]) / h).tolist()
+                assert np.array_equal(bits(pair.dense(y, h, K, x, dv)),
+                                      bits(traj.ys[inside]))
+                checked += int(inside.sum())
+        assert checked == len(traj) - 1
+
+    def test_only_adaptive_integrations_keep_steps(self):
+        spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", "rk4")
+        traj = integrate(field, config.initial_state, (0.0, 1.0), cfg)
+        assert traj._steps is None
+        assert reparametrize(traj, lambda s: s.gamma[-1])._steps is None
 
 
 class TestDriftReport:

@@ -3,10 +3,13 @@ the one-minute budget."""
 
 import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import suslov
 from suslov.cli import main
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -29,6 +32,23 @@ def test_scenario_runs_quickly_and_passes(path, tmp_path, monkeypatch):
     assert (tmp_path / out_dir / "trajectory.csv").exists()
     report = (tmp_path / out_dir / "report.txt").read_text()
     assert "pass = true" in report
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_leaves_scipy_optimize_unloaded(path, tmp_path):
+    # a fresh interpreter, since this session may have imported it already
+    code = (
+        "import sys\n"
+        "from suslov.cli import main\n"
+        f"status = main(['simulate', {str(path)!r}, '--output-dir', {str(tmp_path)!r}])\n"
+        "print(status, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(suslov.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_scenarios_exist():

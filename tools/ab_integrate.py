@@ -14,6 +14,10 @@ this checkout's ``scenarios/*.cfg``, each round times, on both sides:
 
 - ``integrate`` alone, as ``suslov simulate`` calls it, once under each
   of ``dop853`` and ``rk45`` (the field is built outside the timed call);
+- ``detect_period(traj, lambda s: s.omega.mat[0, s.n - 1])``, the call
+  shape of the benchmark's ensemble items, on a fresh ``rk45`` trajectory
+  of the scenario's own side, built by an untimed ``integrate`` call as
+  above;
 - ``suslov simulate`` on the scenario, writing into a temporary directory.
 
 The two sides run one after the other, and the side that goes first
@@ -43,6 +47,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 METHODS = ("dop853", "rk45")
+LABELS = {"detect_period": "detect_period", "simulate": "suslov simulate"}
 
 
 def load_package(name: str, root: Path):
@@ -64,14 +69,15 @@ def load_package(name: str, root: Path):
 
 def integrate_call(lib, path: Path, method: str):
     """A no-argument call of ``integrate`` as ``suslov simulate`` makes it
-    for the scenario at ``path``, under ``method``."""
+    for the scenario at ``path``, under ``method``; it returns the
+    trajectory."""
     config = lib.cli.load_config(path)
     cfg = dataclasses.replace(config.integrator, method=method)
     spec = config.case_spec
     field, constraints = lib.cases.build_field(spec)
 
     def call():
-        lib.integrate.integrate(
+        return lib.integrate.integrate(
             field, config.initial_state, (0.0, config.t_end), cfg,
             output_dt=config.output_dt, inertia=spec.inertia,
             potential=spec.potential, constraints=constraints,
@@ -97,6 +103,27 @@ def cpu_time(call) -> float:
     start = time.process_time()
     call()
     return time.process_time() - start
+
+
+def timed(call):
+    """A no-argument function returning the CPU time of ``call()``."""
+    return lambda: cpu_time(call)
+
+
+def timed_detect_period(lib, path: Path):
+    """A no-argument function that integrates the scenario at ``path``
+    under ``rk45``, untimed, and returns the CPU time of ``detect_period``
+    on the fresh trajectory."""
+    build = integrate_call(lib, path, "rk45")
+
+    def observable(s):
+        return s.omega.mat[0, s.n - 1]
+
+    def run():
+        traj = build()
+        return cpu_time(lambda: lib.integrate.detect_period(traj, observable))
+
+    return run
 
 
 def row(label: str, parent: list, change: list) -> str:
@@ -126,31 +153,36 @@ def main(argv=None) -> int:
     paths = sorted((HERE / "scenarios").glob("*.cfg"))
 
     with tempfile.TemporaryDirectory(prefix="ab_integrate_") as tmp:
-        # (kind, scenario) -> side -> call; kind is a method or "simulate"
-        calls = {}
+        # (kind, scenario) -> side -> a function returning its CPU time
+        runs = {}
         for path in paths:
             for method in METHODS:
-                calls[method, path.stem] = {
-                    side: integrate_call(lib, path, method)
+                runs[method, path.stem] = {
+                    side: timed(integrate_call(lib, path, method))
                     for side, lib in libs.items()
                 }
-            calls["simulate", path.stem] = {
-                side: simulate_call(lib, path, str(Path(tmp) / side / path.stem))
+            runs["detect_period", path.stem] = {
+                side: timed_detect_period(lib, path)
                 for side, lib in libs.items()
             }
-        times = {key: {side: [] for side in SIDES} for key in calls}
+            runs["simulate", path.stem] = {
+                side: timed(simulate_call(lib, path,
+                                          str(Path(tmp) / side / path.stem)))
+                for side, lib in libs.items()
+            }
+        times = {key: {side: [] for side in SIDES} for key in runs}
         for rnd in range(args.rounds + 1):  # round 0 warms up, untimed
-            for index, (key, pair) in enumerate(calls.items()):
+            for index, (key, pair) in enumerate(runs.items()):
                 order = SIDES if (rnd + index) % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    elapsed = cpu_time(pair[side])
+                    elapsed = pair[side]()
                     if rnd > 0:
                         times[key][side].append(elapsed)
 
     print(f"parent {parent_root}, change {HERE}, {args.rounds} rounds, "
           "CPU time, ratio = change / parent")
-    for kind in (*METHODS, "simulate"):
-        label = "integrate " + kind if kind != "simulate" else "suslov simulate"
+    for kind in (*METHODS, "detect_period", "simulate"):
+        label = LABELS.get(kind, "integrate " + kind)
         keys = [key for key in times if key[0] == kind]
         for key in keys:
             print(row(f"{key[1]:<22} {label}", times[key]["parent"],
