@@ -495,9 +495,11 @@ def _analysis_kharlamova(report, config, traj):
     report.put("asymptotic", not periodic)
     if periodic:
         report.put("T_quadrature", t_quad)
-        if config.t_end < 5.4 * t_quad:
-            # the main run is too short for detect_period's three agreeing
-            # gaps: one run over 5.4 T, counted here
+        if (config.t_end < 5.4 * t_quad or config.output_dt > t_quad / 8.0
+                or config.integrator.method == "rk4"):
+            # the main run must span detect_period's three agreeing gaps,
+            # sample each period 8 times and keep the steps the crossings
+            # are located on (rk4 keeps none); else one run, counted here
             field, _ = build_field(spec)
             traj = integrate(field, config.initial_state, (0.0, 5.4 * t_quad),
                              config.integrator, output_dt=t_quad / 600.0)

@@ -52,7 +52,6 @@ constraint residual is recorded rather than repaired.
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -284,13 +283,14 @@ def _dp5_error_norm(K, h, scale):
     return math.sqrt(float(np.add.reduce(e * e)) / e.size)
 
 
-def _dp5_dense(y, h, K, x, dv):
-    """States at the step fractions ``x`` (a list of floats) of ``[t, t +
-    h]``, from ``y`` at ``t`` and the step's stages ``K``: the free
-    4th-order interpolant, exact at ``x = 0`` and equal to ``y5`` at
+def _dp5_dense(y, h, K, dv):
+    """The free 4th-order interpolant of the step ``[t, t + h]`` from ``y``
+    at ``t`` and its stages ``K``, as the function that maps step fractions
+    ``x`` (a list of floats) to their states; exact at ``x = 0``, ``y5`` at
     ``x = 1`` up to roundoff.  The solution's stage sum ``dv`` is not
     used."""
-    return y + h * ((np.array(x)[:, None] ** _POWERS) @ (_DP_P.T @ K))
+    Q = _DP_P.T @ K
+    return lambda x: y + h * ((np.array(x)[:, None] ** _POWERS) @ Q)
 
 
 def _dop853_error_norm(K, h, scale):
@@ -308,9 +308,9 @@ def _dop853_error_norm(K, h, scale):
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
-def _dop853_dense(y, h, K, x, dv):
-    """States at the step fractions ``x`` (a list of floats): the 7th-order
-    interpolant of DOP853 from the 16 stages of an accepted step, the
+def _dop853_dense(y, h, K, dv):
+    """The 7th-order interpolant of DOP853 from the 16 stages of an accepted
+    step, as the function of the step fractions ``x`` (a list of floats): the
     nested form ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))``
     evaluated as one product with its weights ``x, x (1 - x), x^2 (1 - x),
     ...``, each the product of the one before with ``x`` or ``1 - x``, on
@@ -322,16 +322,20 @@ def _dop853_dense(y, h, K, x, dv):
     np.subtract(h * K[0], dy, out=F[1])
     np.subtract(2.0 * dy, h * (K[12] + K[0]), out=F[2])
     np.multiply(h, np.dot(_dop853.D, K), out=F[3:])
-    w = []
-    for xi in x:
-        u = 1.0 - xi
-        c1 = xi * u
-        c2 = c1 * xi
-        c3 = c2 * u
-        c4 = c3 * xi
-        c5 = c4 * u
-        w.append((xi, c1, c2, c3, c4, c5, c5 * xi))
-    return y + np.dot(w, F)
+
+    def states(x):
+        w = []
+        for xi in x:
+            u = 1.0 - xi
+            c1 = xi * u
+            c2 = c1 * xi
+            c3 = c2 * u
+            c4 = c3 * xi
+            c5 = c4 * u
+            w.append((xi, c1, c2, c3, c4, c5, c5 * xi))
+        return y + np.dot(w, F)
+
+    return states
 
 
 class _Pair(NamedTuple):
@@ -343,8 +347,9 @@ class _Pair(NamedTuple):
     once per accepted step.  So a step costs ``stages`` field calls per
     attempt plus ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
     scale)`` is the scaled error, and the step factor is
-    ``0.9 err ** exponent``; ``dense(y, h, K, x, dv)`` gives the states at
-    the step fractions ``x``, given the solution's stage sum ``dv``.
+    ``0.9 err ** exponent``; ``dense(y, h, K, dv)``, given the solution's
+    stage sum ``dv``, is the step's interpolant: the function that gives
+    the states at a list of step fractions ``x``.
     """
 
     rows: tuple
@@ -424,7 +429,8 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
     nxt = 1  # first grid index not yet sampled
     t_next = t_grid.item(1) if size > 1 else math.inf
-    attempts = 0
+    accepted = attempts = 0
+    h_min, h_max, h_last = math.inf, 0.0, 0.0
     steps = bytearray()  # the rows of the accepted steps, end to end
     while t < t_end:
         last = t + h >= t_end - land
@@ -446,11 +452,12 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
                 while stop < size and t_grid.item(stop) <= t_new:
                     stop += 1
                 x = [(t_grid.item(i) - t) / h for i in range(nxt, stop)]
-                ys[nxt:stop] = pair.dense(y, h, K, x, dv)
+                ys[nxt:stop] = pair.dense(y, h, K, dv)(x)
                 nxt = stop
                 t_next = t_grid.item(stop) if stop < size else math.inf
-            steps += _STEP_HEAD.pack(t, h)
-            steps += y.tobytes()
+            accepted += 1
+            h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
+            steps += _STEP_HEAD.pack(t, h) + y.tobytes()
             t = t_new
             y = np.array(y_new)
             if post_step is None:
@@ -466,13 +473,11 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
         else:
             factor = min(5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
         h = h * factor
-    steps = np.frombuffer(steps).reshape(-1, y.size + 2)
-    accepted, hs = len(steps), steps[:, 1]
     stats = IntegratorStats(
         accepted, attempts - accepted, S * attempts + extra * accepted + 1,
-        float(hs.min()), float(hs.max()), float(hs[-1]),
+        float(h_min), float(h_max), float(h_last),
     )
-    return ys, stats, steps
+    return ys, stats, np.frombuffer(steps).reshape(-1, y.size + 2)
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
@@ -641,53 +646,65 @@ def detect_period(traj: Trajectory, observable):
     None: the mean gap between upward crossings of the midpoint of its range
     over the knots, once three consecutive gaps agree to a relative 1e-6.
 
-    The knots are the samples or, from :func:`integrate`'s adaptive methods
-    when there are fewer, the accepted steps' starts and the last point.
-    Each crossing between two knots is located by Illinois regula falsi,
-    run until the bracket stops shrinking, on the interpolant of the step
-    it falls in, whose stages are evaluated again (event location: Hairer,
-    Norsett and Wanner, section II.6), or, for a trajectory without steps,
-    on the cubic through the four nearest samples.
+    The knots are the samples.  On a trajectory from :func:`integrate`'s
+    adaptive methods, the accepted steps' starts and the last point are the
+    knots instead when they are fewer, or when the samples are too sparse
+    to bracket each crossing alone: fewer than 8 per upward crossing (a
+    sinusoid needs more than 2 a period).  Each crossing between two knots
+    is located by regula falsi (Anderson-Bjorck) from the inverse cubic
+    interpolant of the four nearest knots, until the bracket stops
+    shrinking, on the interpolant of the step it falls in, whose stages are
+    evaluated again (event location: Hairer, Norsett and Wanner, section
+    II.6), or, without steps, on the cubic through those four knots.
     """
-    steps = traj._steps
-    if steps is not None and len(steps[2]) < len(traj) - 1:
-        traj = Trajectory(np.append(steps[2][:, 0], traj.times[-1]),
-                          np.vstack((steps[2][:, 2:], traj.ys[-1])))
-    n, times = traj.n, traj.times
-    vals = np.array([observable(s) for s in traj.states])
-    if vals.size < 4:
+    pair, field, rows = traj._steps or (None, None, None)
+
+    def candidates():
+        if rows is None or len(rows) >= len(traj) - 1:
+            yield traj
+        if rows is not None:
+            yield Trajectory(np.append(rows[:, 0], traj.times[-1]),
+                             np.vstack((rows[:, 2:], traj.ys[-1])))
+
+    for knots in candidates():
+        vals = np.array([observable(s) for s in knots.states])
+        lo, hi = vals.min(initial=math.inf), vals.max(initial=-math.inf)
+        level = 0.5 * (lo + hi)
+        g = vals - level
+        up = (np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)) + 1).tolist()
+        if vals.size >= 8 * (len(up) + 1):
+            break
+    if vals.size < 4 or hi - lo < 1e-300:
         return None
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    if hi - lo < 1e-300:
-        return None
-    level = 0.5 * (lo + hi)
-    g = vals - level
-    if steps is not None:
-        pair, field, rows = steps
-        starts, k, restepped = rows[:, 0].tolist(), layout(n).k, {}
+    n, times = traj.n, knots.times
+    k = layout(n).k
+    if rows is not None:
+        starts, restepped = rows[:, 0], {}
 
         def local(t):
-            j = bisect.bisect_right(starts, t) - 1
+            j = int(starts.searchsorted(t, "right")) - 1
             if j not in restepped:
                 restepped[j] = _restep(pair, field, rows[j])
-            y, h, K, dv = restepped[j]
-            p = pair.dense(y, h, K, [(t - starts[j]) / h], dv)[0]
+            p = restepped[j]([(t - rows.item(j, 0)) / rows.item(j, 1)])[0]
             return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
 
     crossings = []
-    for i in (np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)) + 1).tolist():
-        if steps is None:
-            # abscissa (t - t0) / scale across the four samples
-            i0 = min(max(0, i - 2), g.size - 4)
-            t0, scale = times[i0], times[i0 + 3] - times[i0]
-            coef = np.polynomial.polynomial.polyfit(
-                (times[i0 : i0 + 4] - t0) / scale, g[i0 : i0 + 4], 3
-            )
+    for i in up:
+        # the four knots around the crossing, on the abscissa (t - t0) / scale
+        i0 = min(max(0, i - 2), g.size - 4)
+        t0, scale = times[i0], times[i0 + 3] - times[i0]
+        x = (times[i0 : i0 + 4] - t0) / scale
+        if rows is None:
+            coef = np.polynomial.polynomial.polyfit(x, g[i0 : i0 + 4], 3)
 
             def local(t):
                 return np.polynomial.polynomial.polyval((t - t0) / scale, coef)
 
-        crossings.append(_illinois(local, times[i - 1], times[i], g[i - 1], g[i]))
+        # the first point: where the cubic through the four knots, as t(g),
+        # is at g = 0 (inverse interpolation)
+        first = t0 + scale * _inverse_cubic(x.tolist(), g[i0 : i0 + 4].tolist())
+        crossings.append(_regula_falsi(local, times.item(i - 1), times.item(i),
+                                       g.item(i - 1), g.item(i), first))
     if len(crossings) < 4:
         return None
     gaps = np.diff(crossings)
@@ -700,7 +717,7 @@ def detect_period(traj: Trajectory, observable):
 
 
 def _restep(pair, f, row):
-    """``(y, h, K, dv)``, as ``pair.dense`` takes them, of the accepted step
+    """The interpolant, as ``pair.dense`` returns it, of the accepted step
     ``row = (t, h, *y)``, whose stages are evaluated again (``len(pair.rows)``
     field calls).  ``K[0]`` is ``f`` at ``y``; the stepper reused ``f`` at
     the previous step's end, before its renormalization, so the two agree to
@@ -709,27 +726,43 @@ def _restep(pair, f, row):
     K, terms = _stage_array(pair, len(yl))
     K[0] = f(yl)
     _fill_stages(f, yl, h, K, terms, 1, len(pair.rows))
-    return row[2:], h, K, np.dot(*terms[pair.stages])
+    return pair.dense(row[2:], h, K, np.dot(*terms[pair.stages]))
 
 
-def _illinois(f, a, b, fa, fb):
-    """A root of ``f`` in ``[a, b]`` from ``fa = f(a) < 0 <= fb = f(b)``:
-    regula falsi that halves the value kept at an end twice running,
-    iterated until the next point is not strictly inside the bracket."""
+def _inverse_cubic(x, g):
+    """Where the cubic through the four points ``(g[j], x[j])`` is at
+    ``g = 0`` (Lagrange form), or NaN when two ``g`` are equal."""
+    try:
+        return sum(xj * math.prod(gm / (gm - gj) for gm in g[:j] + g[j + 1:])
+                   for j, (xj, gj) in enumerate(zip(x, g)))
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _regula_falsi(f, a, b, fa, fb, x):
+    """A root of ``f`` in ``[a, b]`` from ``fa = f(a) < 0 <= fb = f(b)``,
+    from the point ``x`` if it is strictly inside: regula falsi in the
+    Anderson-Bjorck variant, which scales the value kept at an end twice
+    running by ``1 - f(x) / f(old end)`` (by 1/2 when that is not
+    positive), iterated until the next point is not strictly inside the
+    bracket."""
     side = 0
-    while True:
+    if not a < x < b:
         x = a - fa * ((b - a) / (fb - fa))
-        if not a < x < b:
-            return min(max(x, a), b)
+    while a < x < b:
         fx = f(x)
         if fx < 0.0:
-            a, fa = x, fx
-            fb *= 0.5 if side < 0 else 1.0
-            side = -1
+            if side < 0:
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa, side = x, fx, -1
         else:
-            b, fb = x, fx
-            fa *= 0.5 if side > 0 else 1.0
-            side = 1
+            if side > 0:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, side = x, fx, 1
+        x = a - fa * ((b - a) / (fb - fa))
+    return min(max(x, a), b)
 
 
 def drift_report(traj: Trajectory, integrals) -> dict:

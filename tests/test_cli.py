@@ -398,13 +398,19 @@ class TestAnalyses:
         t_meas = float(rep["kharlamova.T_measured"])
         assert abs(t_meas - t_quad) <= 1e-6 * t_quad
 
-    @pytest.mark.parametrize("t_end, runs", [(None, 1), ("20", 2)])
-    def test_kharlamova_period_integrates_again_only_when_short(
-        self, tmp_path, monkeypatch, t_end, runs
+    @pytest.mark.parametrize("t_end, values, runs", [
+        (None, {}, 1),
+        ("20", {}, 2),
+        (None, {"integrator.method": "rk4"}, 2),
+        (None, {"run.output_dt": "4.0"}, 2),
+    ], ids=["main_run", "short", "rk4", "coarse_output_dt"])
+    def test_kharlamova_period_integrates_again_only_when_needed(
+        self, tmp_path, monkeypatch, t_end, values, runs
     ):
         # T = 8.67 here: t_end = 60 spans 5.4 T, so the period is read from
-        # the main run; at 20 the analysis integrates over 5.4 T and
-        # reports that run's counters in its own section
+        # the main run; at 20, under rk4 (no steps) or with samples 4.0
+        # apart (fewer than 8 a period) the analysis integrates over 5.4 T
+        # and reports that run's counters in its own section
         trajs = []
 
         def counted(*args, **kwargs):
@@ -413,7 +419,7 @@ class TestAnalyses:
 
         monkeypatch.setattr(cli, "integrate", counted)
         out = tmp_path / "out"
-        path = write(tmp_path, "k.cfg", kharlamova_cfg(out))
+        path = write(tmp_path, "k.cfg", with_values(kharlamova_cfg(out), values))
         extra = [] if t_end is None else ["--t-end", t_end]
         assert main(["kharlamova-period", path, *extra]) == 0
         assert len(trajs) == runs
@@ -429,6 +435,23 @@ class TestAnalyses:
             assert counters == {"accepted": str(stats.accepted),
                                 "rejected": str(stats.rejected),
                                 "rhs_evals": str(stats.rhs_evals)}
+
+    @pytest.mark.parametrize("method, output_dt", [
+        ("rk4", "0.1"), ("rk45", "60.0"), ("dop853", "4.0"), ("dop853", "9.0"),
+    ])
+    def test_kharlamova_period_whatever_the_main_run_samples(
+        self, tmp_path, method, output_dt
+    ):
+        # one sample a run, two a period and fewer than one a period
+        # (T = 8.67): the measured period keeps the accuracy of a 5.4 T run
+        # sampled 600 times a period
+        out = tmp_path / "out"
+        text = with_values(kharlamova_cfg(out), {"integrator.method": method,
+                                                 "run.output_dt": output_dt})
+        assert main(["kharlamova-period", write(tmp_path, "k.cfg", text)]) == 0
+        rep = report_dict(out / "report.txt")
+        assert rep["kharlamova.pass"] == "true"
+        assert float(rep["kharlamova.rel_diff"]) <= 1e-9
 
     def test_clebsch_tori_end_to_end(self, tmp_path):
         out = tmp_path / "out"

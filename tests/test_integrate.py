@@ -24,6 +24,7 @@ from suslov.integrate import (
     _DP5,
     _DP_E,
     _DP_P,
+    _adaptive_solve,
     _dp5_dense,
     _fill_stages,
     _restep,
@@ -145,6 +146,15 @@ class TestSteppers:
         # y' = 1 from y = 0: the last accepted point is y = t_last
         assert err.value.y_last[0] == pytest.approx(err.value.t_last, abs=1e-12)
 
+    def test_one_point_grid_takes_no_step(self):
+        y0 = np.array([1.0, 2.0])
+        ys = solve_adaptive_rk45(lambda y: -y, y0, [0.0], 1e-10, 1e-12)
+        assert np.array_equal(ys, [y0])
+        _, stats, steps = _adaptive_solve(_DP5, lambda y: y, y0, [0.0],
+                                          1e-10, 1e-12, None, None, 10)
+        assert stats == IntegratorStats(0, 0, 1, math.inf, 0.0, 0.0)
+        assert steps.shape == (0, 4)
+
 
 # Dormand-Prince 5(4), one stage at a time, as a reference for the
 # stage-matrix stepper
@@ -227,7 +237,7 @@ class TestDenseOutput:
     def test_interpolant_matches_step_endpoints(self):
         for h in (0.4, 0.05):
             K, y5, _ = dp5_step(self.f, self.y0, h)
-            ends = _dp5_dense(self.y0, h, K, [0.0, 1.0], None)
+            ends = _dp5_dense(self.y0, h, K, None)([0.0, 1.0])
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y5)) <= 1e-15 * np.max(np.abs(y5))
 
@@ -236,7 +246,7 @@ class TestDenseOutput:
         hs = [0.1, 0.05, 0.025]
         for h in hs:
             K, _, _ = dp5_step(self.f, self.y0, h)
-            mid = _dp5_dense(self.y0, h, K, [0.5], None)[0]
+            mid = _dp5_dense(self.y0, h, K, None)([0.5])[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
@@ -297,7 +307,7 @@ class TestDop853:
     def test_interpolant_matches_step_endpoints(self):
         for h in (1.0, 0.4, 0.05):
             K, dv, y_new = dop853_step(self.f, self.y0, h)
-            ends = _DOP853.dense(self.y0, h, K, [0.0, 1.0], dv)
+            ends = _DOP853.dense(self.y0, h, K, dv)([0.0, 1.0])
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y_new)) <= 1e-15 * np.max(np.abs(y_new))
 
@@ -306,7 +316,7 @@ class TestDop853:
         hs = [1.0, 0.5, 0.25]
         for h in hs:
             K, dv, _ = dop853_step(self.f, self.y0, h)
-            mid = _DOP853.dense(self.y0, h, K, [0.5], dv)[0]
+            mid = _DOP853.dense(self.y0, h, K, dv)([0.5])[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 8.0) <= 0.3
@@ -853,17 +863,31 @@ class TestDetectPeriod:
         # crossing is located on the stepper's interpolant, so the period
         # is as close as the integration allows; a cubic fit through the
         # samples reads 1.6e-9 under dop853
-        config = load_config(SCENARIO_DIR / "kharlamova_period_n3.cfg")
-        spec = config.case_spec
-        cfg = dataclasses.replace(config.integrator, method=method)
-        traj = integrate(build_field(spec)[0], config.initial_state,
-                         (0.0, config.t_end), cfg, output_dt=config.output_dt)
-        inertia, b = spec.inertia, spec.potential.b
-        coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
-        poly = kharlamova.trajectory_polynomial(coords, inertia, b)
-        t_quad = kharlamova.period(poly, kharlamova.orbit_interval(poly, coords.omega[0]))
-        t = detect_period(traj, lambda s: s.omega.mat[0, 2])
+        t, t_quad = kharlamova_period_n3_measured(method, 0.1)
         assert abs(t - t_quad) <= bound * t_quad
+
+    @pytest.mark.parametrize("method, bound", [("dop853", 1e-10), ("rk45", 1e-9)])
+    def test_two_samples_fall_back_on_the_step_starts(self, method, bound):
+        # with output_dt = t_end the two samples bracket no crossing, so
+        # the knots are the starts of the accepted steps
+        t, t_quad = kharlamova_period_n3_measured(method, 60.0)
+        assert abs(t - t_quad) <= bound * t_quad
+
+
+def kharlamova_period_n3_measured(method, output_dt):
+    """``detect_period`` of Omega_13 on the run of ``kharlamova_period_n3``
+    under ``method``, sampled every ``output_dt``, and the closed-form
+    period."""
+    config = load_config(SCENARIO_DIR / "kharlamova_period_n3.cfg")
+    spec = config.case_spec
+    cfg = dataclasses.replace(config.integrator, method=method)
+    traj = integrate(build_field(spec)[0], config.initial_state,
+                     (0.0, config.t_end), cfg, output_dt=output_dt)
+    inertia, b = spec.inertia, spec.potential.b
+    coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
+    poly = kharlamova.trajectory_polynomial(coords, inertia, b)
+    t_quad = kharlamova.period(poly, kharlamova.orbit_interval(poly, coords.omega[0]))
+    return detect_period(traj, lambda s: s.omega.mat[0, 2]), t_quad
 
 
 class TestStepRecords:
@@ -883,9 +907,8 @@ class TestStepRecords:
         for row, end in zip(rows, ends):
             inside = (traj.times > row[0]) & (traj.times <= end)
             if inside.any():
-                y, h, K, dv = _restep(pair, f, row)
-                x = ((traj.times[inside] - row[0]) / h).tolist()
-                assert np.array_equal(bits(pair.dense(y, h, K, x, dv)),
+                x = ((traj.times[inside] - row[0]) / row[1]).tolist()
+                assert np.array_equal(bits(_restep(pair, f, row)(x)),
                                       bits(traj.ys[inside]))
                 checked += int(inside.sum())
         assert checked == len(traj) - 1
