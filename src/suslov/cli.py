@@ -495,11 +495,10 @@ def _analysis_kharlamova(report, config, traj):
     report.put("asymptotic", not periodic)
     if periodic:
         report.put("T_quadrature", t_quad)
-        if (config.t_end < 5.4 * t_quad or config.output_dt > t_quad / 8.0
-                or config.integrator.method == "rk4"):
-            # the main run must span detect_period's three agreeing gaps,
-            # sample each period 8 times and keep the steps the crossings
-            # are located on (rk4 keeps none); else one run, counted here
+        if config.t_end < 5.4 * t_quad or config.integrator.method == "rk4":
+            # the main run must span detect_period's three agreeing gaps and
+            # keep the steps that bound the crossings (rk4 keeps none),
+            # whatever its output grid; else one run, counted here
             field, _ = build_field(spec)
             traj = integrate(field, config.initial_state, (0.0, 5.4 * t_quad),
                              config.integrator, output_dt=t_quad / 600.0)
@@ -553,7 +552,7 @@ def _analysis_clebsch(report, config, traj):
     sign_invariant = bool(np.all(signs == signs[0]) and signs[0] != 0.0)
     report.put("gamma_n_sign_invariant", sign_invariant)
     if cls is clebsch.Classification.TWO_DISJOINT_TORI and sign_invariant:
-        tau_traj = reparametrize(traj, lambda s: s.gamma[-1])
+        tau_traj = reparametrize(traj, lambda y: y[..., -1])
         measured = clebsch.rotation_numbers(tau_traj, inertia, b)
         report.put("frequencies_measured", measured)
         err = float(np.max(np.abs(measured - exact)))

@@ -31,8 +31,9 @@ comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
 7th-order one of DOP853, whose three extra stages are evaluated on every
 accepted step, so that the counters depend only on the step sequence.
 The ``Trajectory`` keeps each accepted step's start time, size and start
-point, from which :func:`detect_period` evaluates the stages of a step
-again to locate a crossing on its interpolant.
+point: :func:`detect_period` brackets crossings between the step starts,
+whatever the output grid, and evaluates the stages of a step again to
+locate a crossing on its interpolant.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -130,7 +131,7 @@ class IntegratorStats:
 
 
 class Trajectory:
-    """Sampled solution: strictly increasing times, the packed samples
+    """Sampled solution: finite, strictly increasing times, the packed samples
     ``ys``, per-sample diagnostics in ``aux`` and, when it came from a
     stepper, the step counters in ``stats``.
 
@@ -156,10 +157,15 @@ class Trajectory:
         self.stats = stats
         self._states = None
         self._steps = None  # integrate's (pair, field, rows (t, h, *y))
+        n = self.n if self._ys.ndim == 2 else 0
+        if n < 2 or n * (n + 1) // 2 != self._ys.shape[1]:
+            raise ValueError(f"samples of shape {self._ys.shape} are not rows "
+                             "of width n (n + 1) / 2 for an n >= 2")
         if len(self._ys) != self.times.size:
             raise ValueError("times and samples lengths differ")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times))
+                and np.all(np.diff(self.times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
 
     def __len__(self):
         return self.times.size
@@ -603,18 +609,21 @@ def state_field(fn, n):
     return field
 
 
-def reparametrize(traj: Trajectory, observable) -> Trajectory:
+def reparametrize(traj: Trajectory, phi) -> Trajectory:
     """Re-index a trajectory by the accumulated time ``tau``, with ``dtau =
     Phi dt`` (the torus-analysis convention with ``Phi = Gamma_n``).
 
-    ``Phi`` must keep one strict sign along the samples.  Increments
-    accumulate through the geometric mean of adjacent samples; accuracy is
-    second order in the sampling step, like the trapezoid rule.
+    ``phi`` maps packed points ``(..., d)`` to their values of ``Phi``, as
+    the functions of :func:`suslov.cases.first_integrals` do, and is
+    evaluated once on the samples ``traj.ys`` (``Gamma_n`` is ``lambda y:
+    y[..., -1]``).  ``Phi`` must keep one strict sign along the samples.
+    Increments accumulate through the geometric mean of adjacent samples;
+    accuracy is second order in the sampling step, like the trapezoid rule.
 
     If ``Phi < 0`` the raw ``tau`` decreases, so the returned samples are
     reversed to keep times increasing.  New times always start at 0.
     """
-    vals = np.array([observable(s) for s in traj.states])
+    vals = np.asarray(phi(traj.ys), dtype=float)
     sign = np.sign(vals[0])
     if sign == 0.0 or np.any(np.sign(vals) != sign):
         bad = int(np.argmax(np.sign(vals) != sign)) if sign != 0.0 else 0
@@ -646,48 +655,29 @@ def detect_period(traj: Trajectory, observable):
     None: the mean gap between upward crossings of the midpoint of its range
     over the knots, once three consecutive gaps agree to a relative 1e-6.
 
-    The knots are the samples.  On a trajectory from :func:`integrate`'s
-    adaptive methods, the accepted steps' starts and the last point are the
-    knots instead when they are fewer, or when the samples are too sparse
-    to bracket each crossing alone: fewer than 8 per upward crossing (a
-    sinusoid needs more than 2 a period).  Each crossing between two knots
-    is located by regula falsi (Anderson-Bjorck) from the inverse cubic
-    interpolant of the four nearest knots, until the bracket stops
-    shrinking, on the interpolant of the step it falls in, whose stages are
-    evaluated again (event location: Hairer, Norsett and Wanner, section
-    II.6), or, without steps, on the cubic through those four knots.
+    On a trajectory from :func:`integrate`'s adaptive methods, the knots
+    are the accepted steps' starts and the last point, so two adjacent
+    knots bound one step, whatever the output grid; on any other (``rk4``,
+    :func:`reparametrize`, hand-built), they are the samples.  Each
+    crossing between two knots is located by regula falsi (Anderson-Bjorck)
+    from the inverse cubic interpolant of the four nearest knots, until the
+    bracket stops shrinking, on the interpolant of that step, whose stages
+    are evaluated again (event location: Hairer, Norsett and Wanner,
+    section II.6), or, without steps, on the cubic through those four
+    knots.
     """
     pair, field, rows = traj._steps or (None, None, None)
-
-    def candidates():
-        if rows is None or len(rows) >= len(traj) - 1:
-            yield traj
-        if rows is not None:
-            yield Trajectory(np.append(rows[:, 0], traj.times[-1]),
-                             np.vstack((rows[:, 2:], traj.ys[-1])))
-
-    for knots in candidates():
-        vals = np.array([observable(s) for s in knots.states])
-        lo, hi = vals.min(initial=math.inf), vals.max(initial=-math.inf)
-        level = 0.5 * (lo + hi)
-        g = vals - level
-        up = (np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)) + 1).tolist()
-        if vals.size >= 8 * (len(up) + 1):
-            break
-    if vals.size < 4 or hi - lo < 1e-300:
+    knots = traj if rows is None else Trajectory(
+        np.append(rows[:, 0], traj.times[-1]),
+        np.vstack((rows[:, 2:], traj.ys[-1])))
+    vals = np.array([observable(s) for s in knots.states])
+    if vals.size < 4 or np.ptp(vals) < 1e-300:
         return None
+    level = 0.5 * (vals.min() + vals.max())
+    g = vals - level
+    up = (np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)) + 1).tolist()
     n, times = traj.n, knots.times
     k = layout(n).k
-    if rows is not None:
-        starts, restepped = rows[:, 0], {}
-
-        def local(t):
-            j = int(starts.searchsorted(t, "right")) - 1
-            if j not in restepped:
-                restepped[j] = _restep(pair, field, rows[j])
-            p = restepped[j]([(t - rows.item(j, 0)) / rows.item(j, 1)])[0]
-            return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
-
     crossings = []
     for i in up:
         # the four knots around the crossing, on the abscissa (t - t0) / scale
@@ -699,6 +689,14 @@ def detect_period(traj: Trajectory, observable):
 
             def local(t):
                 return np.polynomial.polynomial.polyval((t - t0) / scale, coef)
+        else:
+            # the bracket [knot i - 1, knot i] is step i - 1
+            start, h = rows.item(i - 1, 0), rows.item(i - 1, 1)
+            dense = _restep(pair, field, rows[i - 1])
+
+            def local(t):
+                p = dense([(t - start) / h])[0]
+                return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
 
         # the first point: where the cubic through the four knots, as t(g),
         # is at g = 0 (inverse interpolation)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from suslov import kharlamova
 from suslov.algebra import SkewMatrix, from_column
 from suslov.integrate import Trajectory
 from suslov.model import BodyState, pack_state
@@ -57,3 +58,12 @@ def state_with_sizable_integrals(rng, spec, integrals, min_abs=0.05, speed=0.7):
         if all(abs(fn(y)) >= min_abs for fn in integrals.values()):
             return state
     raise RuntimeError("could not draw a state with sizable integrals")
+
+
+def closed_form_period(config):
+    """The closed-form period ``T`` of the Kharlamova case of a loaded
+    scenario ``config``, from its initial state."""
+    inertia, b = config.case_spec.inertia, config.case_spec.potential.b
+    coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
+    poly = kharlamova.trajectory_polynomial(coords, inertia, b)
+    return kharlamova.period(poly, kharlamova.orbit_interval(poly, coords.omega[0]))

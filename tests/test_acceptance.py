@@ -299,7 +299,7 @@ def test_criterion_4_clebsch_tori():
             traj = integrate(field, state0, (0.0, 200.0), cfg, output_dt=0.02)
             signs = np.array([np.sign(s.gamma[-1]) for s in traj.states])
             sign_ok = bool(np.all(signs == signs[0]))
-            tau = reparametrize(traj, lambda s: s.gamma[-1])
+            tau = reparametrize(traj, lambda y: y[..., -1])
             measured = rotation_numbers(tau, inertia, b)
             err = float(np.max(np.abs(measured - exact)))
             details.append(err)

@@ -207,7 +207,7 @@ class TestRotationNumbers:
             state0 = state_inside_tori(rng, inertia, b, fill=fill)
             cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
             traj = integrate(field, state0, (0.0, 80.0), cfg, output_dt=0.02)
-            tau_traj = reparametrize(traj, lambda s: s.gamma[-1])
+            tau_traj = reparametrize(traj, lambda y: y[..., -1])
             slopes = rotation_numbers(tau_traj, inertia, b)
             measured.append(slopes)
             assert np.max(np.abs(slopes - exact)) < 1e-4
@@ -220,7 +220,7 @@ class TestRotationNumbers:
         state0 = state_inside_tori(rng, inertia, b, fill=0.7)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(field, state0, (0.0, 80.0), cfg, output_dt=0.02)
-        tau_traj = reparametrize(traj, lambda s: s.gamma[-1])
+        tau_traj = reparametrize(traj, lambda y: y[..., -1])
 
         def fit_residual(trajectory):
             phis = np.array(

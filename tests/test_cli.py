@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import closed_form_period
 from suslov import cli
 from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
 from suslov.integrate import integrate
 
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GAMMA3 = f"0.3 0.2 {float(np.sqrt(1.0 - 0.13))!r}"
 
 
@@ -402,15 +405,15 @@ class TestAnalyses:
         (None, {}, 1),
         ("20", {}, 2),
         (None, {"integrator.method": "rk4"}, 2),
-        (None, {"run.output_dt": "4.0"}, 2),
+        (None, {"run.output_dt": "4.0"}, 1),
     ], ids=["main_run", "short", "rk4", "coarse_output_dt"])
     def test_kharlamova_period_integrates_again_only_when_needed(
         self, tmp_path, monkeypatch, t_end, values, runs
     ):
         # T = 8.67 here: t_end = 60 spans 5.4 T, so the period is read from
-        # the main run; at 20, under rk4 (no steps) or with samples 4.0
-        # apart (fewer than 8 a period) the analysis integrates over 5.4 T
-        # and reports that run's counters in its own section
+        # the main run's steps, whatever its output grid (samples 4.0 apart
+        # too); at 20 or under rk4 (no steps) the analysis integrates over
+        # 5.4 T and reports that run's counters in its own section
         trajs = []
 
         def counted(*args, **kwargs):
@@ -443,8 +446,8 @@ class TestAnalyses:
         self, tmp_path, method, output_dt
     ):
         # one sample a run, two a period and fewer than one a period
-        # (T = 8.67): the measured period keeps the accuracy of a 5.4 T run
-        # sampled 600 times a period
+        # (T = 8.67): the adaptive runs are read on their own steps and the
+        # rk4 run integrates again on the T/600 grid, each to 1e-9
         out = tmp_path / "out"
         text = with_values(kharlamova_cfg(out), {"integrator.method": method,
                                                  "run.output_dt": output_dt})
@@ -452,6 +455,21 @@ class TestAnalyses:
         rep = report_dict(out / "report.txt")
         assert rep["kharlamova.pass"] == "true"
         assert float(rep["kharlamova.rel_diff"]) <= 1e-9
+
+    def test_period_analysis_on_a_grid_that_aliases_the_period(self, tmp_path):
+        # kharlamova_period_n3 sampled once a period over 60 periods: every
+        # sample reads the same phase, and the period is read on the steps
+        scenario = SCENARIO_DIR / "kharlamova_period_n3.cfg"
+        t_quad = closed_form_period(load_config(scenario))
+        out = tmp_path / "out"
+        text = with_values(scenario.read_text(), {
+            "run.t_end": repr(60.0 * t_quad), "run.output_dt": repr(t_quad),
+            "run.analyses": "period", "run.output_dir": str(out),
+        })
+        assert main(["simulate", write(tmp_path, "k.cfg", text)]) == 0
+        rep = report_dict(out / "report.txt")
+        assert rep["period.period"] != "none"
+        assert abs(float(rep["period.period"]) - t_quad) <= 1e-10 * t_quad
 
     def test_clebsch_tori_end_to_end(self, tmp_path):
         out = tmp_path / "out"

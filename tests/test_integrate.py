@@ -8,10 +8,11 @@ import pytest
 from conftest import (
     bits,
     canonical_state,
+    closed_form_period,
     random_canonical_state,
     states_trajectory,
 )
-from suslov import _dop853, kharlamova
+from suslov import _dop853
 from suslov.algebra import ConstraintSet, layout, unpack
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.cli import load_config
@@ -774,8 +775,8 @@ class TestReparametrize:
         return states_trajectory(times, states, aux={})
 
     @staticmethod
-    def _phi(state):
-        return state.omega.mat[0, 2]
+    def _phi(y):
+        return y[..., 1]  # Omega_13, the second packed entry at n = 3
 
     def test_identity_for_unit_observable(self):
         traj = self._traj(np.ones(11))
@@ -873,20 +874,28 @@ class TestDetectPeriod:
         t, t_quad = kharlamova_period_n3_measured(method, 60.0)
         assert abs(t - t_quad) <= bound * t_quad
 
+    @pytest.mark.parametrize("method, bound", [("dop853", 1e-10), ("rk45", 1e-9)])
+    def test_a_grid_that_aliases_the_period(self, method, bound):
+        # one sample a period over 60 T (61 samples, 3,431 dop853 steps):
+        # every sample reads the same phase, so the samples bracket no
+        # crossing, while the step starts bracket each one
+        t, t_quad = kharlamova_period_n3_measured(method, 1.0, periods=60)
+        assert t is not None and abs(t - t_quad) <= bound * t_quad
 
-def kharlamova_period_n3_measured(method, output_dt):
+
+def kharlamova_period_n3_measured(method, output_dt, periods=None):
     """``detect_period`` of Omega_13 on the run of ``kharlamova_period_n3``
     under ``method``, sampled every ``output_dt``, and the closed-form
-    period."""
+    period ``T``.  The run spans the scenario's ``t_end`` or, given
+    ``periods``, that many periods, with ``output_dt`` then in periods
+    too."""
     config = load_config(SCENARIO_DIR / "kharlamova_period_n3.cfg")
-    spec = config.case_spec
     cfg = dataclasses.replace(config.integrator, method=method)
-    traj = integrate(build_field(spec)[0], config.initial_state,
-                     (0.0, config.t_end), cfg, output_dt=output_dt)
-    inertia, b = spec.inertia, spec.potential.b
-    coords = kharlamova.to_kharlamova(config.initial_state, inertia, b)
-    poly = kharlamova.trajectory_polynomial(coords, inertia, b)
-    t_quad = kharlamova.period(poly, kharlamova.orbit_interval(poly, coords.omega[0]))
+    t_quad, t_end = closed_form_period(config), config.t_end
+    if periods is not None:
+        t_end, output_dt = periods * t_quad, output_dt * t_quad
+    traj = integrate(build_field(config.case_spec)[0], config.initial_state,
+                     (0.0, t_end), cfg, output_dt=output_dt)
     return detect_period(traj, lambda s: s.omega.mat[0, 2]), t_quad
 
 
@@ -917,7 +926,7 @@ class TestStepRecords:
         spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", "rk4")
         traj = integrate(field, config.initial_state, (0.0, 1.0), cfg)
         assert traj._steps is None
-        assert reparametrize(traj, lambda s: s.gamma[-1])._steps is None
+        assert reparametrize(traj, lambda y: y[..., -1])._steps is None
 
 
 class TestDriftReport:

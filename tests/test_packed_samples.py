@@ -94,13 +94,38 @@ def test_trajectory_lengths_must_agree():
         Trajectory([0.0, 1.0], np.zeros((3, 6)))
 
 
+@pytest.mark.parametrize("shape", [
+    (2,), (2, 3, 2),
+    (2, 7),  # would unpack to n = 3 with a gamma of length 4
+    (2, 1),  # n = 1
+    (2, 0),
+], ids=["1d", "3d", "width_7", "n_1", "width_0"])
+def test_trajectory_rejects_a_block_of_no_body(shape):
+    with pytest.raises(ValueError, match=r"not rows of width n \(n \+ 1\) / 2"):
+        Trajectory([0.0, 1.0], np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trajectory_times_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory([0.0, bad], np.zeros((2, 6)))
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory([bad, 1.0], np.zeros((2, 6)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_trajectory_takes_every_body_width(n):
+    traj = Trajectory([0.0, 1.0], np.zeros((2, n * (n + 1) // 2)))
+    assert traj.n == n and traj.states[0].gamma.size == n
+
+
 def test_reversed_reparametrize_keeps_ys_and_states_aligned():
     spec = [s for s in catalog_instances() if s.kind.value == "ClebschTisserandND"][0]
     traj = case_trajectory(spec, 5, t_end=3.0)
     n, k = spec.n, layout(spec.n).k
 
-    def phi(s):  # single-signed and negative: the samples get reversed
-        return -1.0 - s.gamma[-1] ** 2
+    def phi(y):  # single-signed and negative: the samples get reversed
+        return -1.0 - y[..., -1] ** 2
 
     out = reparametrize(traj, phi)
     assert np.all(np.diff(out.times) > 0)

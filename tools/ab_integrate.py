@@ -14,10 +14,12 @@ this checkout's ``scenarios/*.cfg``, each round times, on both sides:
 
 - ``integrate`` alone, as ``suslov simulate`` calls it, once under each
   of ``dop853`` and ``rk45`` (the field is built outside the timed call);
-- ``detect_period(traj, lambda s: s.omega.mat[0, s.n - 1])``, the call
-  shape of the benchmark's ensemble items, on a fresh ``rk45`` trajectory
-  of the scenario's own side, built by an untimed ``integrate`` call as
-  above;
+- ``detect_period(traj, lambda s: s.omega.mat[0, s.n - 1])``, with the
+  per-state observable of the benchmark's ensemble items, on a fresh
+  ``rk45`` trajectory of the scenario's own side, built by an untimed
+  ``integrate`` call as above; like those items' trajectories, it holds
+  its steps, so the knots are its step starts, not the scenario's output
+  grid;
 - ``suslov simulate`` on the scenario, writing into a temporary directory.
 
 The two sides run one after the other, and the side that goes first
