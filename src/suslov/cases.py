@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -52,10 +51,8 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
-    _checked_3d,
-    _field_3d,
-    _gradient_3d,
-    _reduced_rates,
+    _reduced_field,
+    _vector3d_field,
     energies,
     pack_state,
     vector_field_3d,  # noqa: F401  kept as a public name of this module
@@ -310,57 +307,19 @@ def first_integrals(spec: CaseSpec) -> dict:
 def build_field(spec: CaseSpec):
     """The equations of motion for a case; returns ``(field, constraints)``
     with ``field(y) -> ydot`` on the packed coordinates of ``integrate``
-    (upper triangle of Omega, then Gamma).  Canonical cases leave exact
-    zeros in the so(n-1) block; 3D cases go through the vector form, with
-    the checks of :func:`vector_field_3d` made here, once.
-
-    ``integrate``'s adaptive loop hands the field each point as a list of
-    Python floats and gets a list back; an ndarray in gives an ndarray out,
-    with the same bits.  Each field runs its model kernel
-    (``_reduced_rates`` or ``_field_3d``) on the point's floats, with the
-    potential's gradient as floats: on vectors this short, numpy's per-call
-    dispatch costs more than the arithmetic."""
+    (upper triangle of Omega, then Gamma): the reduced equations for the
+    canonical cases, with exact zeros in the so(n-1) block, and the vector
+    form, checked once, for the 3D ones.  Given a list of floats, as every
+    method of ``integrate`` hands it each point, a field returns a list;
+    given an array ``(..., d)``, a point or a block, it returns an array,
+    each row with the bits of its point's list."""
     spec.validate()
     axis = spec.vector_axis
     if axis is not None:
-        gradient, eps = spec.potential._point_gradient, float(spec.gyro_eps)
-        j, a, den = _checked_3d(spec.j_diag, axis)
-        _gradient_3d(spec.potential, _E3)
-
-        # packed (X_12, X_13, X_23) <-> vector (-X_23, X_13, -X_12), as in
-        # packed_to_vector, written out on floats both ways
-        def field(y):
-            is_list = isinstance(y, list)
-            x12, x13, x23, g1, g2, g3 = y if is_list else y.tolist()
-            (w1, w2, w3), (gd1, gd2, gd3) = _field_3d(
-                (-x23, x13, -x12), (g1, g2, g3), gradient((g1, g2, g3)),
-                j, a, den, eps,
-            )
-            ydot = [-w3, w2, -w1, gd1, gd2, gd3]
-            return ydot if is_list else np.array(ydot)
-
-        return field, ConstraintSet.single_3d(axis)
-
-    lay, gradient = layout(spec.n), spec.potential._point_gradient
-    k, slots = lay.k, lay.column
-    cols = slots.tolist()
-    column = itemgetter(*cols)  # Omega_in from the floats of a packed point
-    # the packed Omega rates from [*col_dot, 0.0]: a column slot takes its
-    # rate, every other slot the trailing zero
-    scatter = itemgetter(*(cols.index(p) if p in cols else spec.n - 1
-                           for p in range(k)))
-    pair = (spec.inertia.diag[:-1] + spec.inertia.diag[-1]).tolist()
-
-    def field(y):
-        is_list = isinstance(y, list)
-        vals = y if is_list else y.tolist()
-        g = vals[k:]
-        col_dot, g_dot = _reduced_rates(column(vals), g, gradient(g), pair)
-        col_dot.append(0.0)
-        ydot = [*scatter(col_dot), *g_dot]
-        return ydot if is_list else np.array(ydot)
-
-    return field, ConstraintSet.canonical_suslov(spec.n)
+        return (_vector3d_field(spec.j_diag, axis, spec.potential, spec.gyro_eps),
+                ConstraintSet.single_3d(axis))
+    return (_reduced_field(spec.inertia, spec.potential),
+            ConstraintSet.canonical_suslov(spec.n))
 
 
 def pendulum_reference_field(gamma, gamma_dot, mass: float, b_n: float) -> np.ndarray:
@@ -402,9 +361,12 @@ def asymptotic_points(j_diag, axis, energy_level: float):
     """
     j = np.asarray(j_diag, dtype=float)
     a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    if energy_level <= 0.0:
-        raise ValueError("energy level must be positive")
+    norm = np.linalg.norm(a)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"axis must be finite and nonzero: {axis!r}")
+    if not 0.0 < energy_level < np.inf:
+        raise ValueError(f"energy level must be positive and finite: {energy_level!r}")
+    a = a / norm
     ja = j * a
     d = np.cross(a, ja)
     if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(ja):

@@ -195,6 +195,7 @@ def energy_offset_constant(value: float, b):
     candidates = {"half_Bn": 0.5 * b[-1], "half_nBn": 0.5 * n * b[-1]}
     residuals = {k: abs(value - v) for k, v in candidates.items()}
     label = min(residuals, key=residuals.get)
-    if residuals[label] > _OFFSET_MATCH_TOL * max(1.0, abs(value)):
+    # a NaN residual or an infinite value matches nothing
+    if not residuals[label] <= _OFFSET_MATCH_TOL * max(1.0, abs(value)) < np.inf:
         label = "neither"
     return label, residuals

@@ -7,9 +7,9 @@ the default) and Dormand-Prince 5(4) (``rk45``).  States are flattened to
 system here is autonomous, so a field is ``field(y) -> ydot`` on this flat
 vector, with no time argument, and the steppers carry no stage nodes.  The
 adaptive loop hands the field ``y`` as a list of Python floats and takes a
-list or an array back; the fields of :func:`suslov.cases.build_field`
-return a list for a list and an array for an array, with the same bits.
-RK4 passes arrays.
+list or an array back; so does RK4, for each of its four stages.  The
+fields of :func:`suslov.cases.build_field` return a list for a list and an
+array for an array, with the same bits.
 
 Both pairs run through one adaptive loop; a pair supplies only its tableau,
 its error norm, its step-size exponent and its interpolant.  A step stores
@@ -110,8 +110,8 @@ class IntegratorConfig:
         for tol in (self.rel_tol, self.abs_tol):
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError("tolerances must be positive and finite")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
+            raise ValueError(f"max_steps must be a positive int: {self.max_steps!r}")
         if self.method != "rk4" and self.method not in _PAIRS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -233,10 +233,10 @@ _STEP_HEAD = struct.Struct("dd")  # (t, h) before y in an accepted step's row
 
 
 def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
+    k1 = np.asarray(f(y.tolist()))
+    k2 = np.asarray(f((y + 0.5 * h * k1).tolist()))
+    k3 = np.asarray(f((y + 0.5 * h * k2).tolist()))
+    k4 = np.asarray(f((y + h * k3).tolist()))
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -533,9 +533,9 @@ def integrate(
 ) -> Trajectory:
     """Propagate ``field(y) -> ydot`` from ``state0`` over ``t_span``; ``y``
     is the flat vector of :func:`suslov.cases.build_field` (wrap a field on
-    states in :func:`state_field`).  The adaptive methods pass ``y`` as a
-    list of Python floats and take a list or an array back; ``rk4`` passes
-    arrays.  A field of ``build_field`` returns the type it is given.
+    states in :func:`state_field`).  Every method passes ``y`` as a list of
+    Python floats and takes a list or an array back; a field of
+    ``build_field`` returns a list for a list.
 
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``.  When the model
     context (inertia/potential/constraints) is supplied, the per-sample
@@ -543,12 +543,14 @@ def integrate(
     error and the step counters (``stats``) are always recorded.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must satisfy t1 > t0")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError(f"t_span must be finite with t1 > t0: {t_span!r}")
     n = state0.n
     k = layout(n).k
     if output_dt is None:
         output_dt = max(cfg.step, (t1 - t0) / 1000.0)
+    elif not 0.0 < output_dt < math.inf:
+        raise ValueError(f"output_dt must be positive and finite: {output_dt!r}")
     n_out = int(round((t1 - t0) / output_dt))
     n_out = max(1, n_out)
     t_grid = t0 + (t1 - t0) * np.arange(n_out + 1) / n_out
@@ -598,7 +600,7 @@ def integrate(
 def state_field(fn, n):
     """Packed field ``field(y) -> ydot`` in dimension ``n`` from a field on
     states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`.
-    ``y`` may be a list of floats, as the adaptive loop passes it, or an
+    ``y`` may be a list of floats, as every method passes it, or an
     array; ``ydot`` is an array."""
     k = layout(n).k
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .algebra import (
     ConstraintSet,
     SkewMatrix,
     commutator,
-    from_column,
     layout,
     pack,
+    packed_to_vector,
     unpack,
     unpack_mats,
     wedge,
@@ -220,7 +221,7 @@ class Potential:
         """The gradient at one point, from and as a sequence of Python
         floats, with the bits of ``gradient(np.array(g)).tolist()``; the
         fields of :func:`suslov.cases.build_field` call it once per
-        evaluation.  The result may be shared between calls: read it, do
+        evaluation on a list.  The result may be shared between calls: read it, do
         not change it."""
         return self.gradient(np.array(g)).tolist()
 
@@ -447,6 +448,42 @@ def _reduced_rates(col, g, d, pair):
     return col_dot, g_dot
 
 
+def _reduced_field(inertia: MassTensor, potential: Potential):
+    """The reduced equations on the packed points of ``integrate``, with
+    exact zeros in the so(n-1) block: the one caller of :func:`_reduced_rates`.
+    A list of Python floats gives a list, the gradient on floats too (at this
+    size numpy's per-call dispatch costs more than the arithmetic); an array
+    ``(..., d)`` gives an array, each row with the bits of its point's list."""
+    if inertia.diag is None:
+        raise ValueError("reduced field needs a diagonal mass tensor; "
+                         "use vector_field_general instead")
+    lay, gradient = layout(inertia.n), potential._point_gradient
+    n, k, slots = inertia.n, lay.k, lay.column
+    cols = slots.tolist()
+    # Omega_in from the floats of a packed point, and the packed Omega rates
+    # from [*col_dot, 0.0]: a column slot takes its rate, every other slot
+    # the trailing zero; at n = 2 a slice, as itemgetter(0) gives no tuple
+    column = itemgetter(*cols) if n > 2 else itemgetter(slice(0, 1))
+    scatter = itemgetter(*(cols.index(p) if p in cols else n - 1
+                           for p in range(k))) if n > 2 else column
+    pair = (inertia.diag[:-1] + inertia.diag[-1]).tolist()
+
+    def field(y):
+        if isinstance(y, list):
+            g = y[k:]
+            col_dot, g_dot = _reduced_rates(column(y), g, gradient(g), pair)
+            col_dot.append(0.0)
+            return [*scatter(col_dot), *g_dot]
+        y = np.asarray(y, dtype=float)
+        x = np.moveaxis(y, -1, 0)
+        col_dot, g_dot = _reduced_rates(column(x), x[k:], np.moveaxis(
+            potential.gradient(y[..., k:]), -1, 0), pair)
+        col_dot.append(np.zeros(y.shape[:-1]))
+        return np.stack([*scatter(col_dot), *g_dot], axis=-1)
+
+    return field
+
+
 def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Potential):
     """Equations of motion for the canonical constraints and diagonal mass
     tensor, where only the ``Omega_in`` column evolves::
@@ -456,18 +493,12 @@ def vector_field_reduced(state: BodyState, inertia: MassTensor, potential: Poten
         d/dt G_n = sum_i G_i Omega_in
 
     The so(n-1) block of ``Omega`` is ignored (it is constrained to zero):
-    this is :func:`_reduced_rates` on the floats of ``(Omega_in, Gamma)``
-    and the potential's gradient, as the fields of
-    :func:`suslov.cases.build_field` run it.
+    this is the field of :func:`_reduced_field`, which the canonical cases
+    integrate, at the floats of the state's packed point.
     """
-    diag, n, g = inertia.diag, state.n, state.gamma.tolist()
-    if diag is None:
-        raise ValueError("reduced field needs a diagonal mass tensor; "
-                         "use vector_field_general instead")
-    col_dot, g_dot = _reduced_rates(state.omega.mat[: n - 1, n - 1].tolist(), g,
-                                    potential._point_gradient(g),
-                                    (diag[:-1] + diag[-1]).tolist())
-    return from_column(col_dot), np.array(g_dot)
+    y = pack_state(state.omega, state.gamma).tolist()
+    ydot = np.array(_reduced_field(inertia, potential)(y))
+    return unpack(ydot[: -state.n], state.n), ydot[-state.n :]
 
 
 _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis
@@ -484,10 +515,10 @@ def _plane_basis(a):
     return u, np.cross(a, u)
 
 
-def _checked_3d(j_diag, axis):
+def _checked_3d(j_diag, axis, potential: Potential):
     """The principal moments and the constraint axis of the 3D form as float
-    lists, with ``<a, J^-1 a>``: the checks that do not depend on the state,
-    shared by every caller of :func:`_field_3d`."""
+    lists, with ``<a, J^-1 a>``, once they and the potential's gradient pass
+    the checks that do not depend on the state."""
     j = np.asarray(j_diag, dtype=float)
     a = np.asarray(axis, dtype=float)
     if j.shape != (3,) or a.shape != (3,):
@@ -501,16 +532,9 @@ def _checked_3d(j_diag, axis):
     den = a1 * (a1 / j1) + a2 * (a2 / j2) + a3 * (a3 / j3)
     if not 0.0 < den < math.inf:  # a zero, NaN or infinite axis
         raise ValueError("vector_field_3d needs a finite, nonzero constraint axis")
-    return j, a, den
-
-
-def _gradient_3d(potential: Potential, gamma):
-    """The potential's gradient at one Poisson vector as a list of three
-    floats."""
-    grad = np.asarray(potential.gradient(gamma), dtype=float)
-    if grad.shape != (3,):
+    if np.shape(potential.gradient(_E3)) != (3,):
         raise ValueError("vector_field_3d expects 3-vectors")
-    return grad.tolist()
+    return j, a, den
 
 
 def _field_3d(w, g, d, j, a, den, eps):
@@ -542,6 +566,30 @@ def _field_3d(w, g, d, j, a, den, eps):
     return w_dot, (gd1, gd2, gd3)
 
 
+def _vector3d_field(j_diag, axis, potential: Potential, gyro_eps: float):
+    """The 3D vector form on the packed points ``(X_12, X_13, X_23, Gamma)``
+    of ``integrate``, with ``w = (-X_23, X_13, -X_12)`` as in ``packed_to_vector``:
+    the one caller of :func:`_field_3d`, checked once by :func:`_checked_3d`;
+    lists and arrays as in :func:`_reduced_field`."""
+    j, a, den = _checked_3d(j_diag, axis, potential)
+    gradient, eps = potential._point_gradient, float(gyro_eps)
+
+    def field(y):
+        if isinstance(y, list):
+            # packed <-> vector, as in packed_to_vector, on floats both ways
+            x12, x13, x23, g1, g2, g3 = y
+            (w1, w2, w3), (gd1, gd2, gd3) = _field_3d(
+                (-x23, x13, -x12), (g1, g2, g3), gradient((g1, g2, g3)), j, a, den, eps)
+            return [-w3, w2, -w1, gd1, gd2, gd3]
+        y = np.asarray(y, dtype=float)
+        x12, x13, x23, *g = np.moveaxis(y, -1, 0)
+        (w1, w2, w3), g_dot = _field_3d((-x23, x13, -x12), g, np.moveaxis(
+            potential.gradient(y[..., 3:]), -1, 0), j, a, den, eps)
+        return np.stack((-w3, w2, -w1, *g_dot), axis=-1)
+
+    return field
+
+
 def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float = 0.0,
                     axis=None):
     """Classical 3D form in vector variables (independent of the matrix
@@ -553,11 +601,10 @@ def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float 
     principal moments, which must be positive and finite; ``axis`` defaults
     to e3.  Returns ``(omega_dot, gamma_dot)`` as two arrays.
 
-    The inputs and the potential's gradient are read once as Python floats
-    and go through :func:`_field_3d`, which is elementwise, so the packed
-    fields that run it on arrays of points get these bits for each point:
-    at this size numpy's per-call dispatch costs far more than the
-    arithmetic.  Each product and difference is the one ``np.cross`` forms.
+    This is the field of :func:`_vector3d_field`, which the 3D cases
+    integrate, at the floats of the packed point; :func:`_field_3d` is
+    elementwise, so a block gets these bits in each row.  Each product and
+    difference is the one ``np.cross`` forms.
     The two pairings with ``a`` in ``lambda = -<a, J^-1 k> / <a, J^-1 a>``
     are summed left to right, in the order of BLAS ``ddot``.  With e3 the
     zeros make every sum exact, so the result has the bits of the
@@ -569,11 +616,9 @@ def vector_field_3d(omega, gamma, j_diag, potential: Potential, gyro_eps: float 
     gamma = np.asarray(gamma, dtype=float)
     if omega.shape != (3,) or gamma.shape != (3,):
         raise ValueError("vector_field_3d expects 3-vectors")
-    j, a, den = _checked_3d(j_diag, _E3 if axis is None else axis)
-    w_dot, g_dot = _field_3d(omega.tolist(), gamma.tolist(),
-                             _gradient_3d(potential, gamma), j, a, den,
-                             float(gyro_eps))
-    return np.array(w_dot), np.array(g_dot)
+    field = _vector3d_field(j_diag, _E3 if axis is None else axis, potential, gyro_eps)
+    ydot = np.array(field(packed_to_vector(omega).tolist() + gamma.tolist()))
+    return packed_to_vector(ydot[:3]), ydot[3:]
 
 
 def lagrange_full_field(state: BodyState, inertia: MassTensor, b_n: float):
@@ -653,24 +698,19 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
     ``(Omega_1n..Omega_{n-1,n}, Gamma_1..Gamma_n)`` of the reduced phase
     space; this is the chart in which the standard measure is dOmega dGamma.
 
-    The field takes a point or a block ``(..., 2n - 1)`` and runs
-    :func:`_reduced_rates` on its columns, so each row gets the bits of the
-    point alone.
+    The field takes a point or a block ``(..., 2n - 1)``, scatters it into
+    packed points and gathers their rates under :func:`_reduced_field`
+    back, so each row gets the bits of the point alone.
     """
-    if inertia.diag is None:
-        raise ValueError("reduced chart needs a diagonal mass tensor")
-    n = inertia.n
-    pair = (inertia.diag[: n - 1] + inertia.diag[n - 1]).tolist()
+    field, n = _reduced_field(inertia, potential), inertia.n
+    lay = layout(n)
+    chart = np.concatenate((lay.column, np.arange(lay.k, lay.k + n)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        grad = potential.gradient(x[..., n - 1 :])
-        col_dot, g_dot = _reduced_rates(
-            [x[..., i] for i in range(n - 1)],
-            [x[..., i] for i in range(n - 1, 2 * n - 1)],
-            [grad[..., i] for i in range(n)], pair,
-        )
-        return np.stack((*col_dot, *g_dot), axis=-1)
+        y = np.zeros(x.shape[:-1] + (lay.k + n,))
+        y[..., chart] = x
+        return field(y)[..., chart]
 
     return f, 2 * n - 1
 
@@ -680,33 +720,26 @@ def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
     """3D constrained field in intrinsic coordinates: two coefficients on an
     orthonormal basis of the admissible plane plus the ambient Gamma.
 
-    The field takes a point or a block ``(..., 5)`` and runs
-    :func:`_field_3d` on its columns, so each row gets the bits of the point
-    alone; the moments, the axis and the gradient are checked here, once.
+    The field takes a point or a block ``(..., 5)``, maps it to the packed
+    points of ``w = x_0 u + x_1 v`` and Gamma, and projects their ``w'``
+    under :func:`_vector3d_field` onto ``u`` and ``v``, so each row gets the
+    bits of the point alone; the checks are made once, when it is built.
     """
     a = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(a)
     if not 0.0 < norm < math.inf:  # checked before it divides
         raise ValueError("vector_field_3d needs a finite, nonzero constraint axis")
     a = a / norm
-    pot = potential if potential is not None else ZeroPotential()
-    j, a_list, den = _checked_3d(j_diag, a)
+    pot = ZeroPotential() if potential is None else potential
+    field = _vector3d_field(j_diag, a, pot, gyro_eps)
     u, v = _plane_basis(a)
-    _gradient_3d(pot, _E3)
-    eps = float(gyro_eps)
-    u1, u2, u3 = u.tolist()
-    v1, v2, v3 = v.tolist()
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        x0, x1, gamma = x[..., 0], x[..., 1], x[..., 2:]
-        omega = (x0 * u1 + x1 * v1, x0 * u2 + x1 * v2, x0 * u3 + x1 * v3)
-        grad = pot.gradient(gamma)
-        w_dot, g_dot = _field_3d(
-            omega, (gamma[..., 0], gamma[..., 1], gamma[..., 2]),
-            (grad[..., 0], grad[..., 1], grad[..., 2]), j, a_list, den, eps,
-        )
-        w_dot = np.stack(w_dot, axis=-1)
-        return np.stack((np.vecdot(w_dot, u), np.vecdot(w_dot, v), *g_dot), axis=-1)
+        w = x[..., :1] * u + x[..., 1:2] * v
+        ydot = field(np.concatenate((packed_to_vector(w), x[..., 2:]), axis=-1))
+        w_dot = packed_to_vector(ydot[..., :3])
+        return np.stack((np.vecdot(w_dot, u), np.vecdot(w_dot, v),
+                         *np.moveaxis(ydot[..., 3:], -1, 0)), axis=-1)
 
     return f, 5, (u, v)

@@ -463,6 +463,20 @@ class TestAsymptoticPoints:
         )
         assert abs(np.dot(self.axis, w_plus)) < 1e-12
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_energy_level_must_be_positive_and_finite(self, level):
+        with pytest.raises(ValueError, match="energy level must be positive and finite"):
+            asymptotic_points(self.j, self.axis, level)
+
+    @pytest.mark.parametrize(
+        "axis", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [0.0, 0.0, 0.0]],
+        ids=["nan", "inf", "zero"],
+    )
+    def test_axis_must_be_finite_and_nonzero(self, axis):
+        with np.errstate(all="raise"):  # rejected before it divides
+            with pytest.raises(ValueError, match="axis must be finite and nonzero"):
+                asymptotic_points(self.j, axis, self.h)
+
     def test_eigenvector_axis_rejected(self):
         with pytest.raises(ValueError, match="constants"):
             asymptotic_points(self.j, np.array([0.0, 0.0, 1.0]), self.h)

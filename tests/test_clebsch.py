@@ -263,6 +263,18 @@ class TestEnergyRelation:
         label, _ = energy_offset_constant(100.0, np.array([5.0, 4.0, 3.0]))
         assert label == "neither"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_matches_neither(self, value):
+        # a NaN residual fails every comparison, so it must not be read as
+        # a match
+        label, residuals = energy_offset_constant(value, np.array([5.0, 4.0, 3.0]))
+        assert label == "neither"
+        assert set(residuals) == {"half_Bn", "half_nBn"}
+
+    def test_non_finite_coefficients_match_neither(self):
+        label, _ = energy_offset_constant(1.5, np.array([5.0, 4.0, np.nan]))
+        assert label == "neither"
+
 
 class TestTorusSpec:
     def test_summary(self):

@@ -689,6 +689,45 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             IntegratorConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, 1.5, 10.0, 0, -3],
+                             ids=["nan", "fraction", "float", "zero", "negative"])
+    def test_max_steps_must_be_a_positive_int(self, value):
+        # a NaN limit never trips `attempts > max_steps`: the limit would
+        # be silently off
+        with pytest.raises(ValueError, match="max_steps must be a positive int"):
+            IntegratorConfig(max_steps=value)
+
+    def test_max_steps_takes_ints(self):
+        assert IntegratorConfig(max_steps=10).max_steps == 10
+        assert IntegratorConfig(max_steps=np.int64(7)).max_steps == 7
+
+
+class TestIntegrateArguments:
+    """``integrate`` rejects a span or an output step it cannot sample, with
+    a ``ValueError`` naming the argument."""
+
+    @pytest.mark.parametrize(
+        "t_span", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0),
+                   (math.nan, 1.0), (1.0, 1.0), (1.0, 0.0)],
+        ids=["inf", "nan", "-inf_start", "nan_start", "empty", "reversed"],
+    )
+    def test_span_must_be_finite_and_increasing(self, t_span):
+        _, _, field, _ = make_free_case()
+        state0 = canonical_state([0.7, -0.3], [0.0, 0.6, 0.8])
+        for method in ("rk4", "dop853"):
+            with pytest.raises(ValueError, match="t_span"):
+                integrate(field, state0, t_span, IntegratorConfig(method=method))
+
+    @pytest.mark.parametrize("output_dt", [0.0, -0.1, math.nan, math.inf, -math.inf],
+                             ids=["zero", "negative", "nan", "inf", "-inf"])
+    def test_output_dt_must_be_positive_and_finite(self, output_dt):
+        _, _, field, _ = make_free_case()
+        state0 = canonical_state([0.7, -0.3], [0.0, 0.6, 0.8])
+        for method in ("rk4", "dop853"):
+            with pytest.raises(ValueError, match="output_dt must be positive and finite"):
+                integrate(field, state0, (0.0, 1.0), IntegratorConfig(method=method),
+                          output_dt=output_dt)
+
 
 class TestRenormalization:
     def setup_method(self):

@@ -1,5 +1,7 @@
+import ast
 import functools
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,6 +585,52 @@ class TestReducedKernel:
             om_dot, g_dot = vector_field_reduced(state, inertia, pot)
             assert same_bits(om_dot.mat[: n - 1, n - 1], col_dot)
             assert same_bits(g_dot, gamma_dot)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "suslov"
+
+
+def test_each_kernel_is_called_only_by_its_field():
+    # one adapter per kernel: every other form is a coordinate map around
+    # the field, and cases.py neither imports a kernel or a check nor
+    # defines a field of its own
+    callers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(
+                        (path.name, getattr(top, "name", None)))
+    assert callers["_reduced_rates"] == {("model.py", "_reduced_field")}
+    assert callers["_field_3d"] == {("model.py", "_vector3d_field")}
+    assert callers["_checked_3d"] == {("model.py", "_vector3d_field")}
+    assert "_gradient_3d" not in callers
+    cases = ast.parse((SRC / "cases.py").read_text())
+    imported = {alias.name for node in ast.walk(cases)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_reduced_rates", "_field_3d", "_checked_3d", "_gradient_3d"}
+    build = next(node for node in cases.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_field")
+    assert not [node for stmt in build.body for node in ast.walk(stmt)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reduced_forms_at_every_n(n):
+    # the per-state form and the chart reach the kernel through one field,
+    # at n = 2 too, where the Omega_in column is one slot
+    rng = np.random.default_rng(40 + n)
+    inertia = MassTensor(diag=0.5 + 2.0 * rng.random(n))
+    pot = QuadraticPotential(rng.normal(size=n))
+    col, gamma = rng.normal(size=n - 1), random_unit(rng, n)
+    pair = inertia.diag[:-1] + inertia.diag[-1]
+    col_dot, gamma_dot = numpy_reduced_rates(col, gamma, pair, pot)
+    om_dot, g_dot = vector_field_reduced(canonical_state(col, gamma), inertia, pot)
+    assert same_bits(om_dot.mat[: n - 1, n - 1], col_dot) and same_bits(g_dot, gamma_dot)
+    assert np.array_equal(om_dot.mat[: n - 1, : n - 1], np.zeros((n - 1, n - 1)))
+    chart, dim = packed_reduced_field(inertia, pot)
+    assert same_bits(chart(np.concatenate((col, gamma))),
+                     np.concatenate((col_dot, gamma_dot)))
 
 
 class TestBodyState:

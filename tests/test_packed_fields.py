@@ -142,6 +142,19 @@ class TestPackedField:
             assert isinstance(from_array, np.ndarray)
             assert np.array_equal(bits(np.array(from_list)), bits(from_array))
 
+    @pytest.mark.parametrize("lead", [(40,), (5, 8)], ids=["rows", "grid"])
+    @pytest.mark.parametrize("kind, n", CASES, ids=lambda v: getattr(v, "value", v))
+    def test_block_rows_have_the_bits_of_list_calls(self, kind, n, lead):
+        # the measure check's charts call the field on blocks of points
+        rng = np.random.default_rng(31 * n + len(kind.value))
+        field, _ = build_field(make_spec(kind, n, rng))
+        ys = rng.normal(size=lead + (n * (n - 1) // 2 + n,))
+        ys.reshape(-1, ys.shape[-1])[0] = -0.0  # signed zeros keep their bits too
+        block = field(ys)
+        assert isinstance(block, np.ndarray) and block.shape == ys.shape
+        for idx in np.ndindex(lead):
+            assert np.array_equal(bits(block[idx]), bits(np.array(field(ys[idx].tolist()))))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_reduced_field_leaves_block_exactly_zero(self, n):
         rng = np.random.default_rng(n)
@@ -202,6 +215,24 @@ class TestIntegrateContract:
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(bits(sa.omega.mat), bits(sb.omega.mat))
             assert np.array_equal(bits(sa.gamma), bits(sb.gamma))
+
+
+@pytest.mark.parametrize("method", ["rk4", "dop853", "rk45"])
+def test_every_method_hands_the_field_lists(method):
+    # one calling convention: every stage point, the first included, is a
+    # list of Python floats
+    rng = np.random.default_rng(5)
+    field, _ = build_field(make_spec(CaseKind.KHARLAMOVA_ND, 4, rng))
+    handed = set()
+
+    def spy(y):
+        handed.add(type(y))
+        return field(y)
+
+    cfg = IntegratorConfig(method=method, step=0.1)
+    traj = integrate(spy, random_canonical_state(rng, 4), (0.0, 1.0), cfg, output_dt=0.5)
+    assert handed == {list}
+    assert traj.stats.rhs_evals > 0
 
 
 class TestLastAcceptedPoint:

@@ -141,7 +141,7 @@ def row(label: str, parent: list, change: list) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the checkout to compare against")
-    parser.add_argument("--rounds", type=int, default=9)
+    parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
     parent_root = Path(args.parent).resolve()
     if not (parent_root / "src" / "suslov").is_dir():
