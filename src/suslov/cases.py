@@ -52,6 +52,7 @@ from .model import (
     QuadraticPotential,
     ZeroPotential,
     _reduced_field,
+    _unit_axis,
     _vector3d_field,
     energies,
     pack_state,
@@ -360,13 +361,9 @@ def asymptotic_points(j_diag, axis, energy_level: float):
     forward-time attractor and ``w_minus = -w_plus``.
     """
     j = np.asarray(j_diag, dtype=float)
-    a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"axis must be finite and nonzero: {axis!r}")
+    a = _unit_axis(axis)
     if not 0.0 < energy_level < np.inf:
         raise ValueError(f"energy level must be positive and finite: {energy_level!r}")
-    a = a / norm
     ja = j * a
     d = np.cross(a, ja)
     if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(ja):

@@ -505,6 +505,14 @@ _E3 = np.array([0.0, 0.0, 1.0])  # the canonical 3D constraint axis
 _E3.flags.writeable = False
 
 
+def _unit_axis(axis):
+    """``axis / |axis|``, the norm checked finite and nonzero before it divides."""
+    norm = np.linalg.norm(axis)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"expected a finite, nonzero constraint axis, not {axis!r}")
+    return np.asarray(axis, dtype=float) / norm
+
+
 def _plane_basis(a):
     """Orthonormal basis ``(u, v)`` of the plane perpendicular to the unit
     vector ``a``, with ``(u, v, a)`` right-handed."""
@@ -708,9 +716,9 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        y = np.zeros(x.shape[:-1] + (lay.k + n,))
-        y[..., chart] = x
-        return field(y)[..., chart]
+        y = np.zeros((lay.k + n,) + x.shape[:-1])  # by slot, read contiguously
+        y[chart] = np.moveaxis(x, -1, 0)
+        return field(np.moveaxis(y, 0, -1))[..., chart]
 
     return f, 2 * n - 1
 
@@ -725,19 +733,15 @@ def packed_suslov3d_field(j_diag, axis, potential: Potential | None = None,
     under :func:`_vector3d_field` onto ``u`` and ``v``, so each row gets the
     bits of the point alone; the checks are made once, when it is built.
     """
-    a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
-    if not 0.0 < norm < math.inf:  # checked before it divides
-        raise ValueError("vector_field_3d needs a finite, nonzero constraint axis")
-    a = a / norm
+    a = _unit_axis(axis)
     pot = ZeroPotential() if potential is None else potential
     field = _vector3d_field(j_diag, a, pot, gyro_eps)
     u, v = _plane_basis(a)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        w = x[..., :1] * u + x[..., 1:2] * v
-        ydot = field(np.concatenate((packed_to_vector(w), x[..., 2:]), axis=-1))
+        x0, x1, *g = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        w1, w2, w3 = (x0 * ui + x1 * vi for ui, vi in zip(u.tolist(), v.tolist()))
+        ydot = field(np.moveaxis(np.array((-w3, w2, -w1, *g)), 0, -1))  # by slot
         w_dot = packed_to_vector(ydot[..., :3])
         return np.stack((np.vecdot(w_dot, u), np.vecdot(w_dot, v),
                          *np.moveaxis(ydot[..., 3:], -1, 0)), axis=-1)

@@ -474,7 +474,7 @@ class TestAsymptoticPoints:
     )
     def test_axis_must_be_finite_and_nonzero(self, axis):
         with np.errstate(all="raise"):  # rejected before it divides
-            with pytest.raises(ValueError, match="axis must be finite and nonzero"):
+            with pytest.raises(ValueError, match="finite, nonzero constraint axis"):
                 asymptotic_points(self.j, axis, self.h)
 
     def test_eigenvector_axis_rejected(self):
