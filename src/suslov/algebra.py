@@ -148,7 +148,9 @@ class SkewMatrix:
 class Layout(NamedTuple):
     """Packed so(n): slot ``p`` holds ``X[iu[p], ju[p]]``, at flat row-major
     index ``upper[p]`` (``lower[p]`` for ``X[ju[p], iu[p]]``); ``column``
-    lists the slots ``X_in``.  The index arrays are read-only."""
+    lists the slots ``X_in``; ``reduced``, the reduced chart's slots of a
+    point ``(X, Gamma)``, is ``column`` and then ``k .. k + n - 1``.  The
+    index arrays are read-only."""
 
     k: int
     iu: np.ndarray
@@ -156,13 +158,16 @@ class Layout(NamedTuple):
     upper: np.ndarray
     lower: np.ndarray
     column: np.ndarray
+    reduced: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def layout(n: int) -> Layout:
     """The packed layout of so(n), built once per n and shared."""
     iu, ju = np.triu_indices(n, k=1)
-    index = (iu, ju, iu * n + ju, ju * n + iu, np.flatnonzero(ju == n - 1))
+    column = np.flatnonzero(ju == n - 1)
+    index = (iu, ju, iu * n + ju, ju * n + iu, column,
+             np.concatenate((column, np.arange(iu.size, iu.size + n))))
     for a in index:
         a.flags.writeable = False
     return Layout(iu.size, *index)
@@ -175,18 +180,14 @@ def pack(x: SkewMatrix) -> np.ndarray:
 
 def unpack(v, n: int) -> SkewMatrix:
     """The element of so(n) with packed vector ``v``; exactly skew."""
-    lay = layout(n)
-    mat = np.zeros(n * n)
-    mat[lay.upper] = v
-    mat[lay.lower] = -v
-    return SkewMatrix._wrap(mat.reshape(n, n))
+    return SkewMatrix._wrap(unpack_mats(v, n))
 
 
 def unpack_mats(v, n: int) -> np.ndarray:
     """The n-by-n matrices of packed vectors ``v`` of shape ``(..., k)``, as
     one ``(..., n, n)`` array filled by two index assignments: the same
-    entries as :func:`unpack` of each vector.  (``unpack`` keeps its own
-    one-vector fill, which indexes about twice as fast as the ``...`` form.)"""
+    entries as :func:`unpack` of each vector; :func:`unpack` wraps its one
+    matrix."""
     v = np.asarray(v, dtype=float)
     lay = layout(n)
     mat = np.zeros(v.shape[:-1] + (n * n,))

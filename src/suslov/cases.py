@@ -51,6 +51,7 @@ from .model import (
     Potential,
     QuadraticPotential,
     ZeroPotential,
+    _central_differences,
     _reduced_field,
     _unit_axis,
     _vector3d_field,
@@ -376,24 +377,16 @@ def jacobian_rank(evaluators, state: BodyState) -> int:
     """Numerical rank of the Jacobian of scalar functions of the packed
     point (such as the functions of :func:`first_integrals`) at ``state``.
 
-    Differentiates in the reduced chart (Omega_in column, ambient Gamma)
-    with central differences and counts singular values above 1e-8 times
-    the largest.
+    Differentiates in the reduced chart (Omega_in column, ambient Gamma: the
+    slots ``layout(n).reduced``) with central differences of step 1e-6, from
+    one call of each evaluator on a block of the ``2 (2n - 1)`` perturbed
+    points, and counts singular values above 1e-8 times the largest.
     """
-    n = state.n
-    lay = layout(n)
-    chart = np.concatenate([lay.column, np.arange(lay.k, lay.k + n)])
-    y0 = np.zeros(lay.k + n)  # the so(n-1) block stays zero
-    y0[chart] = pack_state(state.omega, state.gamma)[chart]
-    rows = []
-    for fn in evaluators:
-        grad = np.empty(chart.size)
-        for i, slot in enumerate(chart):
-            e = np.zeros(y0.size)
-            e[slot] = _RANK_FD_STEP
-            grad[i] = (fn(y0 + e) - fn(y0 - e)) / (2 * _RANK_FD_STEP)
-        rows.append(grad)
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    lay = layout(state.n)
+    y0 = np.zeros(lay.k + state.n)  # the so(n-1) block stays zero
+    y0[lay.reduced] = pack_state(state.omega, state.gamma)[lay.reduced]
+    sv = np.linalg.svd([_central_differences(fn, y0, _RANK_FD_STEP, lay.reduced)
+                        for fn in evaluators], compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > _RANK_THRESHOLD * sv[0]))

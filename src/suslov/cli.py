@@ -46,6 +46,7 @@ from .cases import (
     first_integrals,
 )
 from .integrate import (
+    MAX_OUTPUT_INTERVALS,
     IntegrationError,
     IntegratorConfig,
     detect_period,
@@ -70,10 +71,6 @@ from .model import (
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "run", "main"]
 
 ENV_OUTPUT_DIR = "SUSLOV_OUTPUT_DIR"
-
-# largest run.t_end / run.output_dt: integrate allocates every output row
-# before the first step, so a larger grid is a config error
-MAX_OUTPUT_INTERVALS = 10**6
 
 # two-argument potential fixtures selectable by name in DGJ scenarios
 DGJ_FUNCTIONS = {
@@ -338,7 +335,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
             f"run.output_dt = {output_dt!r} must be positive and at most "
             f"run.t_end = {t_end!r}"
         )
-    if t_end / output_dt > MAX_OUTPUT_INTERVALS:
+    if t_end / output_dt > MAX_OUTPUT_INTERVALS:  # integrate's bound, by key
         t_key = "run.t_end" if overrides.get("t_end") is None else "--t-end"
         raise ConfigError(
             f"{t_key} = {t_end!r} over run.output_dt = {output_dt!r} is "
@@ -471,7 +468,7 @@ def _analysis_measure_check(report, config, traj):
     xs = rng.normal(size=(100, dim))  # the draws of 100 points in turn
     for x in xs:
         x[dim - spec.n :] /= np.linalg.norm(x[dim - spec.n :])
-    max_div = float(np.max(np.abs(divergence_fd(f, xs, 1e-5))))
+    max_div = float(np.max(np.abs(divergence_fd(f, xs))))
     report.section("measure")
     report.put("samples", 100)
     report.put("max_abs_divergence", max_div)

@@ -78,6 +78,10 @@ __all__ = [
     "solve_adaptive_rk45",
 ]
 
+# largest (t1 - t0) / output_dt: integrate allocates every output row
+# before the first step
+MAX_OUTPUT_INTERVALS = 10**6
+
 
 class IntegrationError(RuntimeError):
     """Propagation failed; ``t_last`` and ``y_last`` hold the last accepted
@@ -537,7 +541,8 @@ def integrate(
     Python floats and takes a list or an array back; a field of
     ``build_field`` returns a list for a list.
 
-    Samples at ``t0, t0 + output_dt, ...`` up to ``t1``.  When the model
+    Samples at ``t0, t0 + output_dt, ...`` up to ``t1``, at most
+    ``MAX_OUTPUT_INTERVALS`` intervals.  When the model
     context (inertia/potential/constraints) is supplied, the per-sample
     energy and constraint residual are recorded in ``aux``; the gamma norm
     error and the step counters (``stats``) are always recorded.
@@ -551,6 +556,9 @@ def integrate(
         output_dt = max(cfg.step, (t1 - t0) / 1000.0)
     elif not 0.0 < output_dt < math.inf:
         raise ValueError(f"output_dt must be positive and finite: {output_dt!r}")
+    elif (t1 - t0) / output_dt > MAX_OUTPUT_INTERVALS:
+        raise ValueError(f"output_dt = {output_dt!r} gives {(t1 - t0) / output_dt:.6g} "
+                         f"output intervals; at most {MAX_OUTPUT_INTERVALS} are allowed")
     n_out = int(round((t1 - t0) / output_dt))
     n_out = max(1, n_out)
     t_grid = t0 + (t1 - t0) * np.arange(n_out + 1) / n_out
@@ -666,7 +674,7 @@ def detect_period(traj: Trajectory, observable):
     bracket stops shrinking, on the interpolant of that step, whose stages
     are evaluated again (event location: Hairer, Norsett and Wanner,
     section II.6), or, without steps, on the cubic through those four
-    knots.
+    knots; both cubics are the one Lagrange form of :func:`_cubic`.
     """
     pair, field, rows = traj._steps or (None, None, None)
     knots = traj if rows is None else Trajectory(
@@ -686,11 +694,10 @@ def detect_period(traj: Trajectory, observable):
         i0 = min(max(0, i - 2), g.size - 4)
         t0, scale = times[i0], times[i0 + 3] - times[i0]
         x = (times[i0 : i0 + 4] - t0) / scale
+        xl, gl = x.tolist(), g[i0 : i0 + 4].tolist()
         if rows is None:
-            coef = np.polynomial.polynomial.polyfit(x, g[i0 : i0 + 4], 3)
-
             def local(t):
-                return np.polynomial.polynomial.polyval((t - t0) / scale, coef)
+                return _cubic(xl, gl, (t - t0) / scale)
         else:
             # the bracket [knot i - 1, knot i] is step i - 1
             start, h = rows.item(i - 1, 0), rows.item(i - 1, 1)
@@ -702,7 +709,7 @@ def detect_period(traj: Trajectory, observable):
 
         # the first point: where the cubic through the four knots, as t(g),
         # is at g = 0 (inverse interpolation)
-        first = t0 + scale * _inverse_cubic(x.tolist(), g[i0 : i0 + 4].tolist())
+        first = t0 + scale * _cubic(gl, xl, 0.0)
         crossings.append(_regula_falsi(local, times.item(i - 1), times.item(i),
                                        g.item(i - 1), g.item(i), first))
     if len(crossings) < 4:
@@ -729,12 +736,13 @@ def _restep(pair, f, row):
     return pair.dense(row[2:], h, K, np.dot(*terms[pair.stages]))
 
 
-def _inverse_cubic(x, g):
-    """Where the cubic through the four points ``(g[j], x[j])`` is at
-    ``g = 0`` (Lagrange form), or NaN when two ``g`` are equal."""
+def _cubic(x, y, at):
+    """The cubic through the four points ``(x[j], y[j])`` at ``at``
+    (Lagrange form), or NaN when two ``x`` are equal; with the roles of
+    ``x`` and ``y`` swapped and ``at = 0.0``, the inverse interpolant."""
     try:
-        return sum(xj * math.prod(gm / (gm - gj) for gm in g[:j] + g[j + 1:])
-                   for j, (xj, gj) in enumerate(zip(x, g)))
+        return sum(yj * math.prod((at - xm) / (xj - xm) for xm in x[:j] + x[j + 1:])
+                   for j, (xj, yj) in enumerate(zip(x, y)))
     except ZeroDivisionError:
         return math.nan
 

@@ -64,6 +64,8 @@ __all__ = [
 
 _GRADIENT_CHECK_TOL = 1e-6  # |gradient - central difference| / max(1, |gradient|)
 _GRADIENT_CHECK_SEED = 0  # check_gradient's random unit vectors
+_GRADIENT_CHECK_STEP = 1e-6  # check_gradient's central-difference step
+_DIVERGENCE_STEP = 1e-5  # divergence_fd's central-difference step
 
 
 class MassTensor:
@@ -228,7 +230,7 @@ class Potential:
 
 class ZeroPotential(Potential):
     def value(self, gamma):
-        return 0.0
+        return np.zeros(np.shape(gamma)[:-1])
 
     def gradient(self, gamma):
         return np.zeros(np.shape(gamma))
@@ -341,18 +343,14 @@ class CustomPotential(Potential):
 
 
 def check_gradient(potential: Potential, n: int):
-    """Central-difference consistency check of the gradient evaluator."""
+    """Central-difference consistency check of the gradient evaluator at five
+    random unit vectors, with one ``value`` call on each one's perturbed points."""
     rng = np.random.default_rng(_GRADIENT_CHECK_SEED)
-    h = 1e-6
     for _ in range(5):
         g = rng.normal(size=n)
         g /= np.linalg.norm(g)
         grad = np.asarray(potential.gradient(g), dtype=float)
-        fd = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            fd[i] = (potential.value(g + e) - potential.value(g - e)) / (2 * h)
+        fd = _central_differences(potential.value, g, _GRADIENT_CHECK_STEP)
         scale = max(1.0, np.linalg.norm(grad))
         if np.linalg.norm(grad - fd) > _GRADIENT_CHECK_TOL * scale:
             raise ValueError(
@@ -676,28 +674,34 @@ def pack_state(omega: SkewMatrix, gamma) -> np.ndarray:
     return np.concatenate((pack(omega), gamma))
 
 
-def divergence_fd(f, x, h_fd: float):
-    """Central-difference divergence of a packed vector field at a point
-    ``x`` of shape ``(dim,)``, or at each row of a block ``(m, dim)``.
+def _central_differences(f, x, h, slots=None):
+    """``(f(x + h e_i) - f(x - h e_i)) / (2 h)`` along each coordinate ``i``
+    of a point ``x`` ``(d,)``, or of each row of a block ``(m, d)``, or only
+    along the packed ``slots`` given: an array ``(..., s) + shape`` for ``s``
+    coordinates and values ``f`` of that shape.  ``f`` takes a block ``(j,
+    d)`` and is called once, on the ``2 s`` perturbed points of every row."""
+    x = np.asarray(x, dtype=float)
+    step = h * np.eye(x.shape[-1])[... if slots is None else slots]
+    ends = np.stack((x[..., None, :] + step, x[..., None, :] - step))  # (2, ..., s, d)
+    out = np.asarray(f(ends.reshape(-1, x.shape[-1])))
+    plus, minus = out.reshape(ends.shape[:-1] + out.shape[1:])
+    return (plus - minus) / (2.0 * h)
 
-    ``f`` takes a block ``(k, dim)`` and is called once, on the ``2 dim``
-    perturbed points of every row.  Each point sums its ``dim`` terms in
-    order from 0.0, so a row of a block gets the bits of the point alone.
-    Returns a float for a point and an array of ``m`` values for a block.
+
+def divergence_fd(f, x):
+    """Central-difference divergence, of step 1e-5, of a packed vector field
+    at a point ``x`` of shape ``(dim,)``, or at each row of a block ``(m, dim)``.
+
+    :func:`_central_differences` calls ``f`` once, on a block ``(k, dim)`` of
+    the ``2 dim`` perturbed points of every row.  Each point sums its ``dim``
+    terms in order from 0.0, so a row of a block gets the bits of the point
+    alone.  Returns a float for a point and an array of ``m`` values for a block.
     """
-    if not 0.0 < h_fd < math.inf:
-        raise ValueError(f"h_fd must be positive and finite: {h_fd!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"x must have shape (dim,) or (m, dim), not {x.shape}")
-    dim = x.shape[-1]
-    step = h_fd * np.eye(dim)
-    rows = x[..., None, :]
-    ends = np.concatenate((rows + step, rows - step), axis=-2)  # (..., 2 dim, dim)
-    out = f(ends.reshape(-1, dim)).reshape(ends.shape)
-    total = 0.0
-    for i in range(dim):
-        total = total + (out[..., i, i] - out[..., dim + i, i]) / (2.0 * h_fd)
+    d = _central_differences(f, x, _DIVERGENCE_STEP)
+    total = sum(np.diagonal(d, axis1=-2, axis2=-1).T, 0.0)  # in order, from 0.0
     return float(total) if x.ndim == 1 else total
 
 
@@ -712,13 +716,12 @@ def packed_reduced_field(inertia: MassTensor, potential: Potential):
     """
     field, n = _reduced_field(inertia, potential), inertia.n
     lay = layout(n)
-    chart = np.concatenate((lay.column, np.arange(lay.k, lay.k + n)))
 
     def f(x):
         x = np.asarray(x, dtype=float)
         y = np.zeros((lay.k + n,) + x.shape[:-1])  # by slot, read contiguously
-        y[chart] = np.moveaxis(x, -1, 0)
-        return field(np.moveaxis(y, 0, -1))[..., chart]
+        y[lay.reduced] = np.moveaxis(x, -1, 0)
+        return field(np.moveaxis(y, 0, -1))[..., lay.reduced]
 
     return f, 2 * n - 1
 

@@ -187,6 +187,23 @@ class TestLayout:
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 0
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_reduced_chart_slots(self, n):
+        # Omega_in, then Gamma, in a packed point (X, Gamma)
+        lay = layout(n)
+        assert lay.reduced.tolist() == [*lay.column.tolist(), *range(lay.k, lay.k + n)]
+        assert lay.reduced.size == 2 * n - 1
+        with pytest.raises(ValueError, match="read-only"):
+            lay.reduced[0] = 0
+        col, gamma = np.arange(1.0, n), np.arange(-n, 0.0)
+        y = np.concatenate((pack(from_column(col)), gamma))
+        assert np.array_equal(y[lay.reduced], np.concatenate((col, gamma)))
+
+    def test_reduced_chart_slots_built_only_in_algebra(self):
+        users = sorted(p.name for p in SRC.glob("*.py")
+                       if "np.arange(lay.k" in p.read_text())
+        assert users == []
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_from_column_fills_the_last_column(self, n):
         col = np.random.default_rng(n).normal(size=n - 1)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_state, random_canonical_state, random_unit, state_from_vec3
+from suslov.algebra import layout
 from suslov.cases import (
     CaseError,
     CaseKind,
@@ -208,6 +209,62 @@ def catalog_instances(n_values=(3, 4, 5), seed=0):
         )
     )
     return out
+
+
+def loop_jacobian_rank(evaluators, state):
+    """Oracle: ``jacobian_rank`` as it was before it differenced blocks, two
+    single-point calls per evaluator and reduced-chart slot."""
+    n = state.n
+    lay = layout(n)
+    chart = np.concatenate([lay.column, np.arange(lay.k, lay.k + n)])
+    y0 = np.zeros(lay.k + n)
+    y0[chart] = pack_state(state.omega, state.gamma)[chart]
+    rows = []
+    for fn in evaluators:
+        grad = np.empty(chart.size)
+        for i, slot in enumerate(chart):
+            e = np.zeros(y0.size)
+            e[slot] = 1e-6
+            grad[i] = (fn(y0 + e) - fn(y0 - e)) / (2 * 1e-6)
+        rows.append(grad)
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+def _rank_cases():
+    rng = np.random.default_rng(9)
+    for n in (3, 4, 5):
+        b = np.append(rng.normal(size=n - 1), 0.0)
+        yield CaseSpec(CaseKind.KHARLAMOVA_ND, n, MassTensor(diag=1.0 + rng.random(n)),
+                       LinearPotential(b)), n
+        yield CaseSpec(CaseKind.CLEBSCH_TISSERAND_ND, n,
+                       MassTensor(diag=1.0 + rng.random(n)),
+                       QuadraticPotential(rng.normal(size=n))), n
+    yield CaseSpec(CaseKind.DGJ_3D, 3, MassTensor(diag=[1.0, 2.0, 1.4]),
+                   dgj_fixture_potential()), 3
+
+
+@pytest.mark.parametrize("spec, n", list(_rank_cases()),
+                         ids=lambda v: v.kind.value if isinstance(v, CaseSpec) else str(v))
+def test_jacobian_rank_calls_each_evaluator_once(spec, n):
+    # one block of the 2 (2n - 1) perturbed packed points per evaluator,
+    # and the rank the per-slot loop gave
+    fns = list(first_integrals(spec).values())
+    calls = []
+
+    def counted(fn):
+        def wrapped(y):
+            calls.append(np.shape(y))
+            return fn(y)
+        return wrapped
+
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        state = random_canonical_state(rng, n)
+        calls.clear()
+        rank = jacobian_rank([counted(fn) for fn in fns], state)
+        assert calls == [(2 * (2 * n - 1), layout(n).k + n)] * len(fns)
+        assert rank == loop_jacobian_rank(fns, state)
 
 
 class TestConservation:

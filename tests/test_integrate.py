@@ -12,11 +12,12 @@ from conftest import (
     random_canonical_state,
     states_trajectory,
 )
-from suslov import _dop853
+from suslov import _dop853, cli
 from suslov.algebra import ConstraintSet, layout, unpack
 from suslov.cases import CaseKind, CaseSpec, build_field, first_integrals
 from suslov.cli import load_config
 from suslov.integrate import (
+    MAX_OUTPUT_INTERVALS,
     IntegrationError,
     IntegratorConfig,
     IntegratorStats,
@@ -26,6 +27,7 @@ from suslov.integrate import (
     _DP_E,
     _DP_P,
     _adaptive_solve,
+    _cubic,
     _dp5_dense,
     _fill_stages,
     _restep,
@@ -728,6 +730,20 @@ class TestIntegrateArguments:
                 integrate(field, state0, (0.0, 1.0), IntegratorConfig(method=method),
                           output_dt=output_dt)
 
+    @pytest.mark.parametrize("output_dt", [1e-300, 1.0 / (MAX_OUTPUT_INTERVALS + 1)],
+                             ids=["1e-300", "one_above"])
+    def test_output_grid_is_bounded(self, output_dt):
+        # rejected before the output rows are allocated; the CLI checks the
+        # same bound at load time, naming the config keys
+        _, _, field, _ = make_free_case()
+        state0 = canonical_state([0.7, -0.3], [0.0, 0.6, 0.8])
+        for method in ("rk4", "dop853"):
+            with pytest.raises(ValueError, match=r"output_dt = .* output intervals; "
+                               r"at most 1000000 are allowed"):
+                integrate(field, state0, (0.0, 1.0), IntegratorConfig(method=method),
+                          output_dt=output_dt)
+        assert cli.MAX_OUTPUT_INTERVALS is MAX_OUTPUT_INTERVALS
+
 
 class TestRenormalization:
     def setup_method(self):
@@ -850,6 +866,45 @@ class TestReparametrize:
         traj = self._traj(vals)
         with pytest.raises(ValueError, match="sign"):
             reparametrize(traj, self._phi)
+
+
+def old_inverse_cubic(x, g):
+    """Oracle: ``detect_period``'s first guess as it was written before the
+    cubic took its abscissae as an argument."""
+    try:
+        return sum(xj * math.prod(gm / (gm - gj) for gm in g[:j] + g[j + 1:])
+                   for j, (xj, gj) in enumerate(zip(x, g)))
+    except ZeroDivisionError:
+        return math.nan
+
+
+class TestCubic:
+    def test_exact_at_the_nodes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            x, y = rng.normal(size=4).tolist(), rng.normal(size=4).tolist()
+            assert [_cubic(x, y, xj) for xj in x] == y
+
+    def test_reproduces_a_cubic(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            c = rng.normal(size=4)
+            x = np.sort(rng.random(4)) + np.arange(4)  # spread over [0, 4)
+            at = rng.uniform(-1.0, 5.0, size=5)
+            y = np.polynomial.polynomial.polyval(x, c).tolist()
+            got = [_cubic(x.tolist(), y, a) for a in at.tolist()]
+            assert np.allclose(got, np.polynomial.polynomial.polyval(at, c),
+                               rtol=1e-11, atol=1e-11)
+
+    def test_inverse_has_the_bits_of_the_old_first_guess(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            x = np.sort(rng.random(4)).tolist()
+            g = (np.sort(rng.normal(size=4)) - rng.normal()).tolist()
+            assert bits(_cubic(g, x, 0.0)) == bits(old_inverse_cubic(x, g))
+
+    def test_equal_abscissae_give_nan(self):
+        assert math.isnan(_cubic([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0, 4.0], 0.2))
 
 
 class TestDetectPeriod:

@@ -1,5 +1,6 @@
 import ast
 import functools
+import inspect
 import operator
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from suslov.model import (
     MassTensor,
     QuadraticPotential,
     ZeroPotential,
+    _central_differences,
+    check_gradient,
     divergence_fd,
     energy,
     general_field,
@@ -146,6 +149,26 @@ class TestPotentials:
             )
         with pytest.raises(ValueError, match="finite differences"):
             CustomPotential(lambda g: (float(np.sum(g**2)), np.ones(4)), 4)
+
+    def test_zero_potential_values_a_block(self):
+        # the block contract of Potential: one value per row, over the
+        # leading axes, so the block gradient check takes the zero potential
+        pot = ZeroPotential()
+        assert pot.value(np.ones(3)) == 0.0
+        assert same_bits(pot.value(np.ones((4, 3))), np.zeros(4))
+        assert pot.value(np.ones((2, 5, 3))).shape == (2, 5)
+        check_gradient(pot, 4)
+
+    def test_gradient_check_values_each_draw_once(self):
+        calls = []
+
+        class Counted(QuadraticPotential):
+            def value(self, gamma):
+                calls.append(np.shape(gamma))
+                return super().value(gamma)
+
+        check_gradient(Counted([0.3, -1.0, 2.0, 0.5]), 4)
+        assert calls == [(8, 4)] * 5  # the 2n perturbed points of each draw
 
 
 def _point_gradient_cases(n, rng):
@@ -743,7 +766,7 @@ class TestDivergence:
         def f(x):
             return x @ mat.T
 
-        d = divergence_fd(f, np.array([0.3, -0.5, 0.9]), 1e-5)
+        d = divergence_fd(f, np.array([0.3, -0.5, 0.9]))
         assert d == pytest.approx(np.trace(mat), abs=1e-8)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -758,7 +781,7 @@ class TestDivergence:
             f, dim = packed_reduced_field(inertia, pot)
             for _ in range(30):
                 x = rng.normal(size=dim)
-                assert abs(divergence_fd(f, x, 1e-5)) < 1e-6
+                assert abs(divergence_fd(f, x)) < 1e-6
 
     def test_non_eigenvector_free_case_has_divergence(self):
         rng = np.random.default_rng(14)
@@ -768,7 +791,7 @@ class TestDivergence:
         hits = 0
         for _ in range(20):
             x = rng.normal(size=dim)
-            if abs(divergence_fd(f, x, 1e-5)) > 1e-3:
+            if abs(divergence_fd(f, x)) > 1e-3:
                 hits += 1
         assert hits >= 18  # generic states show a clearly nonzero divergence
 
@@ -789,20 +812,35 @@ class TestDivergence:
             def f(x):
                 return c * x * x * x
         xs = rng.normal(size=(25, dim))
-        divs = divergence_fd(f, xs, 1e-5)
+        divs = divergence_fd(f, xs)
         assert divs.shape == (25,)
         for x, d in zip(xs, divs):
-            point = divergence_fd(f, x, 1e-5)
+            point = divergence_fd(f, x)
             assert isinstance(point, float)
             assert same_bits(d, point) and same_bits(point, loop_divergence(f, x, 1e-5))
 
-    @pytest.mark.parametrize("h_fd", [np.nan, np.inf, -np.inf, 0.0, -1e-5],
-                             ids=["nan", "inf", "-inf", "zero", "negative"])
-    def test_invalid_step_rejected(self, h_fd):
-        with pytest.raises(ValueError, match="h_fd must be positive and finite"):
-            divergence_fd(lambda x: x, np.zeros(3), h_fd)
+    def test_step_is_fixed(self):
+        assert list(inspect.signature(divergence_fd).parameters) == ["f", "x"]
+
+    def test_central_differences_of_points_blocks_and_slots(self):
+        rng = np.random.default_rng(22)
+        c = rng.normal(size=5)
+
+        def f(x):
+            return np.stack((np.sum(c * x**3, axis=-1), x[..., 0] * x[..., 4]), axis=-1)
+
+        xs = rng.normal(size=(6, 5))
+        full = _central_differences(f, xs, 1e-5)
+        assert full.shape == (6, 5, 2)
+        exact = np.stack((3.0 * c * xs**2, np.zeros_like(xs)), axis=-1)
+        exact[:, 0, 1], exact[:, 4, 1] = xs[:, 4], xs[:, 0]
+        assert np.allclose(full, exact, rtol=1e-8, atol=1e-8)
+        slots = np.array([4, 1])
+        for x, row in zip(xs, full):
+            assert same_bits(_central_differences(f, x, 1e-5), row)
+            assert same_bits(_central_differences(f, x, 1e-5, slots), row[slots])
 
     @pytest.mark.parametrize("shape", [(), (2, 2, 3)], ids=["0d", "3d"])
     def test_point_or_block_only(self, shape):
         with pytest.raises(ValueError, match=r"shape \(dim,\) or \(m, dim\)"):
-            divergence_fd(lambda x: x, np.zeros(shape), 1e-5)
+            divergence_fd(lambda x: x, np.zeros(shape))
