@@ -385,8 +385,10 @@ def jacobian_rank(evaluators, state: BodyState) -> int:
     lay = layout(state.n)
     y0 = np.zeros(lay.k + state.n)  # the so(n-1) block stays zero
     y0[lay.reduced] = pack_state(state.omega, state.gamma)[lay.reduced]
-    sv = np.linalg.svd([_central_differences(fn, y0, _RANK_FD_STEP, lay.reduced)
-                        for fn in evaluators], compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    jac = [_central_differences(fn, y0, _RANK_FD_STEP, lay.reduced) for fn in evaluators]
+    if not jac:  # no functions: an empty Jacobian, which svd rejects
+        return 0
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > _RANK_THRESHOLD * sv[0]))

@@ -72,14 +72,28 @@ __all__ = ["ConfigError", "ScenarioConfig", "load_config", "run", "main"]
 
 ENV_OUTPUT_DIR = "SUSLOV_OUTPUT_DIR"
 
-# two-argument potential fixtures selectable by name in DGJ scenarios
+
+def _float_or_array(point, block):
+    """``point`` (a ``math`` function) on a Python float, as the fields'
+    point path hands the potential, else ``block`` (the numpy ufunc); the
+    two give the same bits on this platform's libm and numpy
+    (``tests/test_cli.py`` checks a large sample), and ``math`` costs no
+    numpy dispatch."""
+    return lambda x: point(x) if type(x) is float else block(x)
+
+
+_SIN = _float_or_array(math.sin, np.sin)
+_COS = _float_or_array(math.cos, np.cos)
+
+# two-argument potential fixtures selectable by name in DGJ scenarios; each
+# takes floats or arrays of one shape
 DGJ_FUNCTIONS = {
-    "sin": (lambda x, y: np.sin(x) + 0.5 * y, lambda x, y: (np.cos(x), 0.5)),
+    "sin": (lambda x, y: _SIN(x) + 0.5 * y, lambda x, y: (_COS(x), 0.5)),
     "quadratic": (
         lambda x, y: 0.5 * x * x + 0.25 * y * y,
         lambda x, y: (x, 0.5 * y),
     ),
-    "cos": (lambda x, y: np.cos(x) - 0.3 * y, lambda x, y: (-np.sin(x), -0.3)),
+    "cos": (lambda x, y: _COS(x) - 0.3 * y, lambda x, y: (-_SIN(x), -0.3)),
 }
 
 

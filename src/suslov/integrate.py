@@ -5,11 +5,14 @@ pairs with proportional step control, Dormand-Prince 8(5,3) (``dop853``,
 the default) and Dormand-Prince 5(4) (``rk45``).  States are flattened to
 ``(pack(Omega), Gamma)`` in the layout of :mod:`suslov.algebra`.  Every
 system here is autonomous, so a field is ``field(y) -> ydot`` on this flat
-vector, with no time argument, and the steppers carry no stage nodes.  The
-adaptive loop hands the field ``y`` as a list of Python floats and takes a
-list or an array back; so does RK4, for each of its four stages.  The
-fields of :func:`suslov.cases.build_field` return a list for a list and an
-array for an array, with the same bits.
+vector, with no time argument, and the steppers carry no stage nodes.  A
+field takes a point or a block: a list of Python floats gives a point, and
+an ``(m, d)`` array gives a block whose rows have the bits of the list
+calls of the same points.  The stages that decide the steps (every stage
+of RK4, and those of each attempt of a pair) are points; DOP853's
+dense-output stages are blocks.  The fields of
+:func:`suslov.cases.build_field` return a list for a list and an array for
+an array, with the same bits; :func:`state_field` maps a block's rows.
 
 Both pairs run through one adaptive loop; a pair supplies only its tableau,
 its error norm, its step-size exponent and its interpolant.  A step stores
@@ -20,7 +23,8 @@ product, which sets the bits, and ``y + h dv`` is formed on its floats,
 with the bits of the array expression; so is the error scale.  The
 solution weights are a row of ``A``, so the last stage is ``f`` at the new
 point and is reused as the first stage of the next step (first same as
-last): an attempt costs six field calls with DP5 and twelve with DOP853.  The error is the RMS norm of the scaled 5(4)
+last): an attempt costs six field calls with DP5 and twelve with DOP853.
+The error is the RMS norm of the scaled 5(4)
 estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend of
 its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner (section
 II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
@@ -28,12 +32,18 @@ size; only the final step is shortened, so that it lands on the end of the
 output grid.  Every output sample inside an accepted step ``[t, t + h]``
 comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
 4th-order one of DP5, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]``, or the
-7th-order one of DOP853, whose three extra stages are evaluated on every
-accepted step, so that the counters depend only on the step sequence.
+7th-order one of DOP853, which needs three extra stages.
+None of that decides the next step, so the loop leaves it to a block of
+accepted steps (96 KB of stages and start points at most, or one step's
+when that is more, whatever the run length).  When the block is full, and
+at the end, one pass evaluates DOP853's extra stages of every step in it
+(one field call per stage on the block, so the counters depend only on the
+step sequence), then the interpolant coefficients and the samples.
 The ``Trajectory`` keeps each accepted step's start time, size and start
 point: :func:`detect_period` brackets crossings between the step starts,
-whatever the output grid, and evaluates the stages of a step again to
-locate a crossing on its interpolant.
+whatever the output grid, and evaluates the stages of a step again, the
+extra ones by the same pass on a block of one step, to locate a crossing
+on its interpolant.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -47,14 +57,13 @@ never projects.  The steppers apply it to each step endpoint, in place, so
 the next step starts from the unit sphere; :func:`integrate` applies it to
 all the interpolated samples at once, after the loop.  That pass is
 row-wise, so each sample gets the bits of its own renormalization, and the
-step loop does no numpy work per sample beyond the interpolant.  The
+step loop does no work per sample beyond noting which step holds it.  The
 constraint residual is recorded rather than repaired.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -233,7 +242,6 @@ _DP_P = np.array(
 )
 _POWERS = np.arange(1, 5)
 _EPS = np.finfo(float).eps
-_STEP_HEAD = struct.Struct("dd")  # (t, h) before y in an accepted step's row
 
 
 def _rk4_step(f, y, h):
@@ -258,21 +266,21 @@ def _fill_stages(f, y, h, K, terms, start, stop):
     list of Python floats and ``terms`` from :func:`_stage_array`.  The
     stage sum ``dv`` stays one BLAS product, which sets the bits; the
     update ``y + h dv`` is formed on its floats, with the bits of the array
-    expression, and ``f`` gets it as a list.  Returns the last stage's sum
-    and its input.
+    expression, and ``f`` gets it as a list.  Returns the last stage's
+    input.
 
     Row ``pair.stages`` of the tableau holds the solution weights, so that
     stage's input is the new point and its derivative is the next step's
-    first stage; any later rows are the dense-output stages."""
+    first stage; any later rows are the dense-output stages, which
+    :func:`_dense_pass` evaluates on blocks."""
     dot = np.dot
     for s in range(start, stop):
         row, head = terms[s]
-        dv = dot(row, head)
         ys = []
-        for a, b in zip(y, dv.tolist()):
+        for a, b in zip(y, dot(row, head).tolist()):
             ys.append(a + h * b)
         K[s] = f(ys)
-    return dv, ys
+    return ys
 
 
 def _error_scale(y, y_new, abs_tol, rel_tol):
@@ -293,14 +301,23 @@ def _dp5_error_norm(K, h, scale):
     return math.sqrt(float(np.add.reduce(e * e)) / e.size)
 
 
-def _dp5_dense(y, h, K, dv):
-    """The free 4th-order interpolant of the step ``[t, t + h]`` from ``y``
-    at ``t`` and its stages ``K``, as the function that maps step fractions
-    ``x`` (a list of floats) to their states; exact at ``x = 0``, ``y5`` at
-    ``x = 1`` up to roundoff.  The solution's stage sum ``dv`` is not
-    used."""
-    Q = _DP_P.T @ K
-    return lambda x: y + h * ((np.array(x)[:, None] ** _POWERS) @ Q)
+def _dp5_coefficients(H, K):
+    """``Q = P.T @ K`` of DP5's free 4th-order interpolant, for each step
+    of a stack: ``K`` holds the steps' stages ``(m, 7, d)``; the step sizes
+    ``H`` are not used.  The interpolant is exact at ``x = 0`` and gives
+    ``y5`` at ``x = 1`` up to roundoff."""
+    return np.matmul(_DP_P.T, K)
+
+
+def _dp5_weights(x):
+    """The powers ``x, x^2, x^3, x^4`` of an array of step fractions."""
+    return x[:, None] ** _POWERS
+
+
+def _dp5_sample(y, h, w, Q):
+    """The points of one step from its start ``y``, size ``h`` and
+    coefficients ``Q``, at the weights ``w``: ``y + h (w @ Q)``."""
+    return y + h * (w @ Q)
 
 
 def _dop853_error_norm(K, h, scale):
@@ -318,34 +335,38 @@ def _dop853_error_norm(K, h, scale):
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
-def _dop853_dense(y, h, K, dv):
-    """The 7th-order interpolant of DOP853 from the 16 stages of an accepted
-    step, as the function of the step fractions ``x`` (a list of floats): the
-    nested form ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))``
-    evaluated as one product with its weights ``x, x (1 - x), x^2 (1 - x),
-    ...``, each the product of the one before with ``x`` or ``1 - x``, on
-    floats (the running products of ``np.cumprod``).  ``F0`` is the step's
-    increment ``h dv``, from the stage sum ``dv = B @ K[:12]`` that formed
-    ``y_new``, so ``x = 1`` gives ``y_new`` exactly."""
-    F = np.empty((7, y.size))
-    dy = np.multiply(h, dv, out=F[0])
-    np.subtract(h * K[0], dy, out=F[1])
-    np.subtract(2.0 * dy, h * (K[12] + K[0]), out=F[2])
-    np.multiply(h, np.dot(_dop853.D, K), out=F[3:])
+def _dop853_coefficients(H, K):
+    """The coefficients ``F0..F6`` of DOP853's 7th-order interpolant, ``(m,
+    7, d)``, for each step of a stack from its size in ``H`` and its 16
+    stages in ``K``.  ``F0`` is the step's increment ``h dv``, with the
+    stage sum ``dv = B @ K[:12]`` that formed ``y_new``, so ``x = 1`` gives
+    ``y_new`` exactly.  Each ``np.matmul`` runs one BLAS call per step, with
+    the bits of ``np.dot`` on that step alone."""
+    F = np.empty((K.shape[0], 7, K.shape[2]))
+    H = H[:, None]
+    dy = np.multiply(H, np.matmul(_dop853.B, K[:, :12]), out=F[:, 0])
+    np.subtract(H * K[:, 0], dy, out=F[:, 1])
+    np.subtract(2.0 * dy, H * (K[:, 12] + K[:, 0]), out=F[:, 2])
+    tail = np.matmul(_dop853.D, K, out=F[:, 3:])
+    tail *= H[:, :, None]
+    return F
 
-    def states(x):
-        w = []
-        for xi in x:
-            u = 1.0 - xi
-            c1 = xi * u
-            c2 = c1 * xi
-            c3 = c2 * u
-            c4 = c3 * xi
-            c5 = c4 * u
-            w.append((xi, c1, c2, c3, c4, c5, c5 * xi))
-        return y + np.dot(w, F)
 
-    return states
+def _dop853_weights(x):
+    """The weights ``x, x (1 - x), x^2 (1 - x), ...`` of the nested form
+    ``y + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))`` at an array of
+    step fractions: each the product of the one before with ``x`` or ``1 -
+    x``, the running products of ``np.cumprod``."""
+    w = np.empty((x.size, 7))
+    w[:, 0::2] = x[:, None]
+    w[:, 1::2] = 1.0 - x[:, None]
+    return np.cumprod(w, axis=1, out=w)
+
+
+def _dop853_sample(y, h, w, F):
+    """The points of one step from its start ``y`` and coefficients ``F``
+    (which carry ``h``), at the weights ``w``: ``y + w @ F``."""
+    return y + np.dot(w, F)
 
 
 class _Pair(NamedTuple):
@@ -354,29 +375,33 @@ class _Pair(NamedTuple):
     ``rows[s]`` is ``A[s, :s]`` of the stage tableau.  Row ``stages`` holds
     the solution weights, so its stage is ``f`` at the new point (first
     same as last), and any later rows are dense-output stages, evaluated
-    once per accepted step.  So a step costs ``stages`` field calls per
-    attempt plus ``len(rows) - stages - 1`` per accepted step.  ``error_norm(K, h,
-    scale)`` is the scaled error, and the step factor is
-    ``0.9 err ** exponent``; ``dense(y, h, K, dv)``, given the solution's
-    stage sum ``dv``, is the step's interpolant: the function that gives
-    the states at a list of step fractions ``x``.
+    once per accepted step by :func:`_dense_pass`.  So a step costs
+    ``stages`` field calls per attempt plus ``len(rows) - stages - 1`` per
+    accepted step.  ``error_norm(K, h, scale)`` is the scaled error, and the
+    step factor is ``0.9 err ** exponent``.  The interpolant comes in three
+    parts: ``coefficients(H, K)`` for a stack of steps from their sizes and
+    stages, ``weights(x)`` at an array of step fractions, and ``sample(y,
+    h, w, F)``, the points of one step at its weights.
     """
 
     rows: tuple
     stages: int
     exponent: float
     error_norm: Callable
-    dense: Callable
+    coefficients: Callable
+    weights: Callable
+    sample: Callable
 
 
-def _pair(A, stages, exponent, error_norm, dense):
+def _pair(A, stages, exponent, error_norm, *interpolant):
     rows = tuple(np.ascontiguousarray(A[s, :s]) for s in range(A.shape[0]))
-    return _Pair(rows, stages, exponent, error_norm, dense)
+    return _Pair(rows, stages, exponent, error_norm, *interpolant)
 
 
-_DP5 = _pair(_DP_A, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_dense)
+_DP5 = _pair(_DP_A, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_coefficients,
+             _dp5_weights, _dp5_sample)
 _DOP853 = _pair(_dop853.A, _dop853.N_STAGES, -1.0 / 8.0, _dop853_error_norm,
-                _dop853_dense)
+                _dop853_coefficients, _dop853_weights, _dop853_sample)
 _PAIRS = {"dop853": _DOP853, "rk45": _DP5}
 
 
@@ -416,10 +441,15 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     endpoint, in place; the samples are left as the interpolant gives them.
     The grid is walked as Python floats, one time at a time.
 
-    ``f`` gets each point as a list of Python floats and may return a list
-    or an array.  The step's start is held both ways: ``y``, an array, for
-    the interpolant and ``post_step``, and ``yl``, its floats, for the
-    stages and the error scale."""
+    The loop does only the work that decides the next step.  ``f`` gets
+    each of its points as a list of Python floats and may return a list or
+    an array.  The step's start is held both ways: ``y``, an array, for the
+    block and ``post_step``, and ``yl``, its floats, for the stages and the
+    error scale.  Each accepted step goes into a :class:`_Block`, which
+    keeps its stages when the step holds samples or the pair has
+    dense-output stages; when the block is full, and at the end, one
+    :meth:`_Block.flush` evaluates the dense-output stages, the
+    interpolants and the samples of all its steps."""
     t_grid = np.asarray(t_grid, dtype=float)
     size = t_grid.size
     y = np.asarray(y0, dtype=float)
@@ -437,37 +467,45 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
     K, terms = _stage_array(pair, y.size)  # one array, refilled per attempt
     K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
+    block = _Block(pair, f, ys, t_grid)
+    ts, hs, kept, spans = block.ts, block.hs, block.kept, block.spans
+    Yb, Kb = block.Y, block.K
     nxt = 1  # first grid index not yet sampled
     t_next = t_grid.item(1) if size > 1 else math.inf
     accepted = attempts = 0
     h_min, h_max, h_last = math.inf, 0.0, 0.0
-    steps = bytearray()  # the rows of the accepted steps, end to end
     while t < t_end:
         last = t + h >= t_end - land
         if last:
             h = t_end - t
         if h < 16.0 * _EPS * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, h, attempts, y)
-        dv, y_new = _fill_stages(f, yl, h, K, terms, 1, S + 1)
+        y_new = _fill_stages(f, yl, h, K, terms, 1, S + 1)
         err_norm = pair.error_norm(K, h, _error_scale(yl, y_new, abs_tol, rel_tol))
         if not math.isfinite(err_norm):
             err_norm = math.inf  # reject and shrink hard
         attempts += 1
         if err_norm <= 1.0:
-            if extra:
-                _fill_stages(f, yl, h, K, terms, S + 1, S + 1 + extra)
             t_new = t_end if last else t + h
-            if t_next <= t_new:
+            j = len(ts)
+            ts.append(t)
+            hs.append(h)
+            Yb[j] = y
+            sampled = t_next <= t_new
+            if sampled or extra:
+                Kb[len(kept)] = K
+                kept.append(j)
+            if sampled:
                 stop = size if last else nxt + 1
                 while stop < size and t_grid.item(stop) <= t_new:
                     stop += 1
-                x = [(t_grid.item(i) - t) / h for i in range(nxt, stop)]
-                ys[nxt:stop] = pair.dense(y, h, K, dv)(x)
+                spans.append((len(kept) - 1, nxt, stop))
                 nxt = stop
                 t_next = t_grid.item(stop) if stop < size else math.inf
+            if j + 1 == block.size:
+                block.flush()
             accepted += 1
             h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
-            steps += _STEP_HEAD.pack(t, h) + y.tobytes()
             t = t_new
             y = np.array(y_new)
             if post_step is None:
@@ -475,7 +513,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             else:
                 y = post_step(y)
                 yl = y.tolist()
-            K[0] = K[S]  # first same as last, once the interpolant is built
+            K[0] = K[S]  # first same as last, once the block holds the stages
         if attempts > max_steps:
             raise IntegrationError("max_steps exceeded", t, h, attempts, y)
         if err_norm == 0.0:
@@ -483,11 +521,80 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
         else:
             factor = min(5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
         h = h * factor
+    block.flush()
     stats = IntegratorStats(
         accepted, attempts - accepted, S * attempts + extra * accepted + 1,
         float(h_min), float(h_max), float(h_last),
     )
-    return ys, stats, np.frombuffer(steps).reshape(-1, y.size + 2)
+    return ys, stats, np.frombuffer(block.steps).reshape(-1, y.size + 2)
+
+
+# floats of stages and start points that a _Block holds, whatever d: 96 KB.
+# A field's block path costs O(d) numpy dispatches whatever the block's
+# length, so blocks of few steps lose at large d: at d = 55 (n = 10), where
+# 96 KB hold 13 DOP853 steps, a run took 0.96-0.98 of the per-step loop's
+# time, and with 8 steps 1.05
+_BLOCK_FLOATS = 12288
+
+
+class _Block:
+    """The accepted steps of :func:`_adaptive_solve` since the last flush:
+    their start times ``ts`` and sizes ``hs`` (lists of floats) and start
+    points ``Y`` (the rows of an array, ``size`` steps at most); the stages
+    ``K`` of the steps in ``kept``, ``K[i]`` those of step ``kept[i]``; and
+    ``spans``, one ``(i, a, b)`` for each step that holds the samples
+    ``a..b-1`` of the grid, ``i`` its slot in ``K``.  A step's stages are
+    kept only when :meth:`flush` needs them: on a step with samples, or on
+    every step when the pair has dense-output stages.  ``flush`` hands the
+    steps on to ``steps``, the bytes of the step record's rows ``(t, h,
+    *y)``."""
+
+    def __init__(self, pair, f, ys, t_grid):
+        d = ys.shape[1]
+        rows = len(pair.rows)
+        self.size = max(1, _BLOCK_FLOATS // ((rows + 1) * d))
+        self.pair, self.f, self.ys, self.t_grid = pair, f, ys, t_grid
+        self.ts, self.hs, self.kept, self.spans = [], [], [], []
+        self.Y = np.empty((self.size, d))
+        self.K = np.empty((self.size, rows, d))
+        self.steps = bytearray()
+
+    def flush(self):
+        """Evaluate the dense-output stages and the interpolant coefficients
+        of the kept steps on blocks, then write their samples: each step's
+        run of samples is one call of ``pair.sample``, since a product over
+        several steps' samples would not keep each sample's bits."""
+        m = len(self.ts)
+        if m == 0:
+            return
+        pair, kept, spans = self.pair, self.kept, self.spans
+        T, H, Y = np.array(self.ts), np.array(self.hs), self.Y[:m]
+        if len(kept) < m:  # only the steps with samples (no dense stages)
+            T, H, Y = T[kept], H[kept], Y[kept]
+        F = _dense_pass(pair, self.f, Y, H, self.K[: len(kept)])
+        if spans:
+            a0, b1 = spans[0][1], spans[-1][2]
+            at = np.repeat([i for i, _, _ in spans], [b - a for _, a, b in spans])
+            w = pair.weights((self.t_grid[a0:b1] - T[at]) / H[at])
+            sample, ys = pair.sample, self.ys
+            for i, a, b in spans:
+                ys[a:b] = sample(Y[i], H[i], w[a - a0 : b - a0], F[i])
+        self.steps += np.column_stack((self.ts, self.hs, self.Y[:m])).tobytes()
+        for held in (self.ts, self.hs, kept, spans):
+            held.clear()
+
+
+def _dense_pass(pair, f, Y, H, K):
+    """The dense-output stages of a stack of accepted steps, into ``K``, and
+    their interpolant coefficients.  ``Y`` holds the steps' starts ``(m,
+    d)``, ``H`` their sizes and ``K`` their stages ``(m, len(pair.rows),
+    d)``, those up to ``pair.stages`` filled.  Each dense-output stage is
+    one stage sum over the stack, ``Y + H dv`` and one call of ``f`` on the
+    ``(m, d)`` block; ``np.matmul`` runs one BLAS call per step, with the
+    bits of ``np.dot`` on that step alone."""
+    for s in range(pair.stages + 1, len(pair.rows)):
+        K[:, s] = f(Y + H[:, None] * np.matmul(pair.rows[s], K[:, :s]))
+    return pair.coefficients(H, K)
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
@@ -537,9 +644,13 @@ def integrate(
 ) -> Trajectory:
     """Propagate ``field(y) -> ydot`` from ``state0`` over ``t_span``; ``y``
     is the flat vector of :func:`suslov.cases.build_field` (wrap a field on
-    states in :func:`state_field`).  Every method passes ``y`` as a list of
-    Python floats and takes a list or an array back; a field of
-    ``build_field`` returns a list for a list.
+    states in :func:`state_field`).  The field takes a point or a block:
+    every method passes each stage that decides a step as a list of Python
+    floats and takes a list or an array back, and ``dop853`` passes its
+    dense-output stages as ``(m, d)`` arrays, one row per accepted step,
+    whose rows must have the bits of the list calls of the same points.
+    The fields of ``build_field`` and :func:`state_field` do;
+    ``rhs_evals`` counts points, a block's rows included.
 
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``, at most
     ``MAX_OUTPUT_INTERVALS`` intervals.  When the model
@@ -608,13 +719,17 @@ def integrate(
 def state_field(fn, n):
     """Packed field ``field(y) -> ydot`` in dimension ``n`` from a field on
     states, ``fn(state) -> (omega_dot, gamma_dot)``, for :func:`integrate`.
-    ``y`` may be a list of floats, as every method passes it, or an
-    array; ``ydot`` is an array."""
+    ``y`` may be a point, as a list of floats or an array, or a block ``(m,
+    d)`` of points, whose rows are mapped one at a time, so each gets the
+    bits of its point; ``ydot`` is an array."""
     k = layout(n).k
+
+    def point(y):
+        return pack_state(*fn(BodyState._wrap(unpack(y[:k], n), y[k:])))
 
     def field(y):
         y = np.asarray(y, dtype=float)
-        return pack_state(*fn(BodyState._wrap(unpack(y[:k], n), y[k:])))
+        return point(y) if y.ndim == 1 else np.array([point(row) for row in y])
 
     return field
 
@@ -700,11 +815,13 @@ def detect_period(traj: Trajectory, observable):
                 return _cubic(xl, gl, (t - t0) / scale)
         else:
             # the bracket [knot i - 1, knot i] is step i - 1
-            start, h = rows.item(i - 1, 0), rows.item(i - 1, 1)
-            dense = _restep(pair, field, rows[i - 1])
+            row = rows[i - 1]
+            start, h, y = row.item(0), row.item(1), row[2:]
+            F = _restep(pair, field, row)
 
             def local(t):
-                p = dense([(t - start) / h])[0]
+                w = pair.weights(np.array([(t - start) / h]))
+                p = pair.sample(y, h, w, F)[0]
                 return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
 
         # the first point: where the cubic through the four knots, as t(g),
@@ -724,16 +841,17 @@ def detect_period(traj: Trajectory, observable):
 
 
 def _restep(pair, f, row):
-    """The interpolant, as ``pair.dense`` returns it, of the accepted step
-    ``row = (t, h, *y)``, whose stages are evaluated again (``len(pair.rows)``
-    field calls).  ``K[0]`` is ``f`` at ``y``; the stepper reused ``f`` at
-    the previous step's end, before its renormalization, so the two agree to
-    roundoff."""
+    """The interpolant coefficients of the accepted step ``row = (t, h,
+    *y)``, whose stages are evaluated again: those of the step as the loop
+    does (``pair.stages + 1`` field calls), the dense-output ones by
+    :func:`_dense_pass` on a block of this one step.  ``K[0]`` is ``f`` at
+    ``y``; the stepper reused ``f`` at the previous step's end, before its
+    renormalization, so the two agree to roundoff."""
     _, h, *yl = row.tolist()
     K, terms = _stage_array(pair, len(yl))
     K[0] = f(yl)
-    _fill_stages(f, yl, h, K, terms, 1, len(pair.rows))
-    return pair.dense(row[2:], h, K, np.dot(*terms[pair.stages]))
+    _fill_stages(f, yl, h, K, terms, 1, pair.stages + 1)
+    return _dense_pass(pair, f, row[None, 2:], row[1:2], K[None])[0]
 
 
 def _cubic(x, y, at):

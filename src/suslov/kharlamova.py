@@ -23,6 +23,7 @@ double.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,9 +161,11 @@ class QuarticPolynomial:
     gamma_n_0: float
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        # a read-only copy: roots() are computed once, from these values
+        c = np.array(self.coeffs, dtype=float)
         if c.shape != (5,):
             raise ValueError("expected 5 ascending coefficients")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, w):
@@ -186,30 +189,39 @@ class QuarticPolynomial:
         return deg
 
     def roots(self) -> np.ndarray:
-        """Companion-matrix roots of the true degree, Newton polished."""
-        c = self.coeffs
-        deg = self.degree
-        if deg == 0:
-            return np.array([])
-        raw = npoly.polyroots(c[: deg + 1])
-        dc = npoly.polyder(c[: deg + 1])
+        """Companion-matrix roots of the true degree, Newton polished; read-only,
+        computed on the first call."""
+        return self._roots
+
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        # Horner on the roots' own numpy scalars (float64 when every root is
+        # real, else complex128), in the order of npoly.polyval, so each
+        # value and Newton step has its bits without its per-call overhead
+        c = self.coeffs[: self.degree + 1]
+        cl, dl = c.tolist(), npoly.polyder(c).tolist()
         polished = []
-        for r in raw:
+        for r in npoly.polyroots(c):
             x = r
             for _ in range(3):
-                d = npoly.polyval(x, dc)
+                d = _horner(x, dl)
                 if d == 0:
                     break
-                step = npoly.polyval(x, c[: deg + 1]) / d
-                x = x - step
+                x = x - _horner(x, cl) / d
             # keep the polish only if it actually reduced the residual
-            if abs(npoly.polyval(x, c[: deg + 1])) <= abs(
-                npoly.polyval(r, c[: deg + 1])
-            ):
-                polished.append(x)
-            else:
-                polished.append(r)
-        return np.array(polished)
+            polished.append(x if abs(_horner(x, cl)) <= abs(_horner(r, cl)) else r)
+        roots = np.array(polished)
+        roots.flags.writeable = False
+        return roots
+
+
+def _horner(x, c):
+    """``npoly.polyval(x, c)`` for a scalar ``x`` and a list ``c`` of
+    ascending coefficients, with its operations in its order."""
+    v = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        v = ci + v * x
+    return v
 
 
 def trajectory_polynomial(

@@ -267,6 +267,13 @@ def test_jacobian_rank_calls_each_evaluator_once(spec, n):
         assert rank == loop_jacobian_rank(fns, state)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_jacobian_rank_of_no_functions_is_zero(n):
+    state = random_canonical_state(np.random.default_rng(n), n)
+    assert jacobian_rank([], state) == 0
+    assert jacobian_rank(iter(()), state) == 0
+
+
 class TestConservation:
     @pytest.mark.parametrize(
         "spec", catalog_instances(), ids=lambda s: f"{s.kind.value}-n{s.n}"

@@ -104,6 +104,44 @@ def with_values(text, values):
     return "\n".join(lines) + "\n"
 
 
+class TestDgjFunctions:
+    """The fixtures take ``math`` on Python floats (a field's point path)
+    and numpy on arrays (its block path, which DOP853's dense-output stages
+    use); each gives the same bits both ways."""
+
+    @staticmethod
+    def columns(out, size):
+        parts = out if isinstance(out, tuple) else (out,)
+        return np.array([np.broadcast_to(p, size) for p in parts], dtype=float)
+
+    def test_floats_have_the_bits_of_arrays(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 20_000),
+                            rng.uniform(-40.0, 40.0, 10_000)])
+        y = rng.uniform(0.0, 2.0, x.size)
+        for name, fns in cli.DGJ_FUNCTIONS.items():
+            for fn in fns:
+                block = self.columns(fn(x, y), x.size)
+                points = np.array([self.columns(fn(a, b), 1)[:, 0]
+                                   for a, b in zip(x.tolist(), y.tolist())]).T
+                assert np.array_equal(block.view(np.uint64), points.view(np.uint64)), name
+
+    def test_dgj_field_blocks_have_the_bits_of_list_calls(self, tmp_path):
+        from suslov.cases import build_field
+
+        text = (SCENARIO_DIR / "dgj_3d.cfg").read_text()
+        for v1, v2 in (("sin", "quadratic"), ("cos", "sin")):
+            path = tmp_path / f"{v1}_{v2}.cfg"
+            path.write_text(with_values(text, {"case.v1": v1, "case.v2": v2}))
+            config = load_config(path)
+            field, _ = build_field(config.case_spec)
+            ys = np.random.default_rng(9).normal(size=(20_000, 6))
+            ys[:, 3:] /= np.linalg.norm(ys[:, 3:], axis=1)[:, None]
+            block = field(ys)
+            rows = np.array([field(y) for y in ys.tolist()])
+            assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
+
+
 class TestConfigParsing:
     def test_missing_mass_tensor(self, tmp_path):
         text = kharlamova_cfg(tmp_path).replace("case.inertia = 1.0 2.0 1.5\n", "")

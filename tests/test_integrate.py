@@ -26,9 +26,10 @@ from suslov.integrate import (
     _DP5,
     _DP_E,
     _DP_P,
+    _PAIRS,
+    _Block,
     _adaptive_solve,
     _cubic,
-    _dp5_dense,
     _fill_stages,
     _restep,
     _rk4_solve,
@@ -190,8 +191,19 @@ def dp5_step(f, y, h):
     5th-order solution and its error estimate."""
     K, terms = _stage_array(_DP5, y.size)
     K[0] = f(y)
-    _, y5 = _fill_stages(f, y.tolist(), h, K, terms, 1, 7)
+    y5 = _fill_stages(f, y.tolist(), h, K, terms, 1, 7)
     return K, np.array(y5), h * (_DP_E @ K)
+
+
+def interpolate(pair, y, h, F, x):
+    """The points at the step fractions ``x`` of the step of size ``h`` from
+    ``y`` whose interpolant coefficients are ``F``."""
+    return pair.sample(y, h, pair.weights(np.array(x)), F)
+
+
+def interpolant(pair, y, h, K, x):
+    """``interpolate`` for the step whose stages ``K`` are all filled."""
+    return interpolate(pair, y, h, pair.coefficients(np.array([h]), K[None])[0], x)
 
 
 class TestRk45Step:
@@ -240,7 +252,7 @@ class TestDenseOutput:
     def test_interpolant_matches_step_endpoints(self):
         for h in (0.4, 0.05):
             K, y5, _ = dp5_step(self.f, self.y0, h)
-            ends = _dp5_dense(self.y0, h, K, None)([0.0, 1.0])
+            ends = interpolant(_DP5, self.y0, h, K, [0.0, 1.0])
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y5)) <= 1e-15 * np.max(np.abs(y5))
 
@@ -249,20 +261,19 @@ class TestDenseOutput:
         hs = [0.1, 0.05, 0.025]
         for h in hs:
             K, _, _ = dp5_step(self.f, self.y0, h)
-            mid = _dp5_dense(self.y0, h, K, None)([0.5])[0]
+            mid = interpolant(_DP5, self.y0, h, K, [0.5])[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 5.0) <= 0.3
 
 
 def dop853_step(f, y, h):
-    """All 16 stages of one DOP853 step, the solution's stage sum ``dv``
-    and the 8th-order solution."""
+    """All 16 stages of one DOP853 step and the 8th-order solution."""
     K, terms = _stage_array(_DOP853, y.size)
     K[0] = f(y)
-    dv, y_new = _fill_stages(f, y.tolist(), h, K, terms, 1, 13)
+    y_new = _fill_stages(f, y.tolist(), h, K, terms, 1, 13)
     _fill_stages(f, y.tolist(), h, K, terms, 13, 16)
-    return K, dv, np.array(y_new)
+    return K, np.array(y_new)
 
 
 class TestDop853:
@@ -296,7 +307,7 @@ class TestDop853:
         hs = [1.0, 0.5, 0.25]
         local = []
         for h in hs:
-            _, _, y_new = dop853_step(f, y0, h)
+            _, y_new = dop853_step(f, y0, h)
             local.append(np.linalg.norm(y_new - expm(h * mat) @ y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(local[i] / local[i + 1]) - 9.0) <= 0.3
@@ -309,8 +320,8 @@ class TestDop853:
 
     def test_interpolant_matches_step_endpoints(self):
         for h in (1.0, 0.4, 0.05):
-            K, dv, y_new = dop853_step(self.f, self.y0, h)
-            ends = _DOP853.dense(self.y0, h, K, dv)([0.0, 1.0])
+            K, y_new = dop853_step(self.f, self.y0, h)
+            ends = interpolant(_DOP853, self.y0, h, K, [0.0, 1.0])
             assert np.array_equal(ends[0], self.y0)
             assert np.max(np.abs(ends[1] - y_new)) <= 1e-15 * np.max(np.abs(y_new))
 
@@ -318,8 +329,8 @@ class TestDop853:
         errs = []
         hs = [1.0, 0.5, 0.25]
         for h in hs:
-            K, dv, _ = dop853_step(self.f, self.y0, h)
-            mid = _DOP853.dense(self.y0, h, K, dv)([0.5])[0]
+            K, _ = dop853_step(self.f, self.y0, h)
+            mid = interpolant(_DOP853, self.y0, h, K, [0.5])[0]
             errs.append(np.linalg.norm(mid - np.exp(0.5 * h * self.lam) * self.y0))
         for i in range(len(hs) - 1):
             assert abs(math.log2(errs[i] / errs[i + 1]) - 8.0) <= 0.3
@@ -341,9 +352,10 @@ class TestFreeRunningSteps:
         self.state0 = random_canonical_state(rng, n)
         self.calls = 0
 
-    def counted(self, state):
-        self.calls += 1
-        return self.field(state)
+    def counted(self, y):
+        # points, not calls: a block of dense-output stages counts its rows
+        self.calls += len(y) if np.ndim(y) == 2 else 1
+        return self.field(y)
 
     @pytest.mark.parametrize("method", ["rk45", "dop853"])
     def test_steps_do_not_depend_on_output_grid(self, method):
@@ -374,7 +386,7 @@ class TestFreeRunningSteps:
 
     @pytest.mark.parametrize("step", [1e-2, 2.0])
     def test_dop853_counts_every_field_call(self, step):
-        # 12 calls per attempt, 3 dense-output stages per accepted step and
+        # 12 points per attempt, 3 dense-output stages per accepted step and
         # one for the start; a 2.0 first trial step is rejected
         cfg = IntegratorConfig(method="dop853", step=step, rel_tol=1e-10,
                                abs_tol=1e-12)
@@ -444,7 +456,8 @@ _REF_PAIRS = {
 def reference_adaptive_solve(method, f, y0, t_grid, rel_tol, abs_tol, h0, k,
                              max_steps=IntegratorConfig().max_steps):
     """Oracle: the adaptive loop on arrays, sharing no step code with the
-    library.  ``f`` gets every point as an array; each stage
+    library.  ``f`` gets every point as an array, a dense-output stage as
+    a block of one point; each stage
     input is ``y + h * np.dot(A[s, :s], K[:s])`` on arrays; the grid is
     searched with ``np.searchsorted`` on numpy scalars; each step's block
     of samples is renormalized on a copy as soon as it is interpolated (no
@@ -461,10 +474,10 @@ def reference_adaptive_solve(method, f, y0, t_grid, rel_tol, abs_tol, h0, k,
         y[..., k:] /= np.where(nrm > 0, nrm, 1.0)
         return y
 
-    def stages(y, h, K, start, stop):
+    def stages(y, h, K, start, stop, block=False):
         for s in range(start, stop):
             ys = y + h * np.dot(rows[s], K[:s])
-            K[s] = f(ys)
+            K[s] = f(ys[None])[0] if block else f(ys)
         return ys
 
     ys = np.empty((t_grid.size, y0.size))
@@ -495,7 +508,7 @@ def reference_adaptive_solve(method, f, y0, t_grid, rel_tol, abs_tol, h0, k,
         attempts += 1
         if err_norm <= 1.0:
             if extra:
-                stages(y, h, K, S + 1, S + 1 + extra)
+                stages(y, h, K, S + 1, S + 1 + extra, block=True)
             t_new = t_end if last else t + h
             if t_grid[nxt] <= t_new:
                 stop = t_grid.size if last else int(
@@ -525,11 +538,17 @@ def scenario_run(scenario, method):
 
 
 def failing_after(field, kth, value):
-    """``field`` until its ``kth`` call, then a point of ``value``s, an
-    array or a list as it was given."""
+    """``field`` until its ``kth`` point handed alone, then a point of
+    ``value``s for each one, an array or a list as it was given.  Blocks
+    (the dense-output stages) go to ``field`` and are not counted: the
+    library evaluates them a block of steps later than the array loop, so
+    a count that took them in would fail the two at different steps; only
+    the stages that decide the steps can fail a run."""
     calls = [0]
 
     def f(y):
+        if np.ndim(y) == 2:
+            return field(y)
         calls[0] += 1
         if calls[0] < kth:
             return field(y)
@@ -657,6 +676,72 @@ class TestStepLoopBits:
                 "rk45", failing_after(f, 40, value), y0, t_grid, 1e-10,
                 1e-12, None, None),
         )
+
+
+class TestBlocks:
+    """The dense-output stages, interpolants and samples are evaluated a
+    block of accepted steps at a time; runs over several full blocks and a
+    partial last one keep the bits of the per-step array loop."""
+
+    @pytest.mark.parametrize("output_dt", [0.25, 0.01])
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_several_blocks_match_reference(self, method, output_dt):
+        spec, config, cfg, (field, constraints) = scenario_run(
+            "kharlamova_verify_n4", method)
+        state0 = config.initial_state
+        k = layout(spec.n).k
+        d = k + spec.n
+        size = _Block(_PAIRS[method], field, np.empty((1, d)), None).size
+        blocks = []
+
+        def spy(y):
+            if np.ndim(y) == 2:
+                blocks.append(len(y))
+            return field(y)
+
+        t_end = 90.0 if method == "dop853" else 45.0
+        traj = integrate(spy, state0, (0.0, t_end), cfg, output_dt=output_dt)
+        accepted = traj.stats.accepted
+        assert accepted > 3 * size and accepted % size != 0
+        if method == "dop853":  # one block call per stage and flush
+            full, rest = divmod(accepted, size)
+            assert blocks == [size] * (3 * full) + [rest] * 3
+        else:
+            assert blocks == []
+        ys, stats = reference_adaptive_solve(
+            method, field, pack_state(state0.omega, state0.gamma), traj.times,
+            cfg.rel_tol, cfg.abs_tol, cfg.step, k)
+        assert stats == traj.stats
+        assert np.array_equal(bits(traj.ys), bits(ys))
+        rows = traj._steps[2]
+        assert rows.shape == (accepted, d + 2)
+        assert np.array_equal(rows[1:, 0], rows[:-1, 0] + rows[:-1, 1])
+
+    def test_block_is_bounded_whatever_the_state_size(self):
+        for pair in _PAIRS.values():
+            for d in (2, 6, 36, 105, 5000):
+                block = _Block(pair, None, np.empty((1, d)), None)
+                assert block.size >= 1
+                assert block.Y.nbytes + block.K.nbytes <= max(
+                    96 * 1024, (len(pair.rows) + 1) * d * 8)
+
+
+class TestStateField:
+    def test_block_rows_equal_point_calls(self):
+        from suslov.model import QuadraticPotential, general_field
+
+        n = 4
+        rng = np.random.default_rng(43)
+        inertia = MassTensor(diag=1.0 + 2.0 * rng.random(n))
+        field = state_field(general_field(
+            inertia, QuadraticPotential(rng.normal(size=n)),
+            ConstraintSet.canonical_suslov(n)), n)
+        ys = rng.normal(size=(25, layout(n).k + n))
+        block = field(ys)
+        assert block.shape == ys.shape
+        for y, row in zip(ys, block):
+            assert np.array_equal(bits(row), bits(field(y.tolist())))
+            assert np.array_equal(bits(row), bits(field(y)))
 
 
 class TestErrorScale:
@@ -1011,8 +1096,8 @@ class TestStepRecords:
             inside = (traj.times > row[0]) & (traj.times <= end)
             if inside.any():
                 x = ((traj.times[inside] - row[0]) / row[1]).tolist()
-                assert np.array_equal(bits(_restep(pair, f, row)(x)),
-                                      bits(traj.ys[inside]))
+                points = interpolate(pair, row[2:], row[1], _restep(pair, f, row), x)
+                assert np.array_equal(bits(points), bits(traj.ys[inside]))
                 checked += int(inside.sum())
         assert checked == len(traj) - 1
 

@@ -298,6 +298,17 @@ class TestPeriod:
         assert poly.degree == deg
         assert poly.roots().size == deg
 
+    def test_roots_are_computed_once_from_a_read_only_copy(self):
+        coeffs = np.array([1.0, 0.0, -1.0, 0.5, -2.0])
+        poly = QuarticPolynomial(coeffs, 0.0, 1.0)
+        roots = poly.roots()
+        assert poly.roots() is roots
+        coeffs[0] = 5.0  # the caller's array stays writable and apart
+        assert poly.coeffs[0] == 1.0
+        for frozen in (poly.coeffs, roots):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0.0
+
     def test_degenerate_interval_rejected(self):
         poly = QuarticPolynomial(np.array([1.0, 0.0, -1.0, 0.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ValueError, match="equilibrium"):

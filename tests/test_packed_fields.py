@@ -219,20 +219,28 @@ class TestIntegrateContract:
 
 @pytest.mark.parametrize("method", ["rk4", "dop853", "rk45"])
 def test_every_method_hands_the_field_lists(method):
-    # one calling convention: every stage point, the first included, is a
-    # list of Python floats
+    # one calling convention: every stage point of the step loop, the first
+    # included, is a list of Python floats; DOP853's dense-output stages
+    # come as (m, d) blocks, a row per accepted step, and rhs_evals counts
+    # their rows
     rng = np.random.default_rng(5)
     field, _ = build_field(make_spec(CaseKind.KHARLAMOVA_ND, 4, rng))
-    handed = set()
+    handed, points = set(), [0]
 
     def spy(y):
-        handed.add(type(y))
+        if isinstance(y, list):
+            handed.add(list)
+            points[0] += 1
+        else:
+            handed.add((type(y), y.ndim, y.shape[1]))
+            points[0] += len(y)
         return field(y)
 
     cfg = IntegratorConfig(method=method, step=0.1)
     traj = integrate(spy, random_canonical_state(rng, 4), (0.0, 1.0), cfg, output_dt=0.5)
-    assert handed == {list}
-    assert traj.stats.rhs_evals > 0
+    blocks = {(np.ndarray, 2, layout(4).k + 4)} if method == "dop853" else set()
+    assert handed == {list} | blocks
+    assert traj.stats.rhs_evals == points[0] > 0
 
 
 class TestLastAcceptedPoint:
