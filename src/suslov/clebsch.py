@@ -110,17 +110,14 @@ def frequencies(inertia: MassTensor, b) -> np.ndarray:
     return np.sqrt(gap / pair)
 
 
-def angle_coords(state: BodyState, inertia: MassTensor, b) -> np.ndarray:
-    """Phase angle on each (Omega_in, Gamma_i) circle, in (-pi, pi].
+def angle_coords(y, inertia: MassTensor, b) -> np.ndarray:
+    """Phase angle on each (Omega_in, Gamma_i) circle, in (-pi, pi], of
+    packed points ``y`` of shape ``(..., k + n)``: the values ``(..., n -
+    1)``.
 
     ``phi_i = atan2(sqrt(I_i + I_n) Omega_in, sqrt(B_i - B_n) Gamma_i)``;
     entries with ``c_i`` at or below 1e-12 have no angle and are NaN.
     """
-    return _packed_angles(pack_state(state.omega, state.gamma), inertia, b)
-
-
-def _packed_angles(y, inertia: MassTensor, b) -> np.ndarray:
-    """:func:`angle_coords` of packed points ``y`` of shape ``(..., k + n)``."""
     pair, gap = _split(inertia, b)
     if np.any(gap <= 0.0):
         raise ValueError("angles need B_i > B_n")
@@ -139,7 +136,7 @@ def rotation_numbers(traj, inertia: MassTensor, b) -> np.ndarray:
     Raises if consecutive samples jump by ``pi`` or more, which makes the
     unwrap ambiguous; use a finer output grid in that case.
     """
-    phis = _packed_angles(traj.ys, inertia, b)  # (N, n-1)
+    phis = angle_coords(traj.ys, inertia, b)  # (N, n-1)
     if np.any(np.isnan(phis)):
         raise ValueError("rotation numbers undefined: some c_i vanish "
                          "along the trajectory")

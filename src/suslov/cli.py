@@ -513,8 +513,7 @@ def _analysis_kharlamova(report, config, traj):
             field, _ = build_field(spec)
             traj = integrate(field, config.initial_state, (0.0, 5.4 * t_quad),
                              config.integrator, output_dt=t_quad / 600.0)
-            for key in ("accepted", "rejected", "rhs_evals"):
-                report.put(key, getattr(traj.stats, key))
+            _put_stats(report, traj.stats)
     t_measured = detect_period(traj, _omega_1n)
     if not periodic:
         report.put("period_detected", t_measured is not None)
@@ -529,6 +528,11 @@ def _analysis_kharlamova(report, config, traj):
         ok = rel <= 1e-6
     report.put("pass", ok)
     return None if ok else "kharlamova"
+
+
+def _put_stats(report, stats):
+    for key in ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_last"):
+        report.put(key, getattr(stats, key))
 
 
 def _omega_1n(state):
@@ -674,9 +678,7 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     _case_section(report, config)
     report.section("integrator")
     report.put("method", config.integrator.method)
-    report.put("accepted", traj.stats.accepted)
-    report.put("rejected", traj.stats.rejected)
-    report.put("rhs_evals", traj.stats.rhs_evals)
+    _put_stats(report, traj.stats)
     failed = [fail for fail in (_ANALYSIS_FNS[name](report, config, traj)
                                 for name in names) if fail is not None]
     report.section("result")

@@ -39,11 +39,10 @@ when that is more, whatever the run length).  When the block is full, and
 at the end, one pass evaluates DOP853's extra stages of every step in it
 (one field call per stage on the block, so the counters depend only on the
 step sequence), then the interpolant coefficients and the samples.
-The ``Trajectory`` keeps each accepted step's start time, size and start
-point: :func:`detect_period` brackets crossings between the step starts,
-whatever the output grid, and evaluates the stages of a step again, the
-extra ones by the same pass on a block of one step, to locate a crossing
-on its interpolant.
+The ``Trajectory`` keeps each accepted step's start time, size, start
+point and interpolant coefficients, the step record: :func:`detect_period`
+brackets crossings between the step starts, whatever the output grid, and
+locates each on the stored interpolant of its step, with no field call.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -155,10 +154,12 @@ class Trajectory:
     matrix block, each ``gamma`` of ``ys``.
 
     From :func:`integrate`'s adaptive methods it also holds, for
-    :func:`detect_period`, each accepted step's start time, size and start
-    point: O(accepted steps x d) memory, with d = ``k + n``, or d + 2 floats
-    a step (64 bytes at d = 6), and the field, to evaluate a step's stages
-    again.  Other trajectories hold none.
+    :func:`detect_period`, the step record: each accepted step's start
+    time, size and start point, and its interpolant coefficients.  That is
+    O(accepted steps x d) memory, with d = ``k + n``: d + 2 + 7d floats a
+    step under ``dop853`` (400 bytes at d = 6) and d + 2 + 4d under
+    ``rk45`` (256 bytes).  It holds no reference to the field.  Other
+    trajectories hold no steps.
     """
 
     def __init__(self, times, ys, aux=None, stats=None):
@@ -169,7 +170,7 @@ class Trajectory:
         self.aux = {} if aux is None else aux
         self.stats = stats
         self._states = None
-        self._steps = None  # integrate's (pair, field, rows (t, h, *y))
+        self._steps = None  # integrate's (pair, rows (t, h, *y), coefficients)
         n = self.n if self._ys.ndim == 2 else 0
         if n < 2 or n * (n + 1) // 2 != self._ys.shape[1]:
             raise ValueError(f"samples of shape {self._ys.shape} are not rows "
@@ -378,29 +379,31 @@ class _Pair(NamedTuple):
     once per accepted step by :func:`_dense_pass`.  So a step costs
     ``stages`` field calls per attempt plus ``len(rows) - stages - 1`` per
     accepted step.  ``error_norm(K, h, scale)`` is the scaled error, and the
-    step factor is ``0.9 err ** exponent``.  The interpolant comes in three
-    parts: ``coefficients(H, K)`` for a stack of steps from their sizes and
-    stages, ``weights(x)`` at an array of step fractions, and ``sample(y,
-    h, w, F)``, the points of one step at its weights.
+    step factor is ``0.9 err ** exponent``.  The interpolant, of degree
+    ``degree`` in the step fraction, comes in three parts:
+    ``coefficients(H, K)``, ``(m, degree, d)`` for a stack of steps from
+    their sizes and stages, ``weights(x)`` at an array of step fractions,
+    and ``sample(y, h, w, F)``, the points of one step at its weights.
     """
 
     rows: tuple
     stages: int
     exponent: float
+    degree: int
     error_norm: Callable
     coefficients: Callable
     weights: Callable
     sample: Callable
 
 
-def _pair(A, stages, exponent, error_norm, *interpolant):
+def _pair(A, *fields):
     rows = tuple(np.ascontiguousarray(A[s, :s]) for s in range(A.shape[0]))
-    return _Pair(rows, stages, exponent, error_norm, *interpolant)
+    return _Pair(rows, *fields)
 
 
-_DP5 = _pair(_DP_A, 6, -1.0 / 5.0, _dp5_error_norm, _dp5_coefficients,
+_DP5 = _pair(_DP_A, 6, -1.0 / 5.0, 4, _dp5_error_norm, _dp5_coefficients,
              _dp5_weights, _dp5_sample)
-_DOP853 = _pair(_dop853.A, _dop853.N_STAGES, -1.0 / 8.0, _dop853_error_norm,
+_DOP853 = _pair(_dop853.A, _dop853.N_STAGES, -1.0 / 8.0, 7, _dop853_error_norm,
                 _dop853_coefficients, _dop853_weights, _dop853_sample)
 _PAIRS = {"dop853": _DOP853, "rk45": _DP5}
 
@@ -436,18 +439,19 @@ def _rk4_solve(f, y0, t_grid, step, post_step, max_steps):
 def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
                     max_steps):
     """Step ``pair`` over ``t_grid``; returns the samples at the grid times,
-    the counters and the accepted steps, one row ``(t, h, *y)`` each: its
-    start time, size and start point.  ``post_step`` maps each accepted
-    endpoint, in place; the samples are left as the interpolant gives them.
+    the counters and the step record of the accepted steps: the rows ``(t,
+    h, *y)``, each step's start time, size and start point, and the
+    ``(degree, d)`` interpolant coefficients of each.  ``post_step`` maps
+    each accepted endpoint, in place; the samples are left as the
+    interpolant gives them.
     The grid is walked as Python floats, one time at a time.
 
     The loop does only the work that decides the next step.  ``f`` gets
     each of its points as a list of Python floats and may return a list or
     an array.  The step's start is held both ways: ``y``, an array, for the
     block and ``post_step``, and ``yl``, its floats, for the stages and the
-    error scale.  Each accepted step goes into a :class:`_Block`, which
-    keeps its stages when the step holds samples or the pair has
-    dense-output stages; when the block is full, and at the end, one
+    error scale.  Each accepted step goes into a :class:`_Block` with its
+    stages; when the block is full, and at the end, one
     :meth:`_Block.flush` evaluates the dense-output stages, the
     interpolants and the samples of all its steps."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -468,7 +472,7 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     K, terms = _stage_array(pair, y.size)  # one array, refilled per attempt
     K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
     block = _Block(pair, f, ys, t_grid)
-    ts, hs, kept, spans = block.ts, block.hs, block.kept, block.spans
+    ts, hs, spans = block.ts, block.hs, block.spans
     Yb, Kb = block.Y, block.K
     nxt = 1  # first grid index not yet sampled
     t_next = t_grid.item(1) if size > 1 else math.inf
@@ -491,15 +495,12 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             ts.append(t)
             hs.append(h)
             Yb[j] = y
-            sampled = t_next <= t_new
-            if sampled or extra:
-                Kb[len(kept)] = K
-                kept.append(j)
-            if sampled:
+            Kb[j] = K
+            if t_next <= t_new:
                 stop = size if last else nxt + 1
                 while stop < size and t_grid.item(stop) <= t_new:
                     stop += 1
-                spans.append((len(kept) - 1, nxt, stop))
+                spans.append((j, nxt, stop))
                 nxt = stop
                 t_next = t_grid.item(stop) if stop < size else math.inf
             if j + 1 == block.size:
@@ -526,7 +527,9 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
         accepted, attempts - accepted, S * attempts + extra * accepted + 1,
         float(h_min), float(h_max), float(h_last),
     )
-    return ys, stats, np.frombuffer(block.steps).reshape(-1, y.size + 2)
+    d = y.size
+    return (ys, stats, np.frombuffer(block.steps).reshape(-1, d + 2),
+            np.frombuffer(block.coeffs).reshape(-1, pair.degree, d))
 
 
 # floats of stages and start points that a _Block holds, whatever d: 96 KB.
@@ -539,48 +542,44 @@ _BLOCK_FLOATS = 12288
 
 class _Block:
     """The accepted steps of :func:`_adaptive_solve` since the last flush:
-    their start times ``ts`` and sizes ``hs`` (lists of floats) and start
-    points ``Y`` (the rows of an array, ``size`` steps at most); the stages
-    ``K`` of the steps in ``kept``, ``K[i]`` those of step ``kept[i]``; and
-    ``spans``, one ``(i, a, b)`` for each step that holds the samples
-    ``a..b-1`` of the grid, ``i`` its slot in ``K``.  A step's stages are
-    kept only when :meth:`flush` needs them: on a step with samples, or on
-    every step when the pair has dense-output stages.  ``flush`` hands the
-    steps on to ``steps``, the bytes of the step record's rows ``(t, h,
-    *y)``."""
+    their start times ``ts`` and sizes ``hs`` (lists of floats), start
+    points ``Y`` and stages ``K`` (the rows of arrays, ``size`` steps at
+    most), and ``spans``, one ``(j, a, b)`` for each step ``j`` that holds
+    the samples ``a..b-1`` of the grid.  :meth:`flush` hands the steps on to
+    the step record: ``steps``, the bytes of its rows ``(t, h, *y)``, and
+    ``coeffs``, those of each step's interpolant coefficients."""
 
     def __init__(self, pair, f, ys, t_grid):
         d = ys.shape[1]
         rows = len(pair.rows)
         self.size = max(1, _BLOCK_FLOATS // ((rows + 1) * d))
         self.pair, self.f, self.ys, self.t_grid = pair, f, ys, t_grid
-        self.ts, self.hs, self.kept, self.spans = [], [], [], []
+        self.ts, self.hs, self.spans = [], [], []
         self.Y = np.empty((self.size, d))
         self.K = np.empty((self.size, rows, d))
-        self.steps = bytearray()
+        self.steps, self.coeffs = bytearray(), bytearray()
 
     def flush(self):
         """Evaluate the dense-output stages and the interpolant coefficients
-        of the kept steps on blocks, then write their samples: each step's
-        run of samples is one call of ``pair.sample``, since a product over
-        several steps' samples would not keep each sample's bits."""
+        of the steps on blocks, then write their samples: each step's run of
+        samples is one call of ``pair.sample``, since a product over several
+        steps' samples would not keep each sample's bits."""
         m = len(self.ts)
         if m == 0:
             return
-        pair, kept, spans = self.pair, self.kept, self.spans
+        pair, spans = self.pair, self.spans
         T, H, Y = np.array(self.ts), np.array(self.hs), self.Y[:m]
-        if len(kept) < m:  # only the steps with samples (no dense stages)
-            T, H, Y = T[kept], H[kept], Y[kept]
-        F = _dense_pass(pair, self.f, Y, H, self.K[: len(kept)])
+        F = _dense_pass(pair, self.f, Y, H, self.K[:m])
         if spans:
             a0, b1 = spans[0][1], spans[-1][2]
-            at = np.repeat([i for i, _, _ in spans], [b - a for _, a, b in spans])
+            at = np.repeat([j for j, _, _ in spans], [b - a for _, a, b in spans])
             w = pair.weights((self.t_grid[a0:b1] - T[at]) / H[at])
             sample, ys = pair.sample, self.ys
-            for i, a, b in spans:
-                ys[a:b] = sample(Y[i], H[i], w[a - a0 : b - a0], F[i])
-        self.steps += np.column_stack((self.ts, self.hs, self.Y[:m])).tobytes()
-        for held in (self.ts, self.hs, kept, spans):
+            for j, a, b in spans:
+                ys[a:b] = sample(Y[j], H[j], w[a - a0 : b - a0], F[j])
+        self.steps += np.column_stack((T, H, Y)).tobytes()
+        self.coeffs += F.data
+        for held in (self.ts, self.hs, spans):
             held.clear()
 
 
@@ -693,11 +692,11 @@ def integrate(
                                cfg.max_steps)
     else:
         pair = _PAIRS[cfg.method]
-        ys, stats, records = _adaptive_solve(
+        ys, stats, *records = _adaptive_solve(
             pair, field, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, post,
             cfg.max_steps,
         )
-        steps = (pair, field, records)
+        steps = (pair, *records)
         if post is not None:
             # the interpolated samples, in one row-wise pass: each row gets
             # the bits of its own renormalization
@@ -786,12 +785,13 @@ def detect_period(traj: Trajectory, observable):
     :func:`reparametrize`, hand-built), they are the samples.  Each
     crossing between two knots is located by regula falsi (Anderson-Bjorck)
     from the inverse cubic interpolant of the four nearest knots, until the
-    bracket stops shrinking, on the interpolant of that step, whose stages
-    are evaluated again (event location: Hairer, Norsett and Wanner,
-    section II.6), or, without steps, on the cubic through those four
-    knots; both cubics are the one Lagrange form of :func:`_cubic`.
+    bracket stops shrinking, on the interpolant of that step, whose
+    coefficients the step record holds, so no field is called (event
+    location: Hairer, Norsett and Wanner, section II.6), or, without steps,
+    on the cubic through those four knots; both cubics are the one Lagrange
+    form of :func:`_cubic`.
     """
-    pair, field, rows = traj._steps or (None, None, None)
+    pair, rows, coeffs = traj._steps or (None, None, None)
     knots = traj if rows is None else Trajectory(
         np.append(rows[:, 0], traj.times[-1]),
         np.vstack((rows[:, 2:], traj.ys[-1])))
@@ -817,7 +817,7 @@ def detect_period(traj: Trajectory, observable):
             # the bracket [knot i - 1, knot i] is step i - 1
             row = rows[i - 1]
             start, h, y = row.item(0), row.item(1), row[2:]
-            F = _restep(pair, field, row)
+            F = coeffs[i - 1]
 
             def local(t):
                 w = pair.weights(np.array([(t - start) / h]))
@@ -838,20 +838,6 @@ def detect_period(traj: Trajectory, observable):
         if mean > 0 and (np.max(window) - np.min(window)) / mean < 1e-6:
             return mean
     return None
-
-
-def _restep(pair, f, row):
-    """The interpolant coefficients of the accepted step ``row = (t, h,
-    *y)``, whose stages are evaluated again: those of the step as the loop
-    does (``pair.stages + 1`` field calls), the dense-output ones by
-    :func:`_dense_pass` on a block of this one step.  ``K[0]`` is ``f`` at
-    ``y``; the stepper reused ``f`` at the previous step's end, before its
-    renormalization, so the two agree to roundoff."""
-    _, h, *yl = row.tolist()
-    K, terms = _stage_array(pair, len(yl))
-    K[0] = f(yl)
-    _fill_stages(f, yl, h, K, terms, 1, pair.stages + 1)
-    return _dense_pass(pair, f, row[None, 2:], row[1:2], K[None])[0]
 
 
 def _cubic(x, y, at):
@@ -904,7 +890,9 @@ def drift_report(traj: Trajectory, integrals) -> dict:
     return report
 
 
-_CSV_BLOCK = 4096  # rows formatted per write; bounds the transient floats
+# rows formatted per write; bounds the transient floats and row strings
+# (about 0.3 MB of text at 13 columns), at no cost in time against 4096
+_CSV_BLOCK = 1024
 
 
 def write_csv(traj: Trajectory, path):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import closed_form_period
 from suslov import cli
 from suslov.cli import MAX_OUTPUT_INTERVALS, ConfigError, load_config, main
-from suslov.integrate import integrate
+from suslov.cases import build_field
+from suslov.integrate import IntegratorStats, integrate
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GAMMA3 = f"0.3 0.2 {float(np.sqrt(1.0 - 0.13))!r}"
@@ -94,6 +95,18 @@ def report_dict(path):
     return out
 
 
+STATS_KEYS = ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_last")
+
+
+def report_stats(rep, section):
+    """The step counters of ``section`` of a report, as ``IntegratorStats``;
+    the report's 17 digits give each float back exactly."""
+    return IntegratorStats(*(
+        (int if key in STATS_KEYS[:3] else float)(rep[f"{section}.{key}"])
+        for key in STATS_KEYS
+    ))
+
+
 def with_values(text, values):
     """Scenario text with the line of each key in ``values`` replaced by
     ``key = value``; a value of None drops the key."""
@@ -127,8 +140,6 @@ class TestDgjFunctions:
                 assert np.array_equal(block.view(np.uint64), points.view(np.uint64)), name
 
     def test_dgj_field_blocks_have_the_bits_of_list_calls(self, tmp_path):
-        from suslov.cases import build_field
-
         text = (SCENARIO_DIR / "dgj_3d.cfg").read_text()
         for v1, v2 in (("sin", "quadratic"), ("cos", "sin")):
             path = tmp_path / f"{v1}_{v2}.cfg"
@@ -340,6 +351,8 @@ class TestRunAndVerify:
         attempts = accepted + int(rep["integrator.rejected"])
         assert accepted > 0
         assert int(rep["integrator.rhs_evals"]) == 6 * attempts + 1
+        stats = report_stats(rep, "integrator")
+        assert 0.0 < stats.h_min <= stats.h_last <= stats.h_max
         assert rep["measure.invariant_measure"] == "yes"
         assert rep["result.pass"] == "true"
 
@@ -363,6 +376,8 @@ class TestRunAndVerify:
         assert int(rep["integrator.rhs_evals"]) == (
             per_attempt * attempts + per_accepted * accepted + start
         )
+        stats = report_stats(rep, "integrator")
+        assert 0.0 < stats.h_min <= stats.h_last <= stats.h_max
 
     @staticmethod
     def sloppy_cfg(tmp_path, out):
@@ -467,15 +482,44 @@ class TestAnalyses:
         rep = report_dict(out / "report.txt")
         t_quad = float(rep["kharlamova.T_quadrature"])
         assert abs(float(rep["kharlamova.T_measured"]) - t_quad) <= 1e-6 * t_quad
-        counters = {key: rep.get(f"kharlamova.{key}")
-                    for key in ("accepted", "rejected", "rhs_evals")}
+        for section, traj in zip(("integrator", "kharlamova"), trajs):
+            assert report_stats(rep, section) == traj.stats
         if runs == 1:
-            assert counters == dict.fromkeys(counters)
-        else:
-            stats = trajs[1].stats
-            assert counters == {"accepted": str(stats.accepted),
-                                "rejected": str(stats.rejected),
-                                "rhs_evals": str(stats.rhs_evals)}
+            assert not [key for key in rep if key.startswith("kharlamova.")
+                        and key.split(".")[1] in STATS_KEYS]
+
+    @pytest.mark.parametrize("scenario, command, extra", [
+        ("kharlamova_period_n3", "simulate", []),
+        ("lagrange_verify_n4", "simulate", []),
+        ("kharlamova_period_n3", "kharlamova-period", ["--t-end", "20"]),
+    ], ids=["period_n3", "lagrange_n4", "period_n3_integrated_again"])
+    def test_the_report_counts_every_field_call(
+        self, tmp_path, monkeypatch, scenario, command, extra
+    ):
+        # a list is one point and an (m, d) block m points; with --t-end 20
+        # the Kharlamova analysis integrates again and counts that run
+        points = [0]
+
+        def counting_build_field(spec):
+            field, constraints = build_field(spec)
+
+            def counted(y):
+                points[0] += 1 if np.ndim(y) == 1 else len(y)
+                return field(y)
+
+            return counted, constraints
+
+        monkeypatch.setattr(cli, "build_field", counting_build_field)
+        out = tmp_path / "out"
+        argv = [command, str(SCENARIO_DIR / f"{scenario}.cfg"),
+                "--output-dir", str(out), *extra]
+        assert main(argv) == 0
+        rep = report_dict(out / "report.txt")
+        counted = [int(rep[f"{section}.rhs_evals"])
+                   for section in ("integrator", "kharlamova")
+                   if f"{section}.rhs_evals" in rep]
+        assert len(counted) == (2 if extra else 1)
+        assert points[0] == sum(counted) > 0
 
     @pytest.mark.parametrize("method, output_dt", [
         ("rk4", "0.1"), ("rk45", "60.0"), ("dop853", "4.0"), ("dop853", "9.0"),

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from suslov.integrate import (
     _adaptive_solve,
     _cubic,
     _fill_stages,
-    _restep,
     _rk4_solve,
     _stage_array,
     detect_period,
@@ -154,10 +155,10 @@ class TestSteppers:
         y0 = np.array([1.0, 2.0])
         ys = solve_adaptive_rk45(lambda y: -y, y0, [0.0], 1e-10, 1e-12)
         assert np.array_equal(ys, [y0])
-        _, stats, steps = _adaptive_solve(_DP5, lambda y: y, y0, [0.0],
-                                          1e-10, 1e-12, None, None, 10)
+        _, stats, rows, coeffs = _adaptive_solve(_DP5, lambda y: y, y0, [0.0],
+                                                 1e-10, 1e-12, None, None, 10)
         assert stats == IntegratorStats(0, 0, 1, math.inf, 0.0, 0.0)
-        assert steps.shape == (0, 4)
+        assert rows.shape == (0, 4) and coeffs.shape == (0, 4, 2)
 
 
 # Dormand-Prince 5(4), one stage at a time, as a reference for the
@@ -713,8 +714,9 @@ class TestBlocks:
             cfg.rel_tol, cfg.abs_tol, cfg.step, k)
         assert stats == traj.stats
         assert np.array_equal(bits(traj.ys), bits(ys))
-        rows = traj._steps[2]
+        _, rows, coeffs = traj._steps
         assert rows.shape == (accepted, d + 2)
+        assert coeffs.shape == (accepted, _PAIRS[method].degree, d)
         assert np.array_equal(rows[1:, 0], rows[:-1, 0] + rows[:-1, 1])
 
     def test_block_is_bounded_whatever_the_state_size(self):
@@ -1080,26 +1082,41 @@ def kharlamova_period_n3_measured(method, output_dt, periods=None):
 
 class TestStepRecords:
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
-    def test_a_step_evaluated_again_gives_its_samples_bit_for_bit(self, method):
-        # without renormalization the stepper's first stage is f at the
-        # recorded start, so each step's stages come back with their bits
+    def test_stored_coefficients_give_each_step_its_samples_bit_for_bit(
+        self, method
+    ):
+        # renormalized, as the scenario runs: the interpolant of the stored
+        # start and coefficients, then each sample's own renormalization
         spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", method)
-        cfg = dataclasses.replace(cfg, renormalize_gamma=False)
+        assert cfg.renormalize_gamma
         traj = integrate(field, config.initial_state, (0.0, config.t_end), cfg,
                          output_dt=config.output_dt)
-        pair, f, rows = traj._steps
-        assert len(rows) == traj.stats.accepted
+        pair, rows, coeffs = traj._steps
+        assert len(rows) == len(coeffs) == traj.stats.accepted
         assert rows[:, 1].max() == traj.stats.h_max
+        k = layout(traj.n).k
         ends = np.append(rows[1:, 0], traj.times[-1])
         checked = 0
-        for row, end in zip(rows, ends):
+        for row, F, end in zip(rows, coeffs, ends):
             inside = (traj.times > row[0]) & (traj.times <= end)
             if inside.any():
                 x = ((traj.times[inside] - row[0]) / row[1]).tolist()
-                points = interpolate(pair, row[2:], row[1], _restep(pair, f, row), x)
+                points = interpolate(pair, row[2:], row[1], F, x)
+                g = points[:, k:]
+                g /= np.sqrt(np.vecdot(g, g))[:, None]
                 assert np.array_equal(bits(points), bits(traj.ys[inside]))
                 checked += int(inside.sum())
         assert checked == len(traj) - 1
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45", "rk4"])
+    def test_a_trajectory_does_not_keep_its_field_alive(self, method):
+        spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", method)
+        ref = weakref.ref(field)
+        traj = integrate(field, config.initial_state, (0.0, 1.0), cfg)
+        del field
+        gc.collect()
+        assert ref() is None
+        assert len(traj) > 1 and (traj._steps is None) == (method == "rk4")
 
     def test_only_adaptive_integrations_keep_steps(self):
         spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", "rk4")

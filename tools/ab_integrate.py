@@ -15,13 +15,14 @@ this checkout's ``scenarios/*.cfg``, each round times, on both sides:
 - ``integrate`` alone, as ``suslov simulate`` calls it, once under each
   of ``dop853`` and ``rk45`` (the field is built outside the timed call);
 - ``detect_period(traj, lambda s: s.omega.mat[0, s.n - 1])``, with the
-  per-state observable of the benchmark's ensemble items, on a fresh
-  ``rk45`` trajectory of the scenario's own side, built by an untimed
-  ``integrate`` call as above; like those items' trajectories, it holds
-  its steps, so the knots are its step starts, not the scenario's output
-  grid.  A call takes a few ms, so one reading moves with any hiccup of
-  the host; each round keeps the best of ``DETECT_READINGS`` calls on the
-  one trajectory;
+  per-state observable of the benchmark's ensemble items, once under each
+  method on a fresh trajectory of the scenario's own side, built by an
+  untimed ``integrate`` call as above: ``rk45``, as those items integrate,
+  and ``dop853``, as the CLI's period analyses read the scenarios' runs.
+  Each trajectory holds its steps, so the knots are its step starts, not
+  the scenario's output grid.  A call takes a few ms, so one reading
+  moves with any hiccup of the host; each round keeps the best of
+  ``DETECT_READINGS`` calls on the one trajectory;
 - ``suslov simulate`` on the scenario, writing into a temporary directory.
 
 The two sides run one after the other, and the side that goes first
@@ -51,7 +52,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 METHODS = ("dop853", "rk45")
-LABELS = {"detect_period": "detect_period", "simulate": "suslov simulate"}
+DETECT = tuple(f"detect_period {method}" for method in METHODS)
+LABELS = {**{kind: kind for kind in DETECT}, "simulate": "suslov simulate"}
 DETECT_READINGS = 3  # detect_period calls per round; the fastest counts
 
 
@@ -115,12 +117,12 @@ def timed(call):
     return lambda: cpu_time(call)
 
 
-def timed_detect_period(lib, path: Path):
+def timed_detect_period(lib, path: Path, method: str):
     """A no-argument function that integrates the scenario at ``path``
-    under ``rk45``, untimed, and returns the least CPU time of
+    under ``method``, untimed, and returns the least CPU time of
     ``DETECT_READINGS`` calls of ``detect_period`` on the fresh trajectory
     (each call builds its own knots, so none reuses another's work)."""
-    build = integrate_call(lib, path, "rk45")
+    build = integrate_call(lib, path, method)
 
     def observable(s):
         return s.omega.mat[0, s.n - 1]
@@ -137,7 +139,7 @@ def row(label: str, parent: list, change: list) -> str:
     ratios = [c / p for p, c in zip(parent, change)]
     wins = sum(c < p for p, c in zip(parent, change))
     return (
-        f"{label:<38} parent {1e3 * statistics.median(parent):8.1f} ms  "
+        f"{label:<43} parent {1e3 * statistics.median(parent):8.1f} ms  "
         f"change {1e3 * statistics.median(change):8.1f} ms  "
         f"ratio {statistics.median(ratios):.3f}  wins {wins}/{len(ratios)}"
     )
@@ -168,10 +170,11 @@ def main(argv=None) -> int:
                     side: timed(integrate_call(lib, path, method))
                     for side, lib in libs.items()
                 }
-            runs["detect_period", path.stem] = {
-                side: timed_detect_period(lib, path)
-                for side, lib in libs.items()
-            }
+            for method, kind in zip(METHODS, DETECT):
+                runs[kind, path.stem] = {
+                    side: timed_detect_period(lib, path, method)
+                    for side, lib in libs.items()
+                }
             runs["simulate", path.stem] = {
                 side: timed(simulate_call(lib, path,
                                           str(Path(tmp) / side / path.stem)))
@@ -188,7 +191,7 @@ def main(argv=None) -> int:
 
     print(f"parent {parent_root}, change {HERE}, {args.rounds} rounds, "
           "CPU time, ratio = change / parent")
-    for kind in (*METHODS, "detect_period", "simulate"):
+    for kind in (*METHODS, *DETECT, "simulate"):
         label = LABELS.get(kind, "integrate " + kind)
         keys = [key for key in times if key[0] == kind]
         for key in keys:
