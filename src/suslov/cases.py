@@ -52,6 +52,7 @@ from .model import (
     QuadraticPotential,
     ZeroPotential,
     _central_differences,
+    _frozen,
     _reduced_field,
     _unit_axis,
     _vector3d_field,
@@ -107,7 +108,8 @@ class CaseSpec:
 
     ``constraint_axis`` optionally replaces the canonical 3D constraint
     direction e3 (used for the free case with a non-eigenvector axis, which
-    is the measure-free asymptotic regime).
+    is the measure-free asymptotic regime).  It must be a 3-vector; the spec
+    keeps a read-only unit copy, and the caller's array is left as it was.
     """
 
     kind: CaseKind
@@ -120,10 +122,13 @@ class CaseSpec:
     def __post_init__(self):
         if self.constraint_axis is not None:
             axis = np.asarray(self.constraint_axis, dtype=float)
+            if axis.shape != (3,):
+                raise CaseError("constraint axis must be a 3-vector, not of "
+                                f"shape {axis.shape}")
             norm = np.linalg.norm(axis)
             if not (np.isfinite(norm) and norm > 0.0):
                 raise CaseError("constraint axis must be finite and nonzero")
-            object.__setattr__(self, "constraint_axis", axis / norm)
+            object.__setattr__(self, "constraint_axis", _frozen(axis / norm))
         self.validate()
 
     @property

@@ -287,12 +287,13 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         )
     gamma = gamma / norm
 
-    entries = []
+    entries, seen = [], {}
     for key in e.leftover_omega_keys():
         lineno = e.entries[key][1]
         tail = key.removeprefix("initial.omega_")
         parts = tail.split("_")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # isdecimal, not isdigit: int() parses exactly the decimal digits
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ConfigError(
                 f"line {lineno}: malformed key {key!r}; use initial.omega_<i>_<j>"
             )
@@ -301,6 +302,12 @@ def load_config(path, overrides=None) -> ScenarioConfig:
             raise ConfigError(
                 f"line {lineno}: omega indices ({i},{j}) out of range for n={n}"
             )
+        if (i, j) in seen:  # spellings such as omega_1_3 and omega_01_03
+            (a, key_a), (b, key_b) = sorted([seen[i, j], (lineno, key)])
+            raise ConfigError(
+                f"lines {a} and {b}: {key_a!r} and {key_b!r} both set Omega_{i}_{j}"
+            )
+        seen[i, j] = lineno, key
         value = e.float_(key)
         if not math.isfinite(value):
             raise ConfigError(f"line {lineno}: {key} = {value!r} is not finite")

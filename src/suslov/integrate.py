@@ -29,20 +29,23 @@ estimate for DP5 (factor ``err ** -1/5``) and, for DOP853, the blend of
 its 5th- and 3rd-order estimates of Hairer, Norsett and Wanner (section
 II.10; factor ``err ** -1/8``).  The tolerance alone sets the step
 size; only the final step is shortened, so that it lands on the end of the
-output grid.  Every output sample inside an accepted step ``[t, t + h]``
-comes from the pair's interpolant at ``x = (t_i - t) / h``: the free
-4th-order one of DP5, ``y + h (K.T @ P) @ [x, x^2, x^3, x^4]``, or the
-7th-order one of DOP853, which needs three extra stages.
-None of that decides the next step, so the loop leaves it to a block of
-accepted steps (96 KB of stages and start points at most, or one step's
-when that is more, whatever the run length).  When the block is full, and
-at the end, one pass evaluates DOP853's extra stages of every step in it
-(one field call per stage on the block, so the counters depend only on the
-step sequence), then the interpolant coefficients and the samples.
-The ``Trajectory`` keeps each accepted step's start time, size, start
-point and interpolant coefficients, the step record: :func:`detect_period`
-brackets crossings between the step starts, whatever the output grid, and
-locates each on the stored interpolant of its step, with no field call.
+output grid.  Each accepted step ``[t, t + h]`` has an interpolant in
+``x = (s - t) / h``: the free 4th-order one of DP5, ``y + h (K.T @ P) @
+[x, x^2, x^3, x^4]``, or the 7th-order one of DOP853, which needs three
+extra stages.  None of that decides the next step, so the loop leaves it
+to a block of accepted steps (96 KB of stages and start points at most, or
+one step's when that is more, whatever the run length).  When the block is
+full, and at the end, one pass evaluates DOP853's extra stages of every
+step in it (one field call per stage on the block, so the counters depend
+only on the step sequence), then the interpolant coefficients, and appends
+the steps to the step record, which the ``Trajectory`` keeps as scipy's
+``OdeSolution`` keeps its dense outputs: each accepted step's start time,
+size, start point and interpolant coefficients.  After the loop the step
+counters are read off the record, and one function, :func:`_points`,
+evaluates it: at the output grid, each time on the first step that ends
+at or after it, and in :func:`detect_period`, which brackets crossings
+between the step starts, whatever the output grid, and locates each on
+its step, with no field call.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -56,8 +59,8 @@ never projects.  The steppers apply it to each step endpoint, in place, so
 the next step starts from the unit sphere; :func:`integrate` applies it to
 all the interpolated samples at once, after the loop.  That pass is
 row-wise, so each sample gets the bits of its own renormalization, and the
-step loop does no work per sample beyond noting which step holds it.  The
-constraint residual is recorded rather than repaired.
+step loop does no work per sample.  The constraint residual is recorded
+rather than repaired.
 """
 
 from __future__ import annotations
@@ -131,8 +134,12 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class IntegratorStats:
     """Step counters of one propagation.  ``h_min``, ``h_max`` and
-    ``h_last`` are taken over accepted steps; the last step is shortened to
-    land on the end of the span, so it can set ``h_min``."""
+    ``h_last`` are taken over accepted steps (for the adaptive methods,
+    over the step record's sizes); the last step is shortened to land on the
+    end of the span, so it can set ``h_min``.  So can the first: an
+    adaptive run often accepts its first trial step (``IntegratorConfig.step``)
+    at once and only grows the step after it, and then ``h_min`` is that
+    trial step, as on 12 of the 14 scenario runs."""
 
     accepted: int
     rejected: int
@@ -153,13 +160,13 @@ class Trajectory:
     read-only ``BodyState`` views: each ``omega.mat`` of one unpacked
     matrix block, each ``gamma`` of ``ys``.
 
-    From :func:`integrate`'s adaptive methods it also holds, for
-    :func:`detect_period`, the step record: each accepted step's start
-    time, size and start point, and its interpolant coefficients.  That is
-    O(accepted steps x d) memory, with d = ``k + n``: d + 2 + 7d floats a
-    step under ``dop853`` (400 bytes at d = 6) and d + 2 + 4d under
-    ``rk45`` (256 bytes).  It holds no reference to the field.  Other
-    trajectories hold no steps.
+    From :func:`integrate`'s adaptive methods it also holds the step
+    record that its samples were read off, for :func:`detect_period`: each
+    accepted step's start time, size and start point, and its interpolant
+    coefficients.  That is O(accepted steps x d) memory, with d = ``k +
+    n``: d + 2 + 7d floats a step under ``dop853`` (400 bytes at d = 6) and
+    d + 2 + 4d under ``rk45`` (256 bytes).  It holds no reference to the
+    field.  Other trajectories hold no steps.
     """
 
     def __init__(self, times, ys, aux=None, stats=None):
@@ -273,7 +280,7 @@ def _fill_stages(f, y, h, K, terms, start, stop):
     Row ``pair.stages`` of the tableau holds the solution weights, so that
     stage's input is the new point and its derivative is the next step's
     first stage; any later rows are the dense-output stages, which
-    :func:`_dense_pass` evaluates on blocks."""
+    :meth:`_Block.flush` evaluates on blocks."""
     dot = np.dot
     for s in range(start, stop):
         row, head = terms[s]
@@ -376,7 +383,7 @@ class _Pair(NamedTuple):
     ``rows[s]`` is ``A[s, :s]`` of the stage tableau.  Row ``stages`` holds
     the solution weights, so its stage is ``f`` at the new point (first
     same as last), and any later rows are dense-output stages, evaluated
-    once per accepted step by :func:`_dense_pass`.  So a step costs
+    once per accepted step by :meth:`_Block.flush`.  So a step costs
     ``stages`` field calls per attempt plus ``len(rows) - stages - 1`` per
     accepted step.  ``error_norm(K, h, scale)`` is the scaled error, and the
     step factor is ``0.9 err ** exponent``.  The interpolant, of degree
@@ -444,40 +451,34 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
     ``(degree, d)`` interpolant coefficients of each.  ``post_step`` maps
     each accepted endpoint, in place; the samples are left as the
     interpolant gives them.
-    The grid is walked as Python floats, one time at a time.
 
-    The loop does only the work that decides the next step.  ``f`` gets
-    each of its points as a list of Python floats and may return a list or
-    an array.  The step's start is held both ways: ``y``, an array, for the
-    block and ``post_step``, and ``yl``, its floats, for the stages and the
-    error scale.  Each accepted step goes into a :class:`_Block` with its
-    stages; when the block is full, and at the end, one
-    :meth:`_Block.flush` evaluates the dense-output stages, the
-    interpolants and the samples of all its steps."""
+    The loop keeps only what decides the next step.  ``f`` gets each of its
+    points as a list of Python floats and may return a list or an array.
+    The step's start is held both ways: ``y``, an array, for the block and
+    ``post_step``, and ``yl``, its floats, for the stages and the error
+    scale.  Each accepted step goes into a :class:`_Block` with its stages;
+    when the block is full, and at the end, one :meth:`_Block.flush`
+    evaluates the dense-output stages and the interpolants of all its steps
+    and appends them to the record.  The record alone then gives the step
+    counters and, through :func:`_points`, the samples: step ``j`` holds
+    the grid times ``T[j] < t <= T[j + 1]`` of the start times ``T``, and
+    the last step every time after its start."""
     t_grid = np.asarray(t_grid, dtype=float)
-    size = t_grid.size
-    y = np.asarray(y0, dtype=float)
+    y0 = y = np.asarray(y0, dtype=float)
     yl = y.tolist()
-    ys = np.empty((size, y.size))
-    ys[0] = y
     t, t_end = t_grid.item(0), t_grid.item(-1)
     if h0 is None:
         h0 = (t_end - t) / 100.0
-        if size > 1:
+        if t_grid.size > 1:
             h0 = min(h0, t_grid.item(1) - t)
     h = h0
     land = 1e-14 * max(1.0, abs(t_end))
     S = pair.stages
-    extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
     K, terms = _stage_array(pair, y.size)  # one array, refilled per attempt
     K[0] = f(yl)  # the stages write rows 1 on, so row 0 survives a rejection
-    block = _Block(pair, f, ys, t_grid)
-    ts, hs, spans = block.ts, block.hs, block.spans
-    Yb, Kb = block.Y, block.K
-    nxt = 1  # first grid index not yet sampled
-    t_next = t_grid.item(1) if size > 1 else math.inf
-    accepted = attempts = 0
-    h_min, h_max, h_last = math.inf, 0.0, 0.0
+    block = _Block(pair, f, y.size)
+    ts, hs, Yb, Kb = block.ts, block.hs, block.Y, block.K
+    attempts = 0
     while t < t_end:
         last = t + h >= t_end - land
         if last:
@@ -490,24 +491,14 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             err_norm = math.inf  # reject and shrink hard
         attempts += 1
         if err_norm <= 1.0:
-            t_new = t_end if last else t + h
             j = len(ts)
             ts.append(t)
             hs.append(h)
             Yb[j] = y
             Kb[j] = K
-            if t_next <= t_new:
-                stop = size if last else nxt + 1
-                while stop < size and t_grid.item(stop) <= t_new:
-                    stop += 1
-                spans.append((j, nxt, stop))
-                nxt = stop
-                t_next = t_grid.item(stop) if stop < size else math.inf
             if j + 1 == block.size:
                 block.flush()
-            accepted += 1
-            h_min, h_max, h_last = min(h_min, h), max(h_max, h), h
-            t = t_new
+            t = t_end if last else t + h
             y = np.array(y_new)
             if post_step is None:
                 yl = y_new
@@ -523,13 +514,22 @@ def _adaptive_solve(pair, f, y0, t_grid, rel_tol, abs_tol, h0, post_step,
             factor = min(5.0, max(0.2, 0.9 * err_norm ** pair.exponent))
         h = h * factor
     block.flush()
-    stats = IntegratorStats(
-        accepted, attempts - accepted, S * attempts + extra * accepted + 1,
-        float(h_min), float(h_max), float(h_last),
-    )
     d = y.size
-    return (ys, stats, np.frombuffer(block.steps).reshape(-1, d + 2),
-            np.frombuffer(block.coeffs).reshape(-1, pair.degree, d))
+    rows = np.frombuffer(block.steps).reshape(-1, d + 2)
+    coeffs = np.frombuffer(block.coeffs).reshape(-1, pair.degree, d)
+    del block, Yb, Kb  # free the block's buffers before the samples exist
+    H = rows[:, 1]
+    accepted = H.size
+    extra = len(pair.rows) - S - 1  # dense-output stages per accepted step
+    h_stats = (H.min(), H.max(), H[-1]) if accepted else (math.inf, 0.0, 0.0)
+    stats = IntegratorStats(accepted, attempts - accepted,
+                            S * attempts + extra * accepted + 1,
+                            *map(float, h_stats))
+    ys = np.empty((t_grid.size, d))
+    ys[0] = y0
+    at = np.searchsorted(rows[:, 0], t_grid[1:]) - 1
+    _points(pair, rows, coeffs, at, t_grid[1:], ys[1:])
+    return ys, stats, rows, coeffs
 
 
 # floats of stages and start points that a _Block holds, whatever d: 96 KB.
@@ -541,59 +541,56 @@ _BLOCK_FLOATS = 12288
 
 
 class _Block:
-    """The accepted steps of :func:`_adaptive_solve` since the last flush:
-    their start times ``ts`` and sizes ``hs`` (lists of floats), start
-    points ``Y`` and stages ``K`` (the rows of arrays, ``size`` steps at
-    most), and ``spans``, one ``(j, a, b)`` for each step ``j`` that holds
-    the samples ``a..b-1`` of the grid.  :meth:`flush` hands the steps on to
+    """The accepted steps of :func:`_adaptive_solve` since the last flush,
+    at a state size ``d``: their start times ``ts`` and sizes ``hs`` (lists
+    of floats), and their start points ``Y`` and stages ``K`` (the rows of
+    arrays, ``size`` steps at most).  :meth:`flush` hands the steps on to
     the step record: ``steps``, the bytes of its rows ``(t, h, *y)``, and
     ``coeffs``, those of each step's interpolant coefficients."""
 
-    def __init__(self, pair, f, ys, t_grid):
-        d = ys.shape[1]
+    def __init__(self, pair, f, d):
         rows = len(pair.rows)
         self.size = max(1, _BLOCK_FLOATS // ((rows + 1) * d))
-        self.pair, self.f, self.ys, self.t_grid = pair, f, ys, t_grid
-        self.ts, self.hs, self.spans = [], [], []
+        self.pair, self.f = pair, f
+        self.ts, self.hs = [], []
         self.Y = np.empty((self.size, d))
         self.K = np.empty((self.size, rows, d))
         self.steps, self.coeffs = bytearray(), bytearray()
 
     def flush(self):
-        """Evaluate the dense-output stages and the interpolant coefficients
-        of the steps on blocks, then write their samples: each step's run of
-        samples is one call of ``pair.sample``, since a product over several
-        steps' samples would not keep each sample's bits."""
+        """Evaluate the dense-output stages of the steps, into ``K``, and
+        their interpolant coefficients, and append both with the steps'
+        rows to the record.  Each dense-output stage is one stage sum over
+        the block, ``Y + H dv``, and one call of ``f`` on the ``(m, d)``
+        block; ``np.matmul`` runs one BLAS call per step, with the bits of
+        ``np.dot`` on that step alone."""
         m = len(self.ts)
         if m == 0:
             return
-        pair, spans = self.pair, self.spans
+        pair, K = self.pair, self.K[:m]
         T, H, Y = np.array(self.ts), np.array(self.hs), self.Y[:m]
-        F = _dense_pass(pair, self.f, Y, H, self.K[:m])
-        if spans:
-            a0, b1 = spans[0][1], spans[-1][2]
-            at = np.repeat([j for j, _, _ in spans], [b - a for _, a, b in spans])
-            w = pair.weights((self.t_grid[a0:b1] - T[at]) / H[at])
-            sample, ys = pair.sample, self.ys
-            for j, a, b in spans:
-                ys[a:b] = sample(Y[j], H[j], w[a - a0 : b - a0], F[j])
+        for s in range(pair.stages + 1, len(pair.rows)):
+            K[:, s] = self.f(Y + H[:, None] * np.matmul(pair.rows[s], K[:, :s]))
         self.steps += np.column_stack((T, H, Y)).tobytes()
-        self.coeffs += F.data
-        for held in (self.ts, self.hs, spans):
-            held.clear()
+        self.coeffs += pair.coefficients(H, K).data
+        self.ts.clear()
+        self.hs.clear()
 
 
-def _dense_pass(pair, f, Y, H, K):
-    """The dense-output stages of a stack of accepted steps, into ``K``, and
-    their interpolant coefficients.  ``Y`` holds the steps' starts ``(m,
-    d)``, ``H`` their sizes and ``K`` their stages ``(m, len(pair.rows),
-    d)``, those up to ``pair.stages`` filled.  Each dense-output stage is
-    one stage sum over the stack, ``Y + H dv`` and one call of ``f`` on the
-    ``(m, d)`` block; ``np.matmul`` runs one BLAS call per step, with the
-    bits of ``np.dot`` on that step alone."""
-    for s in range(pair.stages + 1, len(pair.rows)):
-        K[:, s] = f(Y + H[:, None] * np.matmul(pair.rows[s], K[:, :s]))
-    return pair.coefficients(H, K)
+def _points(pair, rows, coeffs, at, times, out):
+    """The step record's interpolant at ``times`` into the rows of ``out``,
+    each time on the step whose index ``at`` holds at the same place
+    (sorted): ``rows`` holds the steps' ``(t, h, *y)`` and ``coeffs`` their
+    coefficients.  Each step's points come from one call of
+    ``pair.sample``, since a product over several steps' points would not
+    keep each point's bits.  Returns ``out``."""
+    w = pair.weights((times - rows[at, 0]) / rows[at, 1])
+    cuts = (np.flatnonzero(np.diff(at)) + 1).tolist()  # where a step's run starts
+    for a, b in zip([0, *cuts], [*cuts, at.size]):
+        if a < b:  # false only when no time is given
+            j = at.item(a)
+            out[a:b] = pair.sample(rows[j, 2:], rows[j, 1], w[a:b], coeffs[j])
+    return out
 
 
 def solve_adaptive_rk45(f, y0, t_grid, rel_tol, abs_tol, h0=None,
@@ -785,8 +782,8 @@ def detect_period(traj: Trajectory, observable):
     :func:`reparametrize`, hand-built), they are the samples.  Each
     crossing between two knots is located by regula falsi (Anderson-Bjorck)
     from the inverse cubic interpolant of the four nearest knots, until the
-    bracket stops shrinking, on the interpolant of that step, whose
-    coefficients the step record holds, so no field is called (event
+    bracket stops shrinking, on the interpolant of that step, evaluated by
+    :func:`_points` as the output samples are, so no field is called (event
     location: Hairer, Norsett and Wanner, section II.6), or, without steps,
     on the cubic through those four knots; both cubics are the one Lagrange
     form of :func:`_cubic`.
@@ -815,14 +812,11 @@ def detect_period(traj: Trajectory, observable):
                 return _cubic(xl, gl, (t - t0) / scale)
         else:
             # the bracket [knot i - 1, knot i] is step i - 1
-            row = rows[i - 1]
-            start, h, y = row.item(0), row.item(1), row[2:]
-            F = coeffs[i - 1]
+            at, p = np.array([i - 1]), np.empty((1, rows.shape[1] - 2))
 
             def local(t):
-                w = pair.weights(np.array([(t - start) / h]))
-                p = pair.sample(y, h, w, F)[0]
-                return observable(BodyState._wrap(unpack(p[:k], n), p[k:])) - level
+                y = _points(pair, rows, coeffs, at, np.array([t]), p)[0]
+                return observable(BodyState._wrap(unpack(y[:k], n), y[k:])) - level
 
         # the first point: where the cubic through the four knots, as t(g),
         # is at g = 0 (inverse interpolation)

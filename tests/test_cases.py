@@ -148,6 +148,23 @@ class TestCaseValidation:
                 constraint_axis=[1.0, 0.0, 0.0],
             )
 
+    @pytest.mark.parametrize("axis", [[1.0, 1.0], [[1.0, 1.0, 1.0]],
+                                      [1.0, 1.0, 1.0, 0.0]])
+    def test_custom_axis_must_be_a_3_vector(self, axis):
+        with pytest.raises(CaseError, match="3-vector"):
+            CaseSpec(CaseKind.SUSLOV_FREE, 3, MassTensor(diag=[1.0, 2.0, 3.0]),
+                     ZeroPotential(), constraint_axis=np.array(axis))
+
+    def test_custom_axis_is_a_read_only_unit_copy(self):
+        axis = np.array([1.0, 1.0, 1.0])
+        spec = CaseSpec(CaseKind.SUSLOV_FREE, 3, MassTensor(diag=[1.0, 2.0, 3.0]),
+                        ZeroPotential(), constraint_axis=axis)
+        assert np.array_equal(axis, [1.0, 1.0, 1.0]) and axis.flags.writeable
+        assert np.array_equal(spec.constraint_axis, axis / np.sqrt(3.0))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.constraint_axis[:] = 0.0
+        build_field(spec)  # the vector form builds on the read-only axis
+
 
 def catalog_instances(n_values=(3, 4, 5), seed=0):
     """One concrete, valid instance per catalog case and dimension."""

@@ -208,6 +208,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="B_n"):
             load_config(path)
 
+    @pytest.mark.parametrize("alias", ["initial.omega_01_03",
+                                       "initial.omega_\u0661_\u0663"],
+                             ids=["leading_zeros", "arabic_indic_digits"])
+    def test_two_keys_for_one_omega_entry_exit_2(self, tmp_path, capsys, alias):
+        # both keys parse to (1, 3); neither value may win silently
+        text = kharlamova_cfg(tmp_path / "out") + f"{alias} = 0.9\n"
+        lines = text.splitlines()
+        first = lines.index("initial.omega_1_3 = 0.4") + 1
+        assert main(["simulate", write(tmp_path, "bad.cfg", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("[error]") == 1 and "[error]\nkind = config\n" in err
+        assert (f"lines {first} and {len(lines)}: 'initial.omega_1_3' and "
+                f"{alias!r} both set Omega_1_3") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_digit_that_int_cannot_parse_is_a_malformed_key(self, tmp_path):
+        # a superscript three passes str.isdigit but not int()
+        text = kharlamova_cfg(tmp_path).replace("initial.omega_1_3",
+                                                "initial.omega_1_\u00b3")
+        with pytest.raises(ConfigError, match="malformed key"):
+            load_config(write(tmp_path, "bad.cfg", text))
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 

@@ -577,9 +577,11 @@ class TestStepLoopBits:
     """The adaptive loop hands fields Python floats, forms stage inputs and
     the error scale on floats, reuses the step's increment in the DOP853
     interpolant, renormalizes each step endpoint in place and all the
-    interpolated samples in one pass after the loop, and walks the grid on
-    Python floats; every sample, diagnostic, counter and failure keeps the
-    bits of the array loop of ``reference_adaptive_solve``."""
+    interpolated samples in one pass after the loop, and samples the grid
+    off the step record after the loop; every sample, diagnostic, counter
+    and failure keeps the bits of the array loop of
+    ``reference_adaptive_solve``, which samples each step as it is
+    accepted."""
 
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -604,6 +606,28 @@ class TestStepLoopBits:
                               bits(energies(ys, spec.inertia, spec.potential)))
         residual = np.max(np.abs(ys[:, :k] @ constraints.rows.T), axis=1)
         assert np.array_equal(bits(aux["constraint_residual"]), bits(residual))
+
+    @pytest.mark.parametrize("method", ["dop853", "rk45"])
+    def test_grid_times_on_step_starts_match_reference(self, method):
+        # a grid of a first run's step starts and the end: with the first
+        # trial step fixed the steps do not depend on the grid, and each
+        # start after the first is sampled on the step that ends there
+        spec, config, cfg, (field, _) = scenario_run("kharlamova_period_n3", method)
+        state0 = config.initial_state
+        y0 = pack_state(state0.omega, state0.gamma)
+
+        def run(t_grid):
+            return _adaptive_solve(_PAIRS[method], field, y0, t_grid, cfg.rel_tol,
+                                   cfg.abs_tol, cfg.step, None, cfg.max_steps)
+
+        _, stats, rows, _ = run(np.linspace(0.0, config.t_end, 11))
+        t_grid = np.append(rows[:, 0], config.t_end)
+        ys, on_stats, on_rows, _ = run(t_grid)
+        assert on_stats == stats and np.array_equal(on_rows, rows)
+        ref, ref_stats = reference_adaptive_solve(
+            method, field, y0, t_grid, cfg.rel_tol, cfg.abs_tol, cfg.step, None)
+        assert ref_stats == stats and stats.accepted > 50
+        assert np.array_equal(bits(ys), bits(ref))
 
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
     def test_state_field_matches_reference(self, method):
@@ -680,9 +704,10 @@ class TestStepLoopBits:
 
 
 class TestBlocks:
-    """The dense-output stages, interpolants and samples are evaluated a
-    block of accepted steps at a time; runs over several full blocks and a
-    partial last one keep the bits of the per-step array loop."""
+    """The dense-output stages and interpolants are evaluated a block of
+    accepted steps at a time, and the samples read off the step record at
+    the end; runs over several full blocks and a partial last one keep the
+    bits of the per-step array loop."""
 
     @pytest.mark.parametrize("output_dt", [0.25, 0.01])
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
@@ -692,7 +717,7 @@ class TestBlocks:
         state0 = config.initial_state
         k = layout(spec.n).k
         d = k + spec.n
-        size = _Block(_PAIRS[method], field, np.empty((1, d)), None).size
+        size = _Block(_PAIRS[method], field, d).size
         blocks = []
 
         def spy(y):
@@ -722,7 +747,7 @@ class TestBlocks:
     def test_block_is_bounded_whatever_the_state_size(self):
         for pair in _PAIRS.values():
             for d in (2, 6, 36, 105, 5000):
-                block = _Block(pair, None, np.empty((1, d)), None)
+                block = _Block(pair, None, d)
                 assert block.size >= 1
                 assert block.Y.nbytes + block.K.nbytes <= max(
                     96 * 1024, (len(pair.rows) + 1) * d * 8)

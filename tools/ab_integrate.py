@@ -9,7 +9,9 @@ Usage::
 and ``scenarios/`` beside each other), typically the parent commit exported
 with ``git archive``.  Its ``src/suslov`` is imported as the package
 ``suslov_parent`` and this checkout's as ``suslov_change``, so both run on
-the same interpreter, the same numpy and the same host phase.  For each of
+the same interpreter, the same numpy and the same host phase.  Neither
+import writes compiled files into its checkout, so a later benchmark run
+of either compiles every module as a fresh copy does.  For each of
 this checkout's ``scenarios/*.cfg``, each round times, on both sides:
 
 - ``integrate`` alone, as ``suslov simulate`` calls it, once under each
@@ -155,6 +157,7 @@ def main(argv=None) -> int:
         parser.error(f"{parent_root} holds no src/suslov")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    sys.dont_write_bytecode = True  # no __pycache__ in either checkout
     libs = {
         "parent": load_package("suslov_parent", parent_root),
         "change": load_package("suslov_change", HERE),

@@ -9,7 +9,9 @@ Usage::
 file.  Each ``scenarios/*.cfg`` runs through ``suslov simulate`` once with
 ``integrator.method = dop853`` and once with ``rk45``, in a fresh process
 that imports the checkout's own ``src``, writing into a temporary
-directory.  Each run prints one line::
+directory.  The children run with ``-B``, so no compiled file lands in the
+checkout (one would change what a later benchmark run of that checkout
+compiles, and so its ``peak_rss_mb``).  Each run prints one line::
 
     <scenario> <method> exit=<code> trajectory.csv=<sha256> report.txt=<sha256>
     accepted=<n> rejected=<n> rhs_evals=<n>
@@ -75,7 +77,7 @@ def digest_run(root: Path, cfg: Path, method: str, work: Path) -> str:
     out = run_dir / "out"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "suslov.cli", "simulate", str(scenario),
+        [sys.executable, "-B", "-m", "suslov.cli", "simulate", str(scenario),
          "--output-dir", str(out)],
         cwd=run_dir, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, check=False,
