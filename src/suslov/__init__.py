@@ -79,7 +79,6 @@ from .model import (
     lagrange_full_field,
     multipliers,
     vector_field_3d,
-    vector_field_general,
     vector_field_reduced,
 )
 

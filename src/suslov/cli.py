@@ -350,14 +350,14 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     t_end = t_end_cfg if overrides.get("t_end") is None else overrides["t_end"]
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigError(f"run.t_end = {t_end!r} must be positive and finite")
+    t_key = "run.t_end" if overrides.get("t_end") is None else "--t-end"
     output_dt = e.float_("run.output_dt", default=t_end / 1000.0)
     if not (0 < output_dt <= t_end):
         raise ConfigError(
             f"run.output_dt = {output_dt!r} must be positive and at most "
-            f"run.t_end = {t_end!r}"
+            f"{t_key} = {t_end!r}"
         )
     if t_end / output_dt > MAX_OUTPUT_INTERVALS:  # integrate's bound, by key
-        t_key = "run.t_end" if overrides.get("t_end") is None else "--t-end"
         raise ConfigError(
             f"{t_key} = {t_end!r} over run.output_dt = {output_dt!r} is "
             f"{t_end / output_dt:.6g} output intervals; at most "
@@ -588,10 +588,16 @@ def _analysis_clebsch(report, config, traj):
     return None if ok else "clebsch"
 
 
-def _analysis_asymptotic(report, config, traj):
+def _asymptotic_line(config):
+    """The start state's energy and its ``(w_minus, w_plus)``; the
+    ``ValueError`` of :func:`asymptotic_points` when the case has none."""
     spec = config.case_spec
     h = energy(config.initial_state, spec.inertia, spec.potential)
-    w_minus, w_plus = asymptotic_points(spec.j_diag, spec.constraint_axis, h)
+    return h, asymptotic_points(spec.j_diag, spec.constraint_axis, h)
+
+
+def _analysis_asymptotic(report, config, traj):
+    h, (w_minus, w_plus) = _asymptotic_line(config)
     report.section("asymptotic")
     report.put("energy_level", h)
     report.put("w_plus", w_plus)
@@ -653,13 +659,21 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     naming what failed (each analysis returns None or its failure).  An
     analysis the case does not support and an unusable output location
     raise ``ConfigError``, the former before anything is integrated or
-    written.
+    written.  An analysis that raises a numerical error stops the run:
+    ``report.txt`` is written with the sections gathered so far and a
+    ``[result]`` that names the analysis, and the error is raised again
+    with the analysis name in front of its message.
     """
     spec = config.case_spec
     names = analyses if analyses is not None else config.analyses
     for name in names:
         if name in _CASE_NEEDS and not _CASE_NEEDS[name][0](spec):
             raise ConfigError(_CASE_NEEDS[name][1])
+    if "asymptotic" in names:
+        try:
+            _asymptotic_line(config)
+        except ValueError as exc:
+            raise ConfigError(f"asymptotic: {exc}") from exc
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
@@ -686,12 +700,23 @@ def run(config: ScenarioConfig, analyses=None) -> int:
     report.section("integrator")
     report.put("method", config.integrator.method)
     _put_stats(report, traj.stats)
-    failed = [fail for fail in (_ANALYSIS_FNS[name](report, config, traj)
-                                for name in names) if fail is not None]
+    failed, error = [], None
+    for name in names:
+        try:
+            fail = _ANALYSIS_FNS[name](report, config, traj)
+        except (IntegrationError, ValueError, np.linalg.LinAlgError) as exc:
+            error, message = exc, f"{name}: {exc}"
+            break
+        if fail is not None:
+            failed.append(fail)
     report.section("result")
-    report.put("pass", not failed)
+    report.put("pass", not failed and error is None)
+    if error is not None:
+        report.put("error", message)
     _write_atomically(os.path.join(config.output_dir, "report.txt"),
                       lambda part: Path(part).write_text(report.text()))
+    if error is not None:
+        raise ValueError(message) from error
     if failed:
         _error_record("verification", "failed sections: " + "; ".join(failed))
     return 4 if failed else 0

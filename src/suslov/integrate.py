@@ -41,11 +41,11 @@ only on the step sequence), then the interpolant coefficients, and appends
 the steps to the step record, which the ``Trajectory`` keeps as scipy's
 ``OdeSolution`` keeps its dense outputs: each accepted step's start time,
 size, start point and interpolant coefficients.  After the loop the step
-counters are read off the record, and one function, :func:`_points`,
-evaluates it: at the output grid, each time on the first step that ends
-at or after it, and in :func:`detect_period`, which brackets crossings
-between the step starts, whatever the output grid, and locates each on
-its step, with no field call.
+counters are read off the record, and :func:`_points` evaluates it at
+the output grid, each time on the first step that ends at or after it.
+:func:`detect_period` brackets crossings between the step starts, whatever
+the output grid, and locates each on its step with the per-step call
+``_points`` makes, with no field call.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
 ``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
@@ -783,10 +783,10 @@ def detect_period(traj: Trajectory, observable):
     crossing between two knots is located by regula falsi (Anderson-Bjorck)
     from the inverse cubic interpolant of the four nearest knots, until the
     bracket stops shrinking, on the interpolant of that step, evaluated by
-    :func:`_points` as the output samples are, so no field is called (event
-    location: Hairer, Norsett and Wanner, section II.6), or, without steps,
-    on the cubic through those four knots; both cubics are the one Lagrange
-    form of :func:`_cubic`.
+    the ``pair.sample`` call that :func:`_points` makes for the output
+    samples, so no field is called (event location: Hairer, Norsett and
+    Wanner, section II.6), or, without steps, on the cubic through those
+    four knots; both cubics are the one Lagrange form of :func:`_cubic`.
     """
     pair, rows, coeffs = traj._steps or (None, None, None)
     knots = traj if rows is None else Trajectory(
@@ -811,11 +811,14 @@ def detect_period(traj: Trajectory, observable):
             def local(t):
                 return _cubic(xl, gl, (t - t0) / scale)
         else:
-            # the bracket [knot i - 1, knot i] is step i - 1
-            at, p = np.array([i - 1]), np.empty((1, rows.shape[1] - 2))
+            # the bracket [knot i - 1, knot i] is step i - 1, evaluated by
+            # the one call of pair.sample that _points makes for it
+            ts, hs = rows.item(i - 1, 0), rows.item(i - 1, 1)
+            ys, cs = rows[i - 1, 2:], coeffs[i - 1]
 
             def local(t):
-                y = _points(pair, rows, coeffs, at, np.array([t]), p)[0]
+                w = pair.weights(np.array([(t - ts) / hs]))
+                y = pair.sample(ys, hs, w, cs)[0]
                 return observable(BodyState._wrap(unpack(y[:k], n), y[k:])) - level
 
         # the first point: where the cubic through the four knots, as t(g),

@@ -49,7 +49,6 @@ __all__ = [
     "CustomPotential",
     "check_gradient",
     "multipliers",
-    "vector_field_general",
     "general_field",
     "vector_field_reduced",
     "vector_field_3d",
@@ -220,12 +219,14 @@ class Potential:
         raise NotImplementedError
 
     def _point_gradient(self, g):
-        """The gradient at one point, from and as a sequence of Python
-        floats, with the bits of ``gradient(np.array(g)).tolist()``; the
-        fields of :func:`suslov.cases.build_field` call it once per
-        evaluation on a list.  The result may be shared between calls: read it, do
+        """The gradient from and as a sequence of ``n`` components: a point's
+        Python floats, with the bits of ``gradient(np.array(g)).tolist()``,
+        or a block's columns, each entry with the bits of its point's floats;
+        the fields of :func:`suslov.cases.build_field` call it once per
+        evaluation.  The result may be shared between calls: read it, do
         not change it."""
-        return self.gradient(np.array(g)).tolist()
+        grad = self.gradient(np.stack(g, axis=-1))
+        return grad.tolist() if grad.ndim == 1 else list(np.moveaxis(grad, -1, 0))
 
 
 class ZeroPotential(Potential):
@@ -303,14 +304,10 @@ class DGJPotential(Potential):
 
     def gradient(self, gamma):
         gamma = np.asarray(gamma, dtype=float)
-        if gamma.ndim > 1:  # a block: the same formula on its columns
-            return np.stack(self._formula(*np.moveaxis(gamma, -1, 0)), axis=-1)
-        return np.array(self._point_gradient(gamma.tolist()))
+        return np.stack(self._formula(*np.moveaxis(gamma, -1, 0)), axis=-1)
 
     def _point_gradient(self, g):
-        # Python floats cost no numpy dispatch per operation; the partials
-        # may come back as numpy scalars (np.sin), and float() is exact
-        return [float(d) for d in self._formula(*g)]
+        return self._formula(*g)
 
     def _formula(self, g1, g2, g3):
         d1x, d1y = self.v1_grad(g1, g2 * g2 + g3 * g3)
@@ -396,23 +393,11 @@ def multipliers(
     return _reaction(inertia, constraints)(_torque(state, inertia, potential))
 
 
-def vector_field_general(
-    state: BodyState,
-    inertia: MassTensor,
-    potential: Potential,
-    constraints: ConstraintSet,
-):
-    """Constrained equations of motion for any constraint set.
-
-    Returns ``(omega_dot, gamma_dot)`` with the multiplier reaction included,
-    so ``<a^i, omega_dot> = 0`` for every generator.
-    """
-    return general_field(inertia, potential, constraints)(state)
-
-
 def general_field(inertia: MassTensor, potential: Potential, constraints: ConstraintSet):
-    """:func:`vector_field_general` as a closure ``state -> (omega_dot,
-    gamma_dot)``, with the weighted Gram matrix built once."""
+    """Constrained equations of motion for any constraint set, as a closure
+    ``state -> (omega_dot, gamma_dot)`` with the weighted Gram matrix built
+    once: the multiplier reaction is included, so ``<a^i, omega_dot> = 0``
+    for every generator."""
     reaction = _reaction(inertia, constraints)
     rows, n = constraints.rows, constraints.n
 
@@ -446,19 +431,29 @@ def _reduced_rates(col, g, d, pair):
     return col_dot, g_dot
 
 
+def _on_columns(field, y):
+    """``field``'s statements on the columns of an array ``y`` ``(..., d)``,
+    a point or a block: the list of its ``d`` columns goes through the list
+    body, and the entries that body returns, arrays or floats, are stacked
+    back as the last axis.  Every operation is elementwise, so each row gets
+    the bits of its point's list."""
+    out = field(list(np.moveaxis(np.asarray(y, dtype=float), -1, 0)))
+    return np.stack(np.broadcast_arrays(*out), axis=-1)
+
+
 def _reduced_field(inertia: MassTensor, potential: Potential):
     """The reduced equations on the packed points of ``integrate``, with
     exact zeros in the so(n-1) block: the one caller of :func:`_reduced_rates`.
     A list of Python floats gives a list, the gradient on floats too (at this
     size numpy's per-call dispatch costs more than the arithmetic); an array
-    ``(..., d)`` gives an array, each row with the bits of its point's list."""
+    ``(..., d)`` runs the same statements on its columns (:func:`_on_columns`)."""
     if inertia.diag is None:
         raise ValueError("reduced field needs a diagonal mass tensor; "
-                         "use vector_field_general instead")
+                         "use general_field instead")
     lay, gradient = layout(inertia.n), potential._point_gradient
     n, k, slots = inertia.n, lay.k, lay.column
     cols = slots.tolist()
-    # Omega_in from the floats of a packed point, and the packed Omega rates
+    # Omega_in from the entries of a packed point, and the packed Omega rates
     # from [*col_dot, 0.0]: a column slot takes its rate, every other slot
     # the trailing zero; at n = 2 a slice, as itemgetter(0) gives no tuple
     column = itemgetter(*cols) if n > 2 else itemgetter(slice(0, 1))
@@ -467,17 +462,12 @@ def _reduced_field(inertia: MassTensor, potential: Potential):
     pair = (inertia.diag[:-1] + inertia.diag[-1]).tolist()
 
     def field(y):
-        if isinstance(y, list):
-            g = y[k:]
-            col_dot, g_dot = _reduced_rates(column(y), g, gradient(g), pair)
-            col_dot.append(0.0)
-            return [*scatter(col_dot), *g_dot]
-        y = np.asarray(y, dtype=float)
-        x = np.moveaxis(y, -1, 0)
-        col_dot, g_dot = _reduced_rates(column(x), x[k:], np.moveaxis(
-            potential.gradient(y[..., k:]), -1, 0), pair)
-        col_dot.append(np.zeros(y.shape[:-1]))
-        return np.stack([*scatter(col_dot), *g_dot], axis=-1)
+        if not isinstance(y, list):
+            return _on_columns(field, y)
+        g = y[k:]
+        col_dot, g_dot = _reduced_rates(column(y), g, gradient(g), pair)
+        col_dot.append(0.0)
+        return [*scatter(col_dot), *g_dot]
 
     return field
 
@@ -581,17 +571,13 @@ def _vector3d_field(j_diag, axis, potential: Potential, gyro_eps: float):
     gradient, eps = potential._point_gradient, float(gyro_eps)
 
     def field(y):
-        if isinstance(y, list):
-            # packed <-> vector, as in packed_to_vector, on floats both ways
-            x12, x13, x23, g1, g2, g3 = y
-            (w1, w2, w3), (gd1, gd2, gd3) = _field_3d(
-                (-x23, x13, -x12), (g1, g2, g3), gradient((g1, g2, g3)), j, a, den, eps)
-            return [-w3, w2, -w1, gd1, gd2, gd3]
-        y = np.asarray(y, dtype=float)
-        x12, x13, x23, *g = np.moveaxis(y, -1, 0)
-        (w1, w2, w3), g_dot = _field_3d((-x23, x13, -x12), g, np.moveaxis(
-            potential.gradient(y[..., 3:]), -1, 0), j, a, den, eps)
-        return np.stack((-w3, w2, -w1, *g_dot), axis=-1)
+        if not isinstance(y, list):
+            return _on_columns(field, y)
+        # packed <-> vector, as in packed_to_vector, both ways
+        x12, x13, x23, g1, g2, g3 = y
+        (w1, w2, w3), (gd1, gd2, gd3) = _field_3d(
+            (-x23, x13, -x12), (g1, g2, g3), gradient((g1, g2, g3)), j, a, den, eps)
+        return [-w3, w2, -w1, gd1, gd2, gd3]
 
     return field
 

@@ -349,6 +349,16 @@ class TestConfigParsing:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_output_dt_above_t_end_names_the_flag(self, capsys, tmp_path):
+        # the file sets run.t_end = 100.0; the 0.1 came from --t-end
+        path = str(SCENARIO_DIR / "dgj_3d.cfg")
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--t-end", "0.1", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("[error]\nkind = config\nmessage = run.output_dt = 0.25 must "
+                       "be positive and at most --t-end = 0.1\n")
+        assert not out.exists()
+
     def test_output_grid_at_the_bound_loads(self, tmp_path):
         text = with_values(kharlamova_cfg(tmp_path / "out"),
                            {"run.t_end": "125000.0", "run.output_dt": "0.125"})
@@ -664,6 +674,47 @@ class TestAnalyses:
         err = capsys.readouterr().err
         assert f"[error]\nkind = config\nmessage = {message}\n" == err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"case.constraint_axis": "0 0 1", "initial.omega_1_2": "0.0"},
+             "no asymptotic line; solutions are constants"),
+            ({"initial.omega_1_2": "0.0", "initial.omega_1_3": "0.0",
+              "initial.omega_2_3": "0.0"},
+             "energy level must be positive and finite: 0.0"),
+        ],
+        ids=["eigenvector_axis", "at_rest"],
+    )
+    def test_asymptotic_without_a_line_exits_2_before_writing(
+            self, tmp_path, capsys, values, message):
+        out = tmp_path / "out"
+        path = write(tmp_path, "a.cfg", with_values(asymptotic_cfg(out), values))
+        assert main(["suslov-asymptotic", path]) == 2
+        err = capsys.readouterr().err
+        assert f"[error]\nkind = config\nmessage = asymptotic: {message}\n" == err
+        assert not out.exists()
+
+    def test_an_analysis_that_raises_still_writes_its_report(self, tmp_path, capsys):
+        # a sampling too coarse for the torus angles: the run's report holds
+        # what was gathered and the error, never a previous run's report
+        out = tmp_path / "out"
+        scenario = (SCENARIO_DIR / "clebsch_tori_n3.cfg").read_text()
+        path = write(tmp_path, "c.cfg", scenario)
+        assert main(["clebsch-tori", path, "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        coarse = write(tmp_path, "coarse.cfg",
+                       with_values(scenario, {"run.output_dt": "3.0"}))
+        assert main(["clebsch-tori", coarse, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\nkind = numerical\nmessage = clebsch_tori: "
+                              "angle advances too fast")
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 41
+        rep = report_dict(out / "report.txt")
+        assert rep["case.output_dt"] == "3"
+        assert rep["clebsch.classification"] == "two_disjoint_tori"
+        assert rep["result.pass"] == "false"
+        assert f"[error]\nkind = numerical\nmessage = {rep['result.error']}\n" == err
 
 
 class TestOutputLocation:

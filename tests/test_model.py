@@ -35,7 +35,6 @@ from suslov.model import (
     packed_reduced_field,
     packed_suslov3d_field,
     vector_field_3d,
-    vector_field_general,
     vector_field_reduced,
 )
 
@@ -173,7 +172,7 @@ class TestPotentials:
 
 def _point_gradient_cases(n, rng):
     """Every potential class in dimension ``n``; DGJ exists for n = 3 only
-    (with the CLI's fixtures, whose partials are numpy scalars)."""
+    (with the CLI's fixtures, which return floats for floats)."""
     pots = {
         "zero": ZeroPotential(),
         "linear": LinearPotential(rng.normal(size=n)),
@@ -242,7 +241,7 @@ class TestMultipliers:
         assert np.allclose(k_dir.mat, 0.0)
         # reaction may be nonzero only to cancel the so(n-1) leak; verify the
         # defining property instead of the raw values below
-        om_dot, _ = vector_field_general(state, inertia, pot, constraints)
+        om_dot, _ = general_field(inertia, pot, constraints)(state)
         assert constraints.residual(om_dot) < 1e-12
 
     def test_constraint_derivative_vanishes_generic_3d(self):
@@ -255,7 +254,7 @@ class TestMultipliers:
             w = rng.normal(size=3)
             w -= np.dot(w, axis) * axis  # admissible velocity
             state = state_from_vec3(w, random_unit(rng, 3))
-            om_dot, _ = vector_field_general(state, inertia, pot, constraints)
+            om_dot, _ = general_field(inertia, pot, constraints)(state)
             assert constraints.residual(om_dot) < 1e-12
 
     def test_singular_gram_raises(self):
@@ -277,23 +276,9 @@ class TestFieldEquivalence:
         for _ in range(50):
             state = random_canonical_state(rng, n)
             od_r, gd_r = vector_field_reduced(state, inertia, pot)
-            od_g, gd_g = vector_field_general(state, inertia, pot, constraints)
+            od_g, gd_g = general_field(inertia, pot, constraints)(state)
             assert np.allclose(od_r.mat, od_g.mat, atol=1e-12)
             assert np.allclose(gd_r, gd_g, atol=1e-12)
-
-    def test_general_field_factory_matches_function(self):
-        rng = np.random.default_rng(5)
-        inertia = MassTensor(diag=[1.0, 2.0, 3.0])
-        pot = LinearPotential([0.3, 0.0, -0.8])
-        constraints = ConstraintSet.single_3d(random_unit(rng, 3))
-        fast = general_field(inertia, pot, constraints)
-        for _ in range(20):
-            w = rng.normal(size=3)
-            state = state_from_vec3(w, random_unit(rng, 3))
-            od1, gd1 = vector_field_general(state, inertia, pot, constraints)
-            od2, gd2 = fast(state)
-            assert np.allclose(od1.mat, od2.mat, atol=1e-14)
-            assert np.allclose(gd1, gd2, atol=1e-14)
 
     def test_3d_field_matches_general_under_isomorphism(self):
         rng = np.random.default_rng(6)
@@ -306,7 +291,7 @@ class TestFieldEquivalence:
             w = rng.normal(size=3)
             gamma = random_unit(rng, 3)
             state = state_from_vec3(w, gamma)
-            od_g, gd_g = vector_field_general(state, inertia, pot, constraints)
+            od_g, gd_g = general_field(inertia, pot, constraints)(state)
             wd, gd = vector_field_3d(w, gamma, j, pot)
             assert np.allclose(skew_to_vector(od_g), wd, atol=1e-12)
             assert np.allclose(gd_g, gd, atol=1e-12)
