@@ -63,6 +63,7 @@ from .model import (
     QuadraticPotential,
     ZeroPotential,
     divergence_fd,
+    energies,
     energy,
     packed_reduced_field,
     packed_suslov3d_field,
@@ -348,9 +349,9 @@ def load_config(path, overrides=None) -> ScenarioConfig:
 
     t_end_cfg = e.float_("run.t_end", required=overrides.get("t_end") is None)
     t_end = t_end_cfg if overrides.get("t_end") is None else overrides["t_end"]
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"run.t_end = {t_end!r} must be positive and finite")
     t_key = "run.t_end" if overrides.get("t_end") is None else "--t-end"
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigError(f"{t_key} = {t_end!r} must be positive and finite")
     output_dt = e.float_("run.output_dt", default=t_end / 1000.0)
     if not (0 < output_dt <= t_end):
         raise ConfigError(
@@ -561,8 +562,7 @@ def _analysis_clebsch(report, config, traj):
     report.put("frequencies_exact", exact)
     ys = traj.ys
     sums = np.sum(clebsch.packed_integrals_f(ys, inertia, b), axis=1)
-    # run() has integrate record each sample's energy in aux
-    offsets = traj.aux["energy"] - 0.5 * sums
+    offsets = energies(ys, inertia, spec.potential) - 0.5 * sums
     report.put("energy_offset", float(offsets[0]))
     report.put("energy_offset_spread", float(np.max(np.abs(offsets - offsets[0]))))
     label, residuals = clebsch.energy_offset_constant(float(offsets[0]), b)
@@ -688,12 +688,10 @@ def run(config: ScenarioConfig, analyses=None) -> int:
         (0.0, config.t_end),
         config.integrator,
         output_dt=config.output_dt,
-        inertia=spec.inertia,
-        potential=spec.potential,
-        constraints=constraints,
     )
     _write_atomically(os.path.join(config.output_dir, "trajectory.csv"),
-                      lambda part: write_csv(traj, part))
+                      lambda part: write_csv(traj, part, spec.inertia,
+                                             spec.potential, constraints))
 
     report = Report()
     _case_section(report, config)

@@ -48,8 +48,8 @@ the output grid, and locates each on its step with the per-step call
 ``_points`` makes, with no field call.
 The output samples stay one packed array, the rows of
 ``Trajectory.ys``; ``BodyState`` objects are built from it only when
-``Trajectory.states`` is read.  The per-sample energies, gamma norm errors
-and constraint residuals, the drift report and the CSV rows are array
+``Trajectory.states`` is read.  The drift report and the CSV rows, with
+the per-sample diagnostics that :func:`write_csv` forms, are array
 operations on that block.  :func:`state_field` adapts a field on states to
 the flat vector.
 
@@ -151,8 +151,8 @@ class IntegratorStats:
 
 class Trajectory:
     """Sampled solution: finite, strictly increasing times, the packed samples
-    ``ys``, per-sample diagnostics in ``aux`` and, when it came from a
-    stepper, the step counters in ``stats``.
+    ``ys`` and, when it came from a stepper, the step counters in
+    ``stats``.
 
     ``ys`` has shape ``(N, k + n)``: the upper triangle of each Omega, then
     Gamma, as :func:`integrate` returns it; it is read-only.  ``states``
@@ -169,12 +169,11 @@ class Trajectory:
     field.  Other trajectories hold no steps.
     """
 
-    def __init__(self, times, ys, aux=None, stats=None):
+    def __init__(self, times, ys, stats=None):
         self.times = np.asarray(times, dtype=float)
         # a read-only view: the caller's own float64 array stays writable
         self._ys = np.asarray(ys, dtype=float).view()
         self._ys.flags.writeable = False
-        self.aux = {} if aux is None else aux
         self.stats = stats
         self._states = None
         self._steps = None  # integrate's (pair, rows (t, h, *y), coefficients)
@@ -634,9 +633,6 @@ def integrate(
     t_span,
     cfg: IntegratorConfig,
     output_dt: float | None = None,
-    inertia: MassTensor | None = None,
-    potential: Potential | None = None,
-    constraints: ConstraintSet | None = None,
 ) -> Trajectory:
     """Propagate ``field(y) -> ydot`` from ``state0`` over ``t_span``; ``y``
     is the flat vector of :func:`suslov.cases.build_field` (wrap a field on
@@ -649,10 +645,8 @@ def integrate(
     ``rhs_evals`` counts points, a block's rows included.
 
     Samples at ``t0, t0 + output_dt, ...`` up to ``t1``, at most
-    ``MAX_OUTPUT_INTERVALS`` intervals.  When the model
-    context (inertia/potential/constraints) is supplied, the per-sample
-    energy and constraint residual are recorded in ``aux``; the gamma norm
-    error and the step counters (``stats``) are always recorded.
+    ``MAX_OUTPUT_INTERVALS`` intervals, with the step counters in
+    ``stats``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not -math.inf < t0 < t1 < math.inf:
@@ -700,14 +694,7 @@ def integrate(
             nrm = _gamma_norm(ys[1:], k)[:, None]
             ys[1:, k:] /= np.where(nrm > 0.0, nrm, 1.0)
 
-    aux = {"gamma_norm_err": np.abs(_gamma_norm(ys, k) - 1.0)}
-    if inertia is not None and potential is not None:
-        aux["energy"] = energies(ys, inertia, potential)
-    if constraints is not None:
-        aux["constraint_residual"] = np.max(
-            np.abs(ys[:, :k] @ constraints.rows.T), axis=1
-        )
-    traj = Trajectory(times=t_grid, ys=ys, aux=aux, stats=stats)
+    traj = Trajectory(times=t_grid, ys=ys, stats=stats)
     traj._steps = steps
     return traj
 
@@ -762,13 +749,11 @@ def reparametrize(traj: Trajectory, phi) -> Trajectory:
     dtau = np.diff(traj.times) * sign * np.sqrt(vals[:-1] * vals[1:])
     tau = np.concatenate([[0.0], np.cumsum(dtau)])
     ys = traj.ys
-    aux = {key: np.asarray(val) for key, val in traj.aux.items()}
     if tau[-1] < 0:
         tau = tau[::-1].copy()
         ys = ys[::-1]
-        aux = {key: val[::-1].copy() for key, val in aux.items()}
     tau = tau - tau[0]
-    return Trajectory(times=tau, ys=ys, aux=aux, stats=traj.stats)
+    return Trajectory(times=tau, ys=ys, stats=traj.stats)
 
 
 def detect_period(traj: Trajectory, observable):
@@ -892,28 +877,26 @@ def drift_report(traj: Trajectory, integrals) -> dict:
 _CSV_BLOCK = 1024
 
 
-def write_csv(traj: Trajectory, path):
-    """Trajectory CSV: t, upper-triangle Omega entries, Gamma, diagnostics.
+def write_csv(traj: Trajectory, path, inertia: MassTensor,
+              potential: Potential, constraints: ConstraintSet):
+    """Trajectory CSV: t, upper-triangle Omega entries, Gamma, and three
+    diagnostics of each sample: its energy, its largest constraint residual
+    ``max_i |<a^i, Omega>|`` and ``||Gamma| - 1|``.
 
     Floats carry 17 significant digits so round-trips are bit-stable.  The
     rows are one array, formatted a block at a time with one ``%.17g``
     row format (the text of ``"{:.17g}".format`` for every float).
     """
-    if "energy" not in traj.aux or "constraint_residual" not in traj.aux:
-        raise ValueError(
-            "trajectory lacks energy/constraint diagnostics; integrate with "
-            "the model context to export CSV"
-        )
-    n = traj.n
+    n, ys = traj.n, traj.ys
     lay = layout(n)
     header = ["t"]
     header += [f"Omega_{i + 1}_{j + 1}" for i, j in zip(lay.iu, lay.ju)]
     header += [f"Gamma_{i + 1}" for i in range(n)]
     header += ["E", "constraint_residual", "gamma_norm_err"]
-    aux = traj.aux
     table = np.column_stack((
-        traj.times, traj.ys, aux["energy"], aux["constraint_residual"],
-        aux["gamma_norm_err"],
+        traj.times, ys, energies(ys, inertia, potential),
+        np.max(np.abs(ys[:, :lay.k] @ constraints.rows.T), axis=1),
+        np.abs(_gamma_norm(ys, lay.k) - 1.0),
     ))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

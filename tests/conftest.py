@@ -36,10 +36,16 @@ def canonical_state(col, gamma):
     return BodyState(from_column(col), np.asarray(gamma, dtype=float))
 
 
-def states_trajectory(times, states, aux=None):
+def states_trajectory(times, states):
     """Trajectory whose packed samples ``ys`` are those of ``states``."""
     ys = np.array([pack_state(s.omega, s.gamma) for s in states])
-    return Trajectory(times, ys, aux=aux)
+    return Trajectory(times, ys)
+
+
+def gamma_norm_err(traj):
+    """``||Gamma| - 1|`` of each sample of ``traj``."""
+    g = traj.ys[:, -traj.n:]
+    return np.abs(np.sqrt(np.vecdot(g, g)) - 1.0)
 
 
 def state_from_vec3(omega_vec, gamma):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     canonical_state,
+    gamma_norm_err,
     random_canonical_state,
     random_unit,
     state_from_vec3,
@@ -512,7 +513,7 @@ def test_criterion_9_numerics_hygiene():
                            renormalize_gamma=False)
     traj = integrate(field4, random_canonical_state(rng, 4), (0.0, 100.0),
                      cfg, output_dt=0.25)
-    gamma_drift = float(np.max(traj.aux["gamma_norm_err"]))
+    gamma_drift = float(np.max(gamma_norm_err(traj)))
 
     # quadrature node-doubling self-convergence
     state = random_canonical_state(rng, 4, speed=0.6)

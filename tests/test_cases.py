@@ -46,12 +46,9 @@ def dgj_fixture_potential():
 
 
 def integrate_case(spec, state0, t_end, output_dt=0.1, rtol=1e-10, atol=1e-12):
-    field, constraints = build_field(spec)
+    field, _ = build_field(spec)
     cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol)
-    return integrate(
-        field, state0, (0.0, t_end), cfg, output_dt=output_dt,
-        inertia=spec.inertia, potential=spec.potential, constraints=constraints,
-    )
+    return integrate(field, state0, (0.0, t_end), cfg, output_dt=output_dt)
 
 
 def integrate_pendulum(gamma0, gamma_dot0, mass, b_n, t_grid, rtol=1e-12):
@@ -291,6 +288,15 @@ def test_jacobian_rank_of_no_functions_is_zero(n):
     assert jacobian_rank(iter(()), state) == 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_jacobian_rank_of_constant_functions_is_zero(n):
+    # an all-zero Jacobian has no largest singular value to scale by
+    state = random_canonical_state(np.random.default_rng(n), n)
+    fns = [lambda y: np.zeros(y.shape[:-1]), lambda y: np.ones(y.shape[:-1])]
+    assert jacobian_rank(fns, state) == 0
+    assert jacobian_rank(fns[:1], state) == 0
+
+
 class TestConservation:
     @pytest.mark.parametrize(
         "spec", catalog_instances(), ids=lambda s: f"{s.kind.value}-n{s.n}"
@@ -359,6 +365,26 @@ class TestConservation:
 
 
 class TestSuslovFree:
+    def test_eigenvector_case_conserves_energy_and_each_column_entry(self):
+        spec = CaseSpec(
+            CaseKind.SUSLOV_FREE, 4, MassTensor(diag=[1.0, 2.0, 3.0, 4.0]),
+            ZeroPotential(),
+        )
+        integrals = first_integrals(spec)
+        assert list(integrals) == ["energy", "Omega_1_4", "Omega_2_4",
+                                   "Omega_3_4"]
+        state0 = random_canonical_state(np.random.default_rng(17), 4)
+        traj = integrate_case(spec, state0, 20.0)
+        # the field leaves Omega exactly still, so no integral moves a bit
+        assert drift_report(traj, integrals) == dict.fromkeys(integrals, 0.0)
+
+    def test_constraint_axis_keeps_energy_only(self):
+        spec = CaseSpec(
+            CaseKind.SUSLOV_FREE, 3, MassTensor(diag=[1.0, 2.0, 3.0]),
+            ZeroPotential(), constraint_axis=np.array([1.0, 1.0, 1.0]),
+        )
+        assert list(first_integrals(spec)) == ["energy"]
+
     def test_eigenvector_case_freezes_omega(self):
         spec = CaseSpec(
             CaseKind.SUSLOV_FREE, 4, MassTensor(diag=[1.0, 2.0, 3.0, 4.0]),

@@ -177,7 +177,7 @@ class TestRotationNumbers:
             g_head = np.sqrt(c / gap) * np.cos(phi)
             g_n = np.sqrt(max(0.0, 1.0 - np.sum(g_head**2)))
             states.append(canonical_state(col, np.append(g_head, g_n)))
-        traj = states_trajectory(taus, states, aux={})
+        traj = states_trajectory(taus, states)
         slopes = rotation_numbers(traj, inertia, b)
         assert np.allclose(slopes, 0.3, atol=1e-12)
 
@@ -193,7 +193,7 @@ class TestRotationNumbers:
             g_head = np.sqrt(0.3 / gap) * np.cos(phi)
             g_n = np.sqrt(max(0.0, 1.0 - np.sum(g_head**2)))
             states.append(canonical_state(col, np.append(g_head, g_n)))
-        traj = states_trajectory(taus, states, aux={})
+        traj = states_trajectory(taus, states)
         with pytest.raises(ValueError, match="grid"):
             rotation_numbers(traj, inertia, b)
 

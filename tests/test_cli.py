@@ -275,7 +275,8 @@ class TestConfigParsing:
              "at most run.t_end"),
             (("run.t_end = 60.0", "run.t_end = inf"), [], "run.t_end"),
             (("run.t_end = 60.0", "run.t_end = nan"), [], "run.t_end"),
-            (None, ["--t-end", "0"], "run.t_end"),
+            (None, ["--t-end", "0"], "--t-end = 0.0 must be positive"),
+            (None, ["--t-end", "nan"], "--t-end = nan must be positive"),
             (None, ["--step", "0"], "step must be positive"),
             (("case.inertia = 1.0 2.0 1.5", "case.inertia = 1.0 nan 1.5"), [],
              "case.inertia"),
@@ -364,6 +365,28 @@ class TestConfigParsing:
                            {"run.t_end": "125000.0", "run.output_dt": "0.125"})
         cfg = load_config(write(tmp_path, "edge.cfg", text))
         assert cfg.t_end / cfg.output_dt == MAX_OUTPUT_INTERVALS == 10**6
+
+    def test_renormalization_can_be_switched_off(self, tmp_path):
+        out = tmp_path / "out"
+        text = with_values(clebsch_cfg(out),
+                           {"integrator.renormalize_gamma": "off"})
+        path = write(tmp_path, "c.cfg", text)
+        assert load_config(path).integrator.renormalize_gamma is False
+        assert main(["clebsch-tori", path]) == 0
+        assert report_dict(out / "report.txt")["clebsch.pass"] == "true"
+
+    def test_renormalization_must_be_a_boolean(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = with_values(clebsch_cfg(out),
+                           {"integrator.renormalize_gamma": "maybe"})
+        lineno = text.splitlines().index("integrator.renormalize_gamma = maybe")
+        assert main(["clebsch-tori", write(tmp_path, "c.cfg", text)]) == 2
+        assert capsys.readouterr().err == (
+            "[error]\nkind = config\nmessage = line "
+            f"{lineno + 1}: integrator.renormalize_gamma = 'maybe' is not a "
+            "boolean\n"
+        )
+        assert not out.exists()
 
 
 class TestRunAndVerify:
@@ -599,6 +622,29 @@ class TestAnalyses:
             [float(tok) for tok in rep["clebsch.frequencies_exact"].split()]
         )
         assert np.allclose(exact, [math.sqrt(0.5), math.sqrt(0.2)], atol=1e-12)
+
+    def test_clebsch_tori_outside_hypotheses_passes_unmeasured(self, tmp_path):
+        out = tmp_path / "out"
+        text = with_values(clebsch_cfg(out, t_end=10.0),
+                           {"case.b": "3.0 4.0 5.0"})
+        assert main(["clebsch-tori", write(tmp_path, "c.cfg", text)]) == 0
+        rep = report_dict(out / "report.txt")
+        assert rep["clebsch.classification"] == "outside_hypotheses"
+        assert rep["clebsch.pass"] == "true"
+        assert "clebsch.frequencies_measured" not in rep
+
+    def test_clebsch_tori_on_a_branched_covering_skips_measuring(self,
+                                                                 tmp_path):
+        out = tmp_path / "out"
+        text = with_values(clebsch_cfg(out, t_end=10.0),
+                           {"initial.omega_1_3": "1.5",
+                            "initial.omega_2_3": "1.2"})
+        assert main(["clebsch-tori", write(tmp_path, "c.cfg", text)]) == 0
+        rep = report_dict(out / "report.txt")
+        assert rep["clebsch.classification"] == "branched_covering"
+        assert (rep["clebsch.frequencies_measured"]
+                == "skipped_branched_or_degenerate")
+        assert rep["clebsch.pass"] == "true"
 
     def test_asymptotic_end_to_end(self, tmp_path):
         out = tmp_path / "out"

@@ -17,6 +17,7 @@ import sympy as sp
 from suslov.algebra import layout, packed_to_vector
 from suslov.cases import CaseKind, CaseSpec, first_integrals
 from suslov.model import (
+    DGJPotential,
     LinearPotential,
     MassTensor,
     QuadraticPotential,
@@ -191,3 +192,54 @@ def test_3d_field_keeps_the_constraint_and_the_energy(axis):
     packed = packed_to_vector(np.array(w, dtype=object))
     e = _energy(object_mats(packed, 3), np.array(g, dtype=object), inertia, potential)
     assert lie_derivative(e, [w_dot[0], w_dot[1], *g_dot], (w1, w2, *g)) == 0
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_reduced_field_keeps_each_clebsch_integral(n):
+    # dyadic data: every pair sum I_i + I_n and gap B_i - B_n is exact
+    spec = CaseSpec(CaseKind.CLEBSCH_TISSERAND_ND, n, MassTensor(diag=INERTIA[n]),
+                    QuadraticPotential([5.0, 4.5, 3.25, 2.5, 1.0][-n:]))
+    integrals = {label: fn for label, fn in first_integrals(spec).items()
+                 if label != "energy"}
+    assert sorted(integrals) == [f"F_{i + 1}" for i in range(n - 1)]
+    w, g, y = reduced_chart(n)
+    rates = reduced_rates(spec.inertia, spec.potential, w, g)
+    for label, fn in integrals.items():
+        # F(y)[..., i] of a point is a 0-d object array, which sp.diff rejects
+        assert lie_derivative(fn(y).item(), rates, w + g) == 0, label
+
+
+def dgj_fixture():
+    # polynomials with dyadic coefficients, on floats, arrays and symbols
+    return DGJPotential(
+        lambda x, y: x * y + 0.5 * x * x, lambda x, y: (y + x, x),
+        lambda x, y: x * x * x - 0.25 * y, lambda x, y: (3.0 * x * x, -0.25),
+    )
+
+
+# moments whose J = (I2 + I3, I1 + I3, I1 + I2) are powers of two, so the
+# kernel's quotients and the integrals' coefficients are exact
+CASES_3D = {
+    "lagrange_momentum": (CaseKind.LAGRANGE_3D, [0.5, 0.5, 1.5],
+                          LinearPotential([0.0, 0.0, -0.75])),
+    "kharlamova_momentum": (CaseKind.KHARLAMOVA_3D, [1.5, 0.5, 0.5],
+                            LinearPotential([0.5, -2.0, 0.0])),
+    "clebsch_quadratic": (CaseKind.CLEBSCH_TISSERAND_3D, [1.5, 0.5, 0.5],
+                          QuadraticPotential([0.25, 0.5, 0.5])),
+    "dgj_integral": (CaseKind.DGJ_3D, [1.5, 0.5, 0.5], None),
+}
+
+
+@pytest.mark.parametrize("label", CASES_3D)
+def test_3d_field_keeps_each_case_integral(label):
+    kind, moments, potential = CASES_3D[label]
+    spec = CaseSpec(kind, 3, MassTensor(diag=moments), potential or dgj_fixture())
+    fn = first_integrals(spec)[label]
+    a = AXES["e3"]
+    (w1, w2), w = plane_chart(a)
+    g = sp.symbols("G1:4", real=True)
+    w_dot, g_dot = field_3d(w, g, exact_list(spec.potential._point_gradient(g)),
+                            exact_list(spec.j_diag.tolist()), a, 0.0)
+    # the packed point of w = (-X_23, X_13, -X_12): X_12 = -w3 = 0 on e3
+    y = np.array([0, w2, -w1, *g], dtype=object)
+    assert lie_derivative(fn(y), [w_dot[0], w_dot[1], *g_dot], (w1, w2, *g)) == 0

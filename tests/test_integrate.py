@@ -11,6 +11,7 @@ from conftest import (
     bits,
     canonical_state,
     closed_form_period,
+    gamma_norm_err,
     random_canonical_state,
     states_trajectory,
 )
@@ -47,8 +48,10 @@ from suslov.model import (
     BodyState,
     LinearPotential,
     MassTensor,
+    QuadraticPotential,
     ZeroPotential,
     energies,
+    energy,
     pack_state,
 )
 
@@ -578,19 +581,18 @@ class TestStepLoopBits:
     the error scale on floats, reuses the step's increment in the DOP853
     interpolant, renormalizes each step endpoint in place and all the
     interpolated samples in one pass after the loop, and samples the grid
-    off the step record after the loop; every sample, diagnostic, counter
-    and failure keeps the bits of the array loop of
+    off the step record after the loop; every sample, counter and failure
+    keeps the bits of the array loop of
     ``reference_adaptive_solve``, which samples each step as it is
     accepted."""
 
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_matches_per_step_reference(self, scenario, method):
-        spec, config, cfg, (field, constraints) = scenario_run(scenario, method)
+        spec, config, cfg, (field, _) = scenario_run(scenario, method)
         state0 = config.initial_state
         traj = integrate(field, state0, (0.0, config.t_end), cfg,
-                         output_dt=config.output_dt, inertia=spec.inertia,
-                         potential=spec.potential, constraints=constraints)
+                         output_dt=config.output_dt)
         k = layout(spec.n).k
         ys, stats = reference_adaptive_solve(
             method, field, pack_state(state0.omega, state0.gamma),
@@ -599,13 +601,6 @@ class TestStepLoopBits:
         assert stats == traj.stats
         assert stats.accepted > 50 and len(traj) > 50
         assert np.array_equal(bits(traj.ys), bits(ys))
-        aux = traj.aux
-        gamma_norm = np.sqrt(np.vecdot(ys[:, k:], ys[:, k:]))
-        assert np.array_equal(bits(aux["gamma_norm_err"]), bits(np.abs(gamma_norm - 1.0)))
-        assert np.array_equal(bits(aux["energy"]),
-                              bits(energies(ys, spec.inertia, spec.potential)))
-        residual = np.max(np.abs(ys[:, :k] @ constraints.rows.T), axis=1)
-        assert np.array_equal(bits(aux["constraint_residual"]), bits(residual))
 
     @pytest.mark.parametrize("method", ["dop853", "rk45"])
     def test_grid_times_on_step_starts_match_reference(self, method):
@@ -871,14 +866,14 @@ class TestRenormalization:
         cfg = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(self.field, self.state0, (0.0, 100.0), cfg,
                          output_dt=0.25)
-        assert np.max(traj.aux["gamma_norm_err"]) <= 1e-12
+        assert np.max(gamma_norm_err(traj)) <= 1e-12
 
     def test_gamma_drift_small_without_renormalization(self):
         cfg = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12,
                                renormalize_gamma=False)
         traj = integrate(self.field, self.state0, (0.0, 100.0), cfg,
                          output_dt=0.25)
-        assert np.max(traj.aux["gamma_norm_err"]) <= 1e-6
+        assert np.max(gamma_norm_err(traj)) <= 1e-6
 
 
 class TestTrajectory:
@@ -926,11 +921,11 @@ class TestConstraintPreservation:
         state0 = random_canonical_state(rng, n, speed=0.6)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(state_field(field, n), state0, (0.0, 100.0), cfg,
-                         output_dt=0.5, inertia=inertia, potential=pot,
-                         constraints=constraints)
-        assert np.max(traj.aux["constraint_residual"]) <= 1e-8
-        assert np.max(np.abs(traj.aux["energy"] - traj.aux["energy"][0])) \
-            <= 1e-8 * max(1.0, abs(traj.aux["energy"][0]))
+                         output_dt=0.5)
+        k = layout(n).k
+        assert np.max(np.abs(traj.ys[:, :k] @ constraints.rows.T)) <= 1e-8
+        e = energies(traj.ys, inertia, pot)
+        assert np.max(np.abs(e - e[0])) <= 1e-8 * max(1.0, abs(e[0]))
 
 
 class TestReparametrize:
@@ -939,7 +934,7 @@ class TestReparametrize:
             canonical_state([v, 0.0], [0.0, 0.0, 1.0]) for v in phi_vals
         ]
         times = dt * np.arange(len(phi_vals))
-        return states_trajectory(times, states, aux={})
+        return states_trajectory(times, states)
 
     @staticmethod
     def _phi(y):
@@ -1026,7 +1021,7 @@ class TestDetectPeriod:
             canonical_state([math.sin(omega * t + phase), 0.0], [0.0, 0.0, 1.0])
             for t in times
         ]
-        return states_trajectory(times, states, aux={})
+        return states_trajectory(times, states)
 
     def test_sine_period(self):
         omega = 1.3
@@ -1160,9 +1155,7 @@ class TestDriftReport:
         field, constraints = build_field(spec)
         state0 = random_canonical_state(rng, n)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(field, state0, (0.0, 20.0), cfg, output_dt=0.1,
-                         inertia=inertia, potential=pot,
-                         constraints=constraints)
+        traj = integrate(field, state0, (0.0, 20.0), cfg, output_dt=0.1)
 
         integrals = first_integrals(spec)
         report = drift_report(traj, integrals)
@@ -1198,13 +1191,11 @@ class TestCsv:
         field, constraints = build_field(spec)
         state0 = canonical_state([1.0, 0.2], [0.0, 0.6, 0.8])
         cfg = IntegratorConfig(method="rk4", step=0.01)
-        traj = integrate(field, state0, (0.0, 1.0), cfg, output_dt=0.1,
-                         inertia=inertia, potential=pot,
-                         constraints=constraints)
+        traj = integrate(field, state0, (0.0, 1.0), cfg, output_dt=0.1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_csv(traj, p1)
-        write_csv(traj, p2)
+        write_csv(traj, p1, inertia, pot, constraints)
+        write_csv(traj, p2, inertia, pot, constraints)
         text = p1.read_text()
         assert text == p2.read_text()
         header = text.splitlines()[0]
@@ -1217,8 +1208,23 @@ class TestCsv:
         row = text.splitlines()[2].split(",")
         assert float(row[0]) == traj.times[1]
 
-    def test_missing_diagnostics_rejected(self, tmp_path):
-        s = canonical_state([1.0, 0.0], [0.0, 0.0, 1.0])
-        traj = states_trajectory([0.0, 1.0], [s, s], aux={})
-        with pytest.raises(ValueError, match="diagnostics"):
-            write_csv(traj, tmp_path / "x.csv")
+    def test_diagnostic_columns_are_those_of_each_state(self, tmp_path):
+        # samples off the constraint set and the sphere, so no column is 0
+        n, k = 4, 6
+        rng = np.random.default_rng(12)
+        inertia = MassTensor(diag=0.5 + rng.random(n) * 2.0)
+        pot = QuadraticPotential(rng.normal(size=n))
+        constraints = ConstraintSet.canonical_suslov(n)
+        traj = Trajectory(np.arange(30.0), rng.normal(size=(30, k + n)))
+        path = tmp_path / "d.csv"
+        write_csv(traj, path, inertia, pot, constraints)
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(bits(table[:, 0]), bits(traj.times))
+        assert np.array_equal(bits(table[:, 1:-3]), bits(traj.ys))
+        expect = np.array([
+            (energy(s, inertia, pot), constraints.residual(s.omega),
+             abs(np.linalg.norm(s.gamma) - 1.0))
+            for s in traj.states
+        ])
+        assert np.all(expect > 0.0)
+        assert np.array_equal(bits(table[:, -3:]), bits(expect))

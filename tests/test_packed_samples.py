@@ -41,11 +41,9 @@ from test_cases import catalog_instances
 def case_trajectory(spec, seed, t_end=6.0):
     rng = np.random.default_rng(seed)
     state0 = state_with_sizable_integrals(rng, spec, first_integrals(spec))
-    field, constraints = build_field(spec)
+    field, _ = build_field(spec)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    return integrate(field, state0, (0.0, t_end), cfg, output_dt=0.05,
-                     inertia=spec.inertia, potential=spec.potential,
-                     constraints=constraints)
+    return integrate(field, state0, (0.0, t_end), cfg, output_dt=0.05)
 
 
 @pytest.mark.parametrize(
@@ -56,7 +54,6 @@ def test_block_values_match_rows_bit_for_bit(spec):
     ys = traj.ys
     inertia, pot = spec.inertia, spec.potential
     per_state = np.array([energy(s, inertia, pot) for s in traj.states])
-    assert np.array_equal(bits(traj.aux["energy"]), bits(per_state))
     assert np.array_equal(bits(energies(ys, inertia, pot)), bits(per_state))
     for label, fn in first_integrals(spec).items():
         block = fn(ys)
@@ -131,8 +128,6 @@ def test_reversed_reparametrize_keeps_ys_and_states_aligned():
     out = reparametrize(traj, phi)
     assert np.all(np.diff(out.times) > 0)
     assert np.array_equal(bits(out.ys), bits(traj.ys[::-1]))
-    for key, val in traj.aux.items():
-        assert np.array_equal(bits(out.aux[key]), bits(val[::-1])), key
     for y, s, s_orig in zip(out.ys, out.states, traj.states[::-1]):
         assert np.array_equal(bits(pack(s.omega)), bits(y[:k]))
         assert np.array_equal(bits(s.gamma), bits(y[k:]))
@@ -223,7 +218,8 @@ def test_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
     integrate_mod = importlib.import_module("suslov.integrate")
     spec = [s for s in catalog_instances() if s.kind.value == "KharlamovaND"][0]
     traj = case_trajectory(spec, 4)
-    write_csv(traj, tmp_path / "one.csv")
+    model = spec.inertia, spec.potential, build_field(spec)[1]
+    write_csv(traj, tmp_path / "one.csv", *model)
     monkeypatch.setattr(integrate_mod, "_CSV_BLOCK", 7)
-    write_csv(traj, tmp_path / "many.csv")
+    write_csv(traj, tmp_path / "many.csv", *model)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "many.csv").read_bytes()

@@ -79,17 +79,20 @@ def load_package(name: str, root: Path):
 def integrate_call(lib, path: Path, method: str):
     """A no-argument call of ``integrate`` as ``suslov simulate`` makes it
     for the scenario at ``path``, under ``method``; it returns the
-    trajectory."""
+    trajectory.  It passes no model context (inertia, potential,
+    constraints), which older checkouts took as optional arguments to
+    record per-sample diagnostics and this one does not take: ``suslov
+    simulate`` forms the diagnostics in ``write_csv``, so their cost counts
+    in the ``suslov simulate`` rows only."""
     config = lib.cli.load_config(path)
     cfg = dataclasses.replace(config.integrator, method=method)
     spec = config.case_spec
-    field, constraints = lib.cases.build_field(spec)
+    field, _ = lib.cases.build_field(spec)
 
     def call():
         return lib.integrate.integrate(
             field, config.initial_state, (0.0, config.t_end), cfg,
-            output_dt=config.output_dt, inertia=spec.inertia,
-            potential=spec.potential, constraints=constraints,
+            output_dt=config.output_dt,
         )
 
     return call

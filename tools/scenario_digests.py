@@ -1,4 +1,4 @@
-"""SHA-256 digests of every scenario's outputs, under each adaptive method.
+"""SHA-256 digests of every scenario's outputs, under each method.
 
 Usage::
 
@@ -7,7 +7,8 @@ Usage::
 ``CHECKOUT`` is the root of a suslov checkout (``src/suslov`` and
 ``scenarios/`` beside each other); it defaults to the checkout holding this
 file.  Each ``scenarios/*.cfg`` runs through ``suslov simulate`` once with
-``integrator.method = dop853`` and once with ``rk45``, in a fresh process
+each ``integrator.method`` (``dop853``, ``rk45`` and ``rk4``, the last at
+the scenario's ``integrator.step``), in a fresh process
 that imports the checkout's own ``src``, writing into a temporary
 directory.  The children run with ``-B``, so no compiled file lands in the
 checkout (one would change what a later benchmark run of that checkout
@@ -34,7 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-METHODS = ("dop853", "rk45")
+METHODS = ("dop853", "rk45", "rk4")
 OUTPUTS = ("trajectory.csv", "report.txt")
 COUNTERS = ("accepted", "rejected", "rhs_evals")
 _METHOD_LINE = re.compile(r"^integrator\.method\s*=.*$", re.MULTILINE)
